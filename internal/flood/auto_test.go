@@ -31,7 +31,7 @@ func TestAutoParallelismPolicy(t *testing.T) {
 }
 
 // TestResolveParallelism pins the shared normalization rule every engine
-// entry point (single-message engine, traffic plane) routes through: ANY
+// entry point (the traffic plane, and through it Run) routes through: ANY
 // negative value selects the Auto policy — not just the Auto constant —
 // and 0 runs serial. Negative values used to be honored only on the auto
 // path; resolveParallelism is the uniform fix.
@@ -71,9 +71,9 @@ func TestAutoParallelismInvariance(t *testing.T) {
 		}
 		mSerial := build()
 		opts := Options{Source: mSerial.LastBorn(), MaxRounds: 25, KeepTrajectory: true, Parallelism: 1}
-		want := runEngine(mSerial, opts)
+		want := Run(mSerial, opts)
 		opts.Parallelism = Auto
-		if got := runEngine(build(), opts); !reflect.DeepEqual(got, want) {
+		if got := Run(build(), opts); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%v: Auto parallelism diverged from serial\ngot  %+v\nwant %+v", kind, got, want)
 		}
 	}

@@ -1,6 +1,8 @@
 package flood
 
 import (
+	"fmt"
+	"math/bits"
 	"reflect"
 	"runtime"
 	"testing"
@@ -19,7 +21,7 @@ func testPars() []int {
 	return []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 }
 
-// TestEngineMatchesReference pins the equivalence contract: the cut-set
+// TestEngineMatchesReference pins the equivalence contract: Run's cut-set
 // engine — serial and at every sharded worker count — and the full-rescan
 // reference produce bit-for-bit identical Results on every model × mode
 // across seeded trials. Identically seeded models see identical churn
@@ -56,7 +58,7 @@ func TestEngineMatchesReference(t *testing.T) {
 
 					for _, par := range testPars() {
 						opts.Parallelism = par
-						got := runEngine(build(), opts)
+						got := Run(build(), opts)
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("seed %d (n=%d d=%d par=%d): engine and reference diverged\nengine:    %+v\nreference: %+v",
 								seed, n, d, par, got, want)
@@ -68,9 +70,9 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunDispatchesToEngine checks that Run selects the engine for models
-// with the edge-event contract and falls back to the reference otherwise —
-// and that a caller cannot tell the difference.
+// TestRunDispatchesToEngine checks that Run falls back to the reference
+// for models without the edge-event contract — and that a caller cannot
+// tell the difference.
 func TestRunDispatchesToEngine(t *testing.T) {
 	build := func() core.Model {
 		m := core.New(core.SDGR, 200, 8, rng.New(11))
@@ -79,11 +81,7 @@ func TestRunDispatchesToEngine(t *testing.T) {
 	}
 	opts := Options{MaxRounds: 25, KeepTrajectory: true}
 	viaRun := Run(build(), opts)
-	viaEngine := runEngine(build(), opts)
 	viaFallback := Run(noEdgeEvents{build()}, opts)
-	if !reflect.DeepEqual(viaRun, viaEngine) {
-		t.Fatalf("Run did not match the engine:\n%+v\n%+v", viaRun, viaEngine)
-	}
 	if !reflect.DeepEqual(viaFallback, viaRun) {
 		t.Fatalf("reference fallback diverged:\n%+v\n%+v", viaFallback, viaRun)
 	}
@@ -118,10 +116,11 @@ func TestEngineRestoresHooks(t *testing.T) {
 }
 
 // TestEngineCutMatchesRecompute is the churn-heavy bookkeeping property
-// test: at every freeze, the engine's frozen cut — tracked receivers with
-// their compacted sender lists — must equal the cut recomputed from
-// scratch out of the snapshot: for every alive uninformed node, its set of
-// distinct informed alive neighbors.
+// test: at every freeze, each in-flight lane's frozen cut — tracked
+// receivers with their compacted sender lists — must equal the cut
+// recomputed from scratch out of the snapshot: for every alive node the
+// lane does not inform, its set of distinct alive neighbors the lane
+// informs. It runs one message (Run's case) and three concurrent ones.
 func TestEngineCutMatchesRecompute(t *testing.T) {
 	cases := []struct {
 		kind core.Kind
@@ -139,108 +138,128 @@ func TestEngineCutMatchesRecompute(t *testing.T) {
 		c := c
 		t.Run(c.kind.String()+"-"+c.mode.String(), func(t *testing.T) {
 			t.Parallel()
-			for seed := uint64(0); seed < 4; seed++ {
-				m := core.New(c.kind, c.n, c.d, rng.New(seed))
-				core.WarmUp(m)
-				for !m.Graph().IsAlive(m.LastBorn()) {
-					m.AdvanceRound()
-				}
-				e := newEngine(m, Options{
-					Source:      m.LastBorn(),
-					Mode:        c.mode,
-					Parallelism: c.par,
-					// A horizon well past completion keeps churning the
-					// informed network, exercising slot reuse and
-					// regeneration against a saturated cut.
-					MaxRounds: 50,
-					RunToMax:  true,
-				})
-				round := 0
-				e.onFreeze = func(nFrozen int) {
-					round++
-					checkFrozenCut(t, e, nFrozen, seed, round)
-				}
-				e.run()
-				if round == 0 {
-					t.Fatal("freeze never observed")
+			for _, messages := range []int{1, 3} {
+				for seed := uint64(0); seed < 4; seed++ {
+					m := core.New(c.kind, c.n, c.d, rng.New(seed))
+					core.WarmUp(m)
+					for !m.Graph().IsAlive(m.LastBorn()) {
+						m.AdvanceRound()
+					}
+					tr := NewTraffic(m, TrafficOptions{
+						Mode:        c.mode,
+						Parallelism: c.par,
+						// A horizon well past completion keeps churning the
+						// informed network, exercising slot reuse and
+						// regeneration against a saturated cut.
+						MaxRounds: 50,
+						RunToMax:  true,
+					})
+					round := 0
+					tr.onFreeze = func() {
+						round++
+						checkFrozenCut(t, tr, fmt.Sprintf("M=%d seed %d round %d", messages, seed, round))
+					}
+					for i := 0; i < messages; i++ {
+						tr.Inject(nthAlive(m.Graph(), i))
+					}
+					for tr.Live() > 0 {
+						tr.Step()
+					}
+					tr.Close()
+					if round == 0 {
+						t.Fatal("freeze never observed")
+					}
 				}
 			}
 		})
 	}
 }
 
-// checkFrozenCut compares the engine's frozen cut with a from-scratch
-// recomputation over the current snapshot.
-func checkFrozenCut(t *testing.T, e *engine, nFrozen int, seed uint64, round int) {
+// checkFrozenCut compares every in-flight lane's frozen cut with a
+// from-scratch recomputation over the current snapshot, and checks the
+// shard layout: each frozen receiver sits in its owner shard, once.
+func checkFrozenCut(t *testing.T, tr *Traffic, at string) {
 	t.Helper()
-	g := e.g
+	g := tr.g
+	live := map[int]bool{}
+	for _, li := range tr.inFlight {
+		live[li] = true
+	}
 
-	// Recompute: alive uninformed node -> set of distinct informed alive
-	// neighbors.
-	want := map[graph.Handle]map[graph.Handle]bool{}
-	g.ForEachAlive(func(v graph.Handle) bool {
-		if e.informed.Has(v) {
-			return true
+	got := map[int]map[graph.Handle]map[graph.Handle]bool{}
+	for li := range live {
+		got[li] = map[graph.Handle]map[graph.Handle]bool{}
+	}
+	frozen := map[graph.Handle]bool{}
+	for si := range tr.shards {
+		sh := &tr.shards[si]
+		if len(sh.frozenWords) != sh.nFrozen*tr.stride {
+			t.Fatalf("%s: shard %d has %d frozen words for %d receivers", at, si, len(sh.frozenWords), sh.nFrozen)
 		}
-		var set map[graph.Handle]bool
-		g.Neighbors(v, func(u graph.Handle) bool {
-			if e.informed.Has(u) {
-				if set == nil {
-					set = map[graph.Handle]bool{}
+		cur := 0
+		for i, v := range sh.receivers[:sh.nFrozen] {
+			if want := tr.owner(v.Slot); want != si {
+				t.Fatalf("%s: receiver %v frozen in shard %d, owner is %d", at, v, si, want)
+			}
+			if frozen[v] {
+				t.Fatalf("%s: receiver %v frozen twice", at, v)
+			}
+			frozen[v] = true
+			if !g.IsAlive(v) {
+				t.Fatalf("%s: frozen receiver %v is dead", at, v)
+			}
+			for wi, m := range sh.frozenWords[i*tr.stride : (i+1)*tr.stride] {
+				for ; m != 0; m &= m - 1 {
+					li := wi<<6 | bits.TrailingZeros64(m)
+					flen := int(sh.frozenLen[cur])
+					cur++
+					if !live[li] {
+						t.Fatalf("%s: receiver %v frozen for dormant lane %d", at, v, li)
+					}
+					if tr.informed.has(v, li) {
+						t.Fatalf("%s: receiver %v frozen for lane %d, which informs it", at, v, li)
+					}
+					set := map[graph.Handle]bool{}
+					for _, s := range tr.lanes[li].senders[v.Slot][:flen] {
+						if !g.IsAlive(s) || !tr.informed.has(s, li) {
+							t.Fatalf("%s: lane %d frozen sender %v of %v is dead or uninformed", at, li, s, v)
+						}
+						set[s] = true
+					}
+					got[li][v] = set
 				}
-				set[u] = true
+			}
+		}
+		if cur != len(sh.frozenLen) {
+			t.Fatalf("%s: shard %d consumed %d of %d frozen lengths", at, si, cur, len(sh.frozenLen))
+		}
+	}
+
+	for li := range live {
+		// Recompute: alive node lane li does not inform -> set of distinct
+		// alive neighbors it does.
+		want := map[graph.Handle]map[graph.Handle]bool{}
+		g.ForEachAlive(func(v graph.Handle) bool {
+			if tr.informed.has(v, li) {
+				return true
+			}
+			var set map[graph.Handle]bool
+			g.Neighbors(v, func(u graph.Handle) bool {
+				if tr.informed.has(u, li) {
+					if set == nil {
+						set = map[graph.Handle]bool{}
+					}
+					set[u] = true
+				}
+				return true
+			})
+			if set != nil {
+				want[v] = set
 			}
 			return true
 		})
-		if set != nil {
-			want[v] = set
-		}
-		return true
-	})
-
-	got := map[graph.Handle]map[graph.Handle]bool{}
-	total := 0
-	for si := range e.shards {
-		sh := &e.shards[si]
-		total += sh.nFrozen
-		for i := 0; i < sh.nFrozen; i++ {
-			v := sh.receivers[i]
-			if want := e.owner(v.Slot); want != si {
-				t.Fatalf("seed %d round %d: receiver %v frozen in shard %d, owner is %d", seed, round, v, si, want)
-			}
-			if _, dup := got[v]; dup {
-				t.Fatalf("seed %d round %d: receiver %v frozen twice", seed, round, v)
-			}
-			if !g.IsAlive(v) || e.informed.Has(v) {
-				t.Fatalf("seed %d round %d: frozen receiver %v is dead or informed", seed, round, v)
-			}
-			set := map[graph.Handle]bool{}
-			for _, s := range e.senders[v.Slot][:sh.frozenLen[i]] {
-				if !g.IsAlive(s) || !e.informed.Has(s) {
-					t.Fatalf("seed %d round %d: frozen sender %v of %v is dead or uninformed", seed, round, s, v)
-				}
-				set[s] = true
-			}
-			got[v] = set
-		}
-	}
-	if total != nFrozen {
-		t.Fatalf("seed %d round %d: shards froze %d receivers, freeze reported %d", seed, round, total, nFrozen)
-	}
-
-	if len(got) != len(want) {
-		t.Fatalf("seed %d round %d: frozen cut has %d receivers, recompute has %d\ngot  %v\nwant %v",
-			seed, round, len(got), len(want), got, want)
-	}
-	for v, wantSet := range want {
-		gotSet, ok := got[v]
-		if !ok {
-			t.Fatalf("seed %d round %d: receiver %v missing from frozen cut (want senders %v)",
-				seed, round, v, wantSet)
-		}
-		if !reflect.DeepEqual(gotSet, wantSet) {
-			t.Fatalf("seed %d round %d: receiver %v senders diverged\ngot  %v\nwant %v",
-				seed, round, v, gotSet, wantSet)
+		if !reflect.DeepEqual(got[li], want) {
+			t.Fatalf("%s: lane %d frozen cut diverged from the recompute\ngot  %v\nwant %v", at, li, got[li], want)
 		}
 	}
 }
@@ -268,7 +287,7 @@ func TestEngineOverlayMatchesReference(t *testing.T) {
 			RunToMax:       seed%2 == 0,
 			Parallelism:    int(seed) * 2, // 0 (serial), 2, 4
 		}
-		got := runEngine(mEng, opts)
+		got := Run(mEng, opts)
 		want := RunReference(mRef, opts)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: overlay engine/reference diverged\n%+v\n%+v", seed, got, want)
@@ -286,7 +305,7 @@ func TestEngineStaticMatchesReference(t *testing.T) {
 		gRef, _ := staticgraph.DOut(400, 5, rng.New(seed))
 		opts := Options{Source: hs[0], MaxRounds: 30, KeepTrajectory: true,
 			Parallelism: int(seed) * 3} // 0 (serial), 3, 6
-		got := runEngine(core.NewStaticModel(gEng, 5), opts)
+		got := Run(core.NewStaticModel(gEng, 5), opts)
 		want := RunReference(core.NewStaticModel(gRef, 5), opts)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: static engine/reference diverged\n%+v\n%+v", seed, got, want)

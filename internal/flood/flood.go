@@ -16,11 +16,12 @@
 // this coincides exactly with Definition 3.3; for Poisson models it is
 // Definition 4.3 (Discretized) or 4.2 (Asynchronous).
 //
-// Two implementations share that mechanism: RunReference captures the
-// candidates by rescanning every informed node's neighborhood each round
-// (the executable form of the definitions), while the cut-set engine
-// behind Run maintains them incrementally from the models' edge-level
-// events (see engine.go). They produce bit-for-bit identical Results.
+// RunReference captures the candidates by rescanning every informed
+// node's neighborhood each round (the executable form of the
+// definitions). Traffic, the cut-set engine, maintains them incrementally
+// from the models' edge-level events for any number of concurrent
+// messages, and Run is its one-message case (see traffic.go). Both
+// produce bit-for-bit identical Results.
 //
 // Completion follows Definition 3.3: the broadcast is complete at round t
 // when I_t ⊇ N_{t−1} ∩ N_t, i.e. every alive node that was already present
@@ -79,7 +80,7 @@ type Options struct {
 	// engine uses inside this one flooding run: the candidate cut is
 	// partitioned by arena slot range, and the frontier drain, the
 	// freeze/compaction pass and the admission sweep fan out across the
-	// shards (see engine.go, "Sharded execution"). 0 or 1 runs the serial
+	// shards (see Traffic, "Sharded execution"). 0 or 1 runs the serial
 	// engine; Auto (any negative value) picks the shard count from
 	// GOMAXPROCS and the model size via AutoParallelism. Results are
 	// bit-for-bit identical at every setting — the knob trades goroutine
@@ -104,10 +105,11 @@ const Auto = -1
 func AutoParallelism(n int) int { return graph.AutoWorkers(n) }
 
 // resolveParallelism normalizes a Parallelism option the same way at every
-// engine entry point (newEngine, NewTraffic, and the expansion tracker's
-// equivalent): any negative value selects the Auto policy for a network of
-// nominal size n, and 0 runs serial — one worker shard. Centralizing the
-// rule keeps "negative means auto" uniform instead of a per-path accident.
+// engine entry point (NewTraffic, which Run goes through, and the
+// expansion tracker's equivalent): any negative value selects the Auto
+// policy for a network of nominal size n, and 0 runs serial — one worker
+// shard. Centralizing the rule keeps "negative means auto" uniform instead
+// of a per-path accident.
 func resolveParallelism(par, n int) int {
 	if par < 0 {
 		par = AutoParallelism(n)
@@ -181,23 +183,43 @@ type pair struct {
 //
 // When the model guarantees the edge-event contract of
 // core.EdgeEventSource (all four paper models, the static baseline and the
-// overlay do), Run uses the incremental cut-set engine, which maintains
-// the informed→uninformed candidate edges under churn events instead of
-// rescanning every informed neighborhood each round; see engine.go. The
-// engine's Result is bit-for-bit identical to RunReference's — pinned by
-// the differential tests — so callers never observe which path ran. Models
-// without the contract fall back to RunReference.
+// overlay do), Run is a one-message Traffic plane: the incremental cut-set
+// engine, which maintains the informed→uninformed candidate edges under
+// churn events instead of rescanning every informed neighborhood each
+// round. Its Result is bit-for-bit identical to RunReference's — pinned by
+// the differential tests — so callers never observe which path ran.
+// Models without the contract fall back to RunReference.
 func Run(m core.Model, opts Options) Result {
-	if es, ok := m.(core.EdgeEventSource); ok && es.EmitsEdgeEvents() {
-		return runEngine(m, opts)
+	if es, ok := m.(core.EdgeEventSource); !ok || !es.EmitsEdgeEvents() {
+		return RunReference(m, opts)
 	}
-	return RunReference(m, opts)
+	src := opts.Source
+	if src.IsNil() {
+		src = m.LastBorn()
+	}
+	if !m.Graph().IsAlive(src) {
+		panic("flood: source is not an alive node")
+	}
+	t := NewTraffic(m, TrafficOptions{
+		Mode:           opts.Mode,
+		MaxRounds:      opts.MaxRounds,
+		KeepTrajectory: opts.KeepTrajectory,
+		RunToMax:       opts.RunToMax,
+		Parallelism:    opts.Parallelism,
+	})
+	defer t.Close()
+	id := t.Inject(src)
+	for t.Live() > 0 {
+		t.Step()
+	}
+	return t.Result(id)
 }
 
 // RunReference floods over m per opts with the straightforward per-round
 // full rescan of every informed node's neighborhood. It is the executable
-// form of Definitions 3.3/4.2/4.3 and the oracle the cut-set engine is
-// pinned against; use Run for real workloads.
+// form of Definitions 3.3/4.2/4.3 and the oracle the cut-set engine (Run
+// and every Traffic message) is pinned against; use Run for real
+// workloads.
 func RunReference(m core.Model, opts Options) Result {
 	g := m.Graph()
 	src := opts.Source

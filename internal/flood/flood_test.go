@@ -313,9 +313,10 @@ func BenchmarkFloodPDGR(b *testing.B) {
 
 var sinkResult Result
 
-// The engine-vs-reference pairs below time the same workloads on both
-// implementations; cmd/benchjson emits the machine-readable version
-// (BENCH_flood.json) including the large-n record.
+// The Run-vs-reference pairs below time the same workloads on the cut-set
+// engine and the rescan reference; cmd/benchjson emits the
+// machine-readable version (BENCH_flood.json) including the large-n
+// record.
 
 func benchImpl(b *testing.B, run func(core.Model, Options) Result, opts Options) {
 	b.Helper()
@@ -328,7 +329,7 @@ func benchImpl(b *testing.B, run func(core.Model, Options) Result, opts Options)
 	}
 }
 
-func BenchmarkFloodEngineSDGRComplete(b *testing.B) {
+func BenchmarkFloodRunSDGRComplete(b *testing.B) {
 	benchImpl(b, Run, Options{})
 }
 
@@ -336,7 +337,7 @@ func BenchmarkFloodReferenceSDGRComplete(b *testing.B) {
 	benchImpl(b, RunReference, Options{})
 }
 
-func BenchmarkFloodEngineSDGRWindow(b *testing.B) {
+func BenchmarkFloodRunSDGRWindow(b *testing.B) {
 	benchImpl(b, Run, Options{MaxRounds: 60, RunToMax: true})
 }
 
@@ -344,15 +345,15 @@ func BenchmarkFloodReferenceSDGRWindow(b *testing.B) {
 	benchImpl(b, RunReference, Options{MaxRounds: 60, RunToMax: true})
 }
 
-// The sharded-engine variants time the same workloads at
+// The sharded variants time the same workloads at
 // Options.Parallelism = GOMAXPROCS; on a single-core box they measure
 // the sharding overhead (BENCH_floodpar.json carries the swept record).
 
-func BenchmarkFloodEngineSDGRCompleteSharded(b *testing.B) {
+func BenchmarkFloodRunSDGRCompleteSharded(b *testing.B) {
 	benchImpl(b, Run, Options{Parallelism: runtime.GOMAXPROCS(0)})
 }
 
-func BenchmarkFloodEngineSDGRWindowSharded(b *testing.B) {
+func BenchmarkFloodRunSDGRWindowSharded(b *testing.B) {
 	benchImpl(b, Run, Options{MaxRounds: 60, RunToMax: true, Parallelism: runtime.GOMAXPROCS(0)})
 }
 

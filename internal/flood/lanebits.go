@@ -15,24 +15,22 @@ import (
 // event XORs or masks whole 64-lane words instead of looping over M
 // lanes.
 //
-// Validity follows graph.Marks' epoch/generation discipline, applied per
-// slot: a slot's words count only while the stored epoch is current and
-// the stored generation matches the handle's. The generation is shared
-// across all lanes deliberately — a slot's current generation is a
-// property of the node occupying it, not of any message, so every lane
-// observing the slot agrees on it, and one uint32 per slot replaces the
-// per-lane gen array that Marks would cost per message. Non-current
-// state is inert: reads treat it as all-zero and the first write
-// reclaims the slot by zeroing its words (the same contract
-// graph.Marks.Unmark keeps for stale handles).
+// Validity is per slot: a slot's words count only while the stored
+// generation matches the handle's. The generation is shared across all
+// lanes deliberately — a slot's current generation is a property of the
+// node occupying it, not of any message, so every lane observing the slot
+// agrees on it, and one uint32 per slot replaces the per-lane gen array
+// that Marks would cost per message. Generation 0 is graph.Nil, so a
+// stored 0 marks a slot no node holds. Non-current state is inert: reads
+// treat it as all-zero and the first write reclaims the slot by zeroing
+// its words (the same contract graph.Marks.Unmark keeps for stale
+// handles).
 //
 // The zero value is not ready; call init(stride) first (the plane does,
 // with stride 1, and reshapes as lanes cross 64-lane word boundaries).
 type laneBits struct {
 	words  []uint64 // len = slots * stride, slot-major lane-membership bits
-	epoch  []uint64 // per slot: epoch the words were last claimed for
-	gen    []uint32 // per slot: node generation the words belong to (shared by all lanes)
-	cur    uint64   // current epoch - 1, exactly like graph.Marks
+	gen    []uint32 // per slot: node generation the words belong to (shared by all lanes; 0 = none)
 	stride int      // words per slot = ceil(laneCap/64), >= 1
 }
 
@@ -44,21 +42,15 @@ func (b *laneBits) init(stride int) {
 	b.stride = stride
 }
 
-// reset invalidates every slot in O(1) by bumping the epoch.
-func (b *laneBits) reset() { b.cur++ }
-
 // slots returns the number of arena slots currently spanned.
-func (b *laneBits) slots() int { return len(b.epoch) }
+func (b *laneBits) slots() int { return len(b.gen) }
 
 // grow extends the per-slot arrays to span at least n slots. New slots
-// start invalid (epoch 0). Amortized doubling, like graph.Marks.
+// start invalid (generation 0). Amortized doubling, like graph.Marks.
 func (b *laneBits) grow(n int) {
-	if n <= len(b.epoch) {
+	if n <= len(b.gen) {
 		return
 	}
-	ne := make([]uint64, n*2)
-	copy(ne, b.epoch)
-	b.epoch = ne
 	ng := make([]uint32, n*2)
 	copy(ng, b.gen)
 	b.gen = ng
@@ -77,7 +69,7 @@ func (b *laneBits) reshape(stride int) {
 	if stride == b.stride {
 		return
 	}
-	nSlots := len(b.epoch)
+	nSlots := len(b.gen)
 	nw := make([]uint64, nSlots*stride)
 	min := b.stride
 	if stride < min {
@@ -90,60 +82,70 @@ func (b *laneBits) reshape(stride int) {
 	b.stride = stride
 }
 
-// wordsOf returns h's slot words when they are current (epoch and
-// generation both match), or nil: a nil result reads as all-zero, the
-// packed analogue of Marks.Has returning false. Callers must not write
-// through the returned slice unless they own h's slot (shard discipline).
+// wordsOf returns h's slot words when they are current (the generation
+// matches), or nil: a nil result reads as all-zero, the packed analogue
+// of Marks.Has returning false. Callers must not write through the
+// returned slice unless they own h's slot (shard discipline).
 func (b *laneBits) wordsOf(h graph.Handle) []uint64 {
 	s := int(h.Slot)
-	if h.IsNil() || s >= len(b.epoch) {
-		return nil
-	}
-	if b.epoch[s] != b.cur+1 || b.gen[s] != h.Gen {
+	if h.IsNil() || s >= len(b.gen) || b.gen[s] != h.Gen {
 		return nil
 	}
 	return b.words[s*b.stride : (s+1)*b.stride]
 }
 
-// claim validates h's slot for writing, zeroing stale words and stamping
-// the current epoch and h's generation, and returns the slot's words
-// plus whether the slot held no current bits before the claim (a fresh
-// claim, or a current slot whose words were all zero). That second
-// result is what receiver-list dedup keys on: a slot enters its owner
-// shard's receiver list exactly when it transitions from untracked to
-// tracked.
-func (b *laneBits) claim(h graph.Handle) (w []uint64, slotWasEmpty bool) {
-	b.grow(int(h.Slot) + 1)
+// claim validates h's slot for writing and returns its words, plus
+// whether the claim was fresh: the slot did not belong to h, so its stale
+// words were zeroed and h's generation stamped. The slot must already be
+// spanned (grow). A fresh claim is what receiver-list dedup keys on: a
+// tracked slot enters its owner shard's receiver list exactly when it is
+// claimed for a node, and stays claimed — even with every bit cleared —
+// until the admission sweep or the freeze drops the entry, or the node
+// dies (all clearSlot).
+func (b *laneBits) claim(h graph.Handle) (w []uint64, fresh bool) {
 	s := int(h.Slot)
 	w = b.words[s*b.stride : (s+1)*b.stride]
-	if b.epoch[s] != b.cur+1 || b.gen[s] != h.Gen {
-		for i := range w {
-			w[i] = 0
-		}
-		b.epoch[s] = b.cur + 1
-		b.gen[s] = h.Gen
-		return w, true
+	if b.gen[s] == h.Gen {
+		return w, false
 	}
-	for _, x := range w {
-		if x != 0 {
-			return w, false
-		}
+	for i := range w {
+		w[i] = 0
 	}
+	b.gen[s] = h.Gen
 	return w, true
 }
 
-// set adds lane li to h's slot and reports whether the slot held no
-// current bits before (see claim).
-func (b *laneBits) set(h graph.Handle, li int) (slotWasEmpty bool) {
-	w, empty := b.claim(h)
+// set adds lane li to h's slot, growing the arrays to span it, and
+// reports whether the slot was freshly claimed (see claim).
+func (b *laneBits) set(h graph.Handle, li int) (fresh bool) {
+	b.grow(int(h.Slot) + 1)
+	w, fresh := b.claim(h)
 	w[li>>6] |= 1 << (li & 63)
-	return empty
+	return fresh
 }
 
 // has reports whether lane li currently holds h.
 func (b *laneBits) has(h graph.Handle, li int) bool {
 	w := b.wordsOf(h)
 	return w != nil && w[li>>6]&(1<<(li&63)) != 0
+}
+
+// covers reports whether h's slot holds every lane set in lanes (a
+// stride-word mask). h must be a live node's handle; the scan calls this
+// once per neighbor visit, so it indexes the words directly rather than
+// going through wordsOf.
+func (b *laneBits) covers(h graph.Handle, lanes []uint64) bool {
+	s := int(h.Slot)
+	if s >= len(b.gen) || b.gen[s] != h.Gen {
+		return false
+	}
+	w := b.words[s*b.stride:]
+	for i, l := range lanes {
+		if l&^w[i] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // clear removes lane li from h's slot; a no-op when the slot is not
@@ -155,11 +157,11 @@ func (b *laneBits) clear(h graph.Handle, li int) {
 }
 
 // clearSlot invalidates h's slot for every lane at once — the packed
-// analogue of each lane's Marks dropping the node, used on death.
+// analogue of each lane's Marks dropping the node, used on death and when
+// a receiver entry is dropped. A no-op for a stale handle.
 func (b *laneBits) clearSlot(h graph.Handle) {
-	if s := int(h.Slot); !h.IsNil() && s < len(b.epoch) &&
-		b.epoch[s] == b.cur+1 && b.gen[s] == h.Gen {
-		b.epoch[s] = 0
+	if b.wordsOf(h) != nil {
+		b.gen[h.Slot] = 0
 	}
 }
 
@@ -170,7 +172,7 @@ func (b *laneBits) clearSlot(h graph.Handle) {
 // all-zero column, exactly as a fresh Marks would. O(slots).
 func (b *laneBits) clearLane(li int) {
 	wi, mask := li>>6, uint64(1)<<(li&63)
-	for s, n := 0, len(b.epoch); s < n; s++ {
+	for s, n := 0, len(b.gen); s < n; s++ {
 		b.words[s*b.stride+wi] &^= mask
 	}
 }
@@ -193,7 +195,8 @@ func (b *laneBits) onesOf(h graph.Handle, mask []uint64) int {
 }
 
 // footprintBytes returns the structure's informed-state footprint: the
-// packed lane-membership words plus the shared per-slot epoch/gen.
+// packed lane-membership words plus the shared per-slot generation, so
+// stride·8 + 4 bytes per slot (12 at stride 1).
 func (b *laneBits) footprintBytes() int {
-	return len(b.words)*8 + len(b.epoch)*8 + len(b.gen)*4
+	return len(b.words)*8 + len(b.gen)*4
 }

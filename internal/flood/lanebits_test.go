@@ -18,7 +18,7 @@ func h(slot, gen uint32) graph.Handle { return graph.Handle{Slot: slot, Gen: gen
 // TestLaneBitsSetHasClear pins the basic membership contract at lane
 // indices on both sides of every word seam the suite cares about:
 // set/has/clear per (slot, lane), independence across lanes sharing a
-// slot, and the slotWasEmpty transition that keys receiver-list dedup.
+// slot, and the fresh-claim transition that keys receiver-list dedup.
 func TestLaneBitsSetHasClear(t *testing.T) {
 	t.Parallel()
 	b := lb(3) // lanes 0..191
@@ -28,11 +28,11 @@ func TestLaneBitsSetHasClear(t *testing.T) {
 			t.Fatalf("lane %d set before any write", li)
 		}
 	}
-	if empty := b.set(v, 63); !empty {
-		t.Fatal("first set of a slot must report slotWasEmpty")
+	if fresh := b.set(v, 63); !fresh {
+		t.Fatal("first set of a slot must report a fresh claim")
 	}
-	if empty := b.set(v, 64); empty {
-		t.Fatal("second set of a tracked slot must not report slotWasEmpty")
+	if fresh := b.set(v, 64); fresh {
+		t.Fatal("second set of a claimed slot must not report a fresh claim")
 	}
 	if !b.has(v, 63) || !b.has(v, 64) {
 		t.Fatal("bits straddling the 64-lane seam not both set")
@@ -52,10 +52,14 @@ func TestLaneBitsSetHasClear(t *testing.T) {
 		t.Fatal("clear(63) did not confine itself to lane 63")
 	}
 	b.clear(v, 64)
-	// The slot is current but all-zero: the next set is a fresh claim
-	// again, which is exactly when the plane re-enters a receiver list.
-	if empty := b.set(v, 128); !empty {
-		t.Fatal("set on an all-zero current slot must report slotWasEmpty")
+	// The slot is all-zero but still claimed for v: the next set is not
+	// fresh, so the plane does not list the receiver a second time.
+	if fresh := b.set(v, 128); fresh {
+		t.Fatal("set on an all-zero claimed slot must not report a fresh claim")
+	}
+	b.clearSlot(v)
+	if fresh := b.set(v, 128); !fresh {
+		t.Fatal("set after clearSlot must report a fresh claim")
 	}
 }
 
@@ -71,8 +75,8 @@ func TestLaneBitsGenCurrency(t *testing.T) {
 	if b.wordsOf(cur) != nil {
 		t.Fatal("new generation read the old occupant's words")
 	}
-	if empty := b.set(cur, 5); !empty {
-		t.Fatal("claim for a new generation must report slotWasEmpty")
+	if fresh := b.set(cur, 5); !fresh {
+		t.Fatal("claim for a new generation must report a fresh claim")
 	}
 	if b.has(cur, 70) {
 		t.Fatal("stale bit survived the generation claim")
@@ -83,26 +87,6 @@ func TestLaneBitsGenCurrency(t *testing.T) {
 	b.clear(old, 5) // stale handle: must not touch the current bits
 	if !b.has(cur, 5) {
 		t.Fatal("clear through a stale handle mutated current state")
-	}
-}
-
-// TestLaneBitsEpochReset pins the O(1) reset: after reset every slot
-// reads as all-zero, and a post-reset claim does not resurrect pre-reset
-// bits.
-func TestLaneBitsEpochReset(t *testing.T) {
-	t.Parallel()
-	b := lb(1)
-	v := h(9, 4)
-	b.set(v, 3)
-	b.reset()
-	if b.wordsOf(v) != nil || b.has(v, 3) {
-		t.Fatal("bits survived reset")
-	}
-	if empty := b.set(v, 7); !empty {
-		t.Fatal("post-reset claim must be fresh")
-	}
-	if b.has(v, 3) {
-		t.Fatal("pre-reset bit resurrected by the claim")
 	}
 }
 
@@ -123,7 +107,7 @@ func TestLaneBitsClearSlot(t *testing.T) {
 	if b.wordsOf(v) != nil {
 		t.Fatal("slot still current after clearSlot")
 	}
-	if empty := b.set(v, 100); !empty || b.has(v, 10) {
+	if fresh := b.set(v, 100); !fresh || b.has(v, 10) {
 		t.Fatal("slot did not claim fresh after clearSlot")
 	}
 }
@@ -184,8 +168,8 @@ func TestLaneBitsReshape(t *testing.T) {
 }
 
 // TestLaneBitsFootprint sanity-checks the memory accounting MemStats
-// reports: words + shared epoch/gen, so per-lane cost at capacity M is
-// slots·(stride·8 + 12)/M bytes — at M = 64 (stride 1) that is 20 bytes
+// reports: words + shared generation, so per-lane cost at capacity M is
+// slots·(stride·8 + 4)/M bytes — at M = 64 (stride 1) that is 12 bytes
 // per slot shared by 64 lanes versus 12 bytes per slot for EACH
 // Marks-per-lane.
 func TestLaneBitsFootprint(t *testing.T) {
@@ -193,7 +177,7 @@ func TestLaneBitsFootprint(t *testing.T) {
 	b := lb(1)
 	b.grow(100)
 	slots := b.slots()
-	want := slots*8 + slots*8 + slots*4
+	want := slots*8 + slots*4
 	if got := b.footprintBytes(); got != want {
 		t.Fatalf("footprintBytes = %d, want %d", got, want)
 	}

@@ -38,7 +38,7 @@ func TestEngineMatchesReferenceFromSampled(t *testing.T) {
 					mRef := core.SampleStationary(kind, n, d, rng.New(seed))
 					opts.Source = mEng.LastBorn()
 
-					got := runEngine(mEng, opts)
+					got := Run(mEng, opts)
 					want := RunReference(mRef, opts)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("seed %d (n=%d d=%d): engine and reference diverged from sampled start\nengine:    %+v\nreference: %+v",

@@ -3,6 +3,7 @@ package flood
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 
 	"github.com/dyngraph/churnnet/internal/core"
@@ -11,91 +12,50 @@ import (
 	"github.com/dyngraph/churnnet/internal/rng"
 )
 
-// Traffic is the multi-message generalization of the cut-set engine: M
-// in-flight broadcasts share one model, one churn event stream and one
-// hook chain, instead of M sequential single-message runs each paying its
-// own model and advancement.
+// Traffic is the incremental cut-set flooding engine: M in-flight
+// broadcasts share one model, one churn event stream and one hook chain,
+// and Run is its one-message case. DESIGN.md ("The cut-set flooding
+// engine", "Multi-message traffic plane") gives the full rationale.
 //
-// Every message occupies a *lane* — an index into the plane's packed
-// per-slot state plus a small private record (its slot-indexed sender
-// lists, the O(1) informedAlive completion counter, its Result). Unlike
-// the single engine, the per-slot membership state is not one
-// graph.Marks per lane: the plane owns two packed bitsets (laneBits)
-// holding, per arena slot, one bit per lane — 64 lanes per word — for
-// "lane considers this node informed" and "lane tracks this node as a
-// receiver", under one *shared* per-slot epoch/generation (a slot's
-// generation is a property of the node occupying it, not of any
-// message). That layout costs ⌈M/64⌉ words per slot instead of ~12
-// bytes per slot per lane, and it makes every cross-lane operation
-// word-parallel:
+// Where RunReference rescans every informed neighborhood each round, the
+// plane keeps, per message, the live cut — informed sender → uninformed
+// receiver edges — and updates it only on the events that change it: a
+// node crossing the cut (its one-off neighborhood scan is deferred to the
+// next freeze), a death (Hooks.OnDeath) and an edge creation or
+// regeneration (Hooks.OnEdge). Completion is O(1) per round: a message's
+// informedAlive against the shared preRoundAlive. Every round freezes
+// exactly the live cut of the pre-advance snapshot, so each message's
+// Result is bit-for-bit RunReference's on an identically seeded model
+// advanced to its injection step (TestEngineMatchesReference,
+// TestEngineCutMatchesRecompute, TestTrafficMatchesSingleMessageOracle).
 //
-//   - noteEdge classifies a churn edge against all M cuts at once: the
-//     XOR of the endpoints' informed words, masked by the in-flight
-//     lanes, is exactly the lanes for which the edge straddles the cut,
-//     and the fan-out iterates only its set bits;
-//   - noteDeath decrements the informed counters of exactly the lanes
-//     whose bit is set on the dead slot, one masked word at a time, and
-//     drops the slot's receiver tracking for all lanes with one epoch
-//     store;
-//   - the frontier drain dedups scan nodes across lanes at crossing
-//     time (scanLanes is a packed lane bitmask per pending node), scans
-//     each distinct node's neighborhood exactly once, and fans each
-//     discovered cut edge out over set bits only;
-//   - freeze/compaction and admission batch across lanes *inside* each
-//     shard sweep: every shard keeps one receiver list shared by all
-//     lanes (a node tracked by k lanes appears once), so per-receiver
-//     work — the liveness check, the neighborhood bookkeeping — is paid
-//     once, with the per-lane candidate lists visited by bit iteration.
+// A message occupies a lane: a bit in the two packed per-slot bitsets
+// (laneBits: "informs the slot's node" and "tracks it as a receiver", 64
+// lanes per word under one shared per-slot generation) plus a private
+// record with its slot-indexed sender lists, counter and Result. Every
+// cross-lane operation is word-parallel — an edge event classifies
+// against all M cuts with one masked XOR per word, a node admitted by k
+// lanes is queued and scanned once, and the freeze and admission sweeps
+// visit each receiver once for all lanes. With one lane every word is a
+// single uint64; there is no separate one-message path.
 //
-// One Step advances the model by one transmission unit and executes one
-// flooding round for every in-flight message; per-round quantities that
-// are functions of the graph alone (the pre-round population, the
-// birth-sequence horizon) are maintained once and shared by every lane.
+// Under TrafficOptions.Parallelism the cut is partitioned by arena slot
+// (slot s belongs to shard (s/shardBlock) mod par) and the frontier
+// drain, the freeze and the admission sweep fan out across the shards,
+// one barrier per pass for all lanes. Merges run in a scheduling-free
+// order, and Results are identical at every par: admission is an
+// existence test over a receiver's frozen senders and every Result field
+// is a count over admitted sets, so no internal order is observable —
+// which also makes same-Step Inject order unobservable
+// (TestTrafficInjectionOrderInvariance). Model advancement and every hook
+// stay serial.
 //
-// Under TrafficOptions.Parallelism the O(cut) passes batch across
-// messages inside the same per-slot-range worker sweep the single engine
-// uses: worker w owns arena slots (s/shardBlock) mod par == w for every
-// lane at once, so one barrier per pass covers all M messages instead of
-// M barriers.
-//
-// # Determinism and the differential oracle
-//
-// A message injected when the plane has executed j Steps produces a
-// Result bit-for-bit identical to flood.Run on an identically seeded
-// model advanced j rounds, flooding from the same source with the same
-// Options — the multi-message run is indistinguishable, message by
-// message, from M independent single-message runs replaying the same
-// churn stream (flooding consumes no randomness, so the streams align).
-// This is pinned by TestTrafficMatchesSingleMessageOracle across models,
-// injection schedules, worker counts, seeds and M straddling the 64-lane
-// word boundary, with a corrupted-engine negative control proving the
-// harness has teeth.
-//
-// Internal orders differ from the single engine's — a lane's receiver
-// insertion order follows the combined scan order, and admissions apply
-// in (shard, receiver, ascending lane) order rather than lane-major —
-// but no Result bit depends on them: admission is an existence test over
-// a receiver's frozen senders and every Result field is a count over
-// admitted sets, the same argument that makes the single engine's
-// Results invariant across worker counts. The admission order of
-// messages injected in the same Step is likewise unobservable: lanes
-// never read each other's state, so permuting same-round Inject calls
-// permutes MessageIDs and nothing else (TestTrafficInjectionOrderInvariance).
-//
-// # Admission and retirement
-//
-// Inject admits a message; its lane index claims a bit column in the
-// packed bitsets and the source's one-off neighborhood scan is deferred
-// to the next Step's freeze, exactly like the single engine. A message
-// leaves the in-flight set on its own terms — completion (unless
-// RunToMax), die-out, or its MaxRounds cap — after which its lane is
-// dormant (masked out of every event by the in-flight lane mask) but
-// still allocated; Retire releases the lane's sender lists for reuse by
-// later injections, keeping engine memory O(live messages) · O(slots)
-// plus a constant-size record per message ever injected (the Result
-// survives retirement). A reused lane index starts from an all-zero bit
-// column and freshly allocated sender lists, so late injections behave
-// bit-for-bit like a fresh engine (TestTrafficRetireReleasesAndReuses).
+// A message leaves the in-flight set on its own terms — completion
+// (unless RunToMax), die-out or its MaxRounds cap — and its lane turns
+// dormant, masked out of every event; Retire releases the lane for reuse
+// with an all-zero bit column and fresh sender lists, keeping memory
+// O(live messages) · O(slots) plus a constant-size record per message
+// (TestTrafficRetireReleasesAndReuses).
 //
 // The plane owns the model between NewTraffic and Close: callers must not
 // advance the model themselves, and observer lifetimes must nest (Close
@@ -127,35 +87,40 @@ type Traffic struct {
 	tracked  laneBits // lanes tracking the slot's node as a receiver
 
 	// Shared per-round state: functions of the graph and the round alone,
-	// identical for every lane (see engine.preRoundAlive).
+	// identical for every lane. preRoundAlive counts alive nodes born
+	// before the running round — the reference's required.
 	preRoundAlive int
 	roundStartSeq uint64
 
-	// Pending frontier, deduplicated across lanes at crossing time:
-	// scanNodes holds the distinct nodes to scan at the next freeze,
-	// scanLanes[k*stride:(k+1)*stride] the packed lanes that queued
-	// scanNodes[k], and nodeIdx maps an arena slot to its scanNodes
-	// index (-1 when absent). Every pending handle is alive until the
-	// next freeze (no event intervenes between a crossing and it), so a
-	// slot identifies at most one pending node.
+	// Pending frontier: scanNodes holds the nodes to scan at the next
+	// freeze, scanLanes[k*stride:(k+1)*stride] the packed lanes that
+	// queued scanNodes[k] (see cross). Every pending handle is alive until
+	// the next freeze: no event intervenes between a crossing and it.
 	scanNodes []graph.Handle
 	scanLanes []uint64
-	nodeIdx   []int32
+	nAdmitted int // scanNodes[:nAdmitted] came from the last admission sweep, the rest from Inject
 
 	shards []trafficShard
 
-	// stage holds the parallel drain's routing buffers, exactly like the
-	// single engine's: chunk c stages the cut edges it discovers for
-	// shard s in stage[c*par+s].
+	// stage holds the parallel drain's routing buffers: chunk c stages
+	// the cut edges it discovers for shard s in stage[c*par+s]. Buffers
+	// are retained across rounds.
 	stage     [][]laneCutEdge
 	chunkNext atomic.Int64
-	scratch   []graph.Marks // per-worker neighborhood-dedup scratch
+
+	edgeCand []uint64 // edgeTo's scratch for the in-flight lanes informing the sender
 
 	// onStage, when non-nil, filters every discovered cut edge right
 	// before it is recorded for lane li (false = drop). Test-only: the
 	// corrupted-engine negative control drops one cross-message frontier
 	// event and asserts the differential oracle catches the divergence.
 	onStage func(li int, recv, sender graph.Handle) bool
+
+	// onFreeze, when non-nil, observes the frozen cut (each shard's
+	// receivers[:nFrozen] with their frozen words and lengths) right
+	// before the model advances. Test-only: the cut-vs-recompute property
+	// test compares it with the cut recomputed from scratch.
+	onFreeze func()
 }
 
 // TrafficOptions configures a Traffic plane. Every option applies
@@ -225,17 +190,13 @@ type message struct {
 // membership itself lives in Traffic.informed/Traffic.tracked under this
 // lane's bit index.
 type lane struct {
-	id  MessageID
-	src graph.Handle
-
+	id    MessageID
 	round int // per-message rounds executed (relative to injection)
 
 	// senders[s] lists the informed senders toward the node in arena
-	// slot s; the list is meaningful only while this lane's bit is set
-	// on s in Traffic.tracked (it is reset when the bit transitions
-	// 0 -> 1). Partitioned by shard ownership exactly like the single
-	// engine's: only s's owner shard touches senders[s] during a
-	// parallel phase.
+	// slot s; it is non-empty exactly while this lane's bit is set on s
+	// in Traffic.tracked (see fanOut). Only s's owner shard touches
+	// senders[s] during a parallel phase.
 	senders [][]graph.Handle
 
 	informedAlive int
@@ -245,16 +206,19 @@ type lane struct {
 // trafficShard owns one shard's receiver-side bookkeeping, shared by
 // every lane: a node tracked as a receiver by k lanes appears once.
 type trafficShard struct {
-	// receivers lists tracked (possibly stale or duplicate) receiver
-	// handles owned by this shard; compacted at every freeze.
+	// receivers lists the receiver handles owned by this shard, each
+	// live one exactly once: a handle is appended when its tracked slot
+	// is freshly claimed and stays until the admission sweep or the
+	// freeze releases the slot (see laneBits.claim). Entries whose slot a
+	// death released are stale and dropped at the next freeze.
 	receivers []graph.Handle
-	seen      graph.Marks // compact-time duplicate-entry dedup scratch
 
 	// The frozen cut of the running round, flat in receiver order:
-	// frozenRecv[i] carries candidates for the lanes set in
+	// receivers[i], i < nFrozen, carries candidates for the lanes set in
 	// frozenWords[i*stride:(i+1)*stride], and frozenLen lists — in
 	// (receiver, ascending lane) order — each frozen sender-list length.
-	frozenRecv  []graph.Handle
+	// Receivers tracked during the advance are appended past nFrozen.
+	nFrozen     int
 	frozenWords []uint64
 	frozenLen   []int32
 
@@ -275,8 +239,8 @@ type laneCutEdge struct {
 // NewTraffic opens a multi-message traffic plane over m. It installs the
 // engine's hooks chained over any existing observer (restored by Close)
 // and panics if the model does not guarantee the edge-event contract of
-// core.EdgeEventSource — the incremental cut bookkeeping requires it, and
-// unlike Run there is no per-message reference fallback to hide behind.
+// core.EdgeEventSource — the incremental cut bookkeeping requires it (Run
+// checks first and falls back to RunReference).
 func NewTraffic(m core.Model, opts TrafficOptions) *Traffic {
 	if es, ok := m.(core.EdgeEventSource); !ok || !es.EmitsEdgeEvents() {
 		panic("flood: NewTraffic requires a model with the edge-event contract")
@@ -297,7 +261,6 @@ func NewTraffic(m core.Model, opts TrafficOptions) *Traffic {
 	t.informed.init(1)
 	t.tracked.init(1)
 	t.shards = make([]trafficShard, t.par)
-	t.scratch = make([]graph.Marks, t.par)
 	t.prevHooks = m.Hooks()
 	m.SetHooks(core.ChainHooks(core.Hooks{OnDeath: t.noteDeath, OnEdge: t.noteEdge}, t.prevHooks))
 	return t
@@ -318,9 +281,9 @@ func (t *Traffic) Close() {
 // Inject admits a new message sourced at src (Nil selects the model's
 // most recently born node, the single-run convention) and returns its
 // MessageID. The message's first flooding round is the next Step; its
-// Result is bit-for-bit what a single flood.Run from the same source and
-// model state would produce. It panics if the source is not alive or the
-// plane is closed.
+// Result is bit-for-bit what RunReference from the same source and model
+// state would produce. It panics if the source is not alive or the plane
+// is closed.
 func (t *Traffic) Inject(src graph.Handle) MessageID {
 	if t.closed {
 		panic("flood: Inject on a closed Traffic plane")
@@ -351,9 +314,8 @@ func (t *Traffic) Inject(src graph.Handle) MessageID {
 		}
 	}
 	// A reused lane slot gets freshly allocated sender lists: retirement
-	// released the old arrays, so late injections are bit-for-bit a
-	// fresh engine.
-	ln := &lane{id: id, src: src}
+	// released the old arrays.
+	ln := &lane{id: id}
 	t.lanes[li] = ln
 
 	ln.res = Result{
@@ -362,7 +324,6 @@ func (t *Traffic) Inject(src graph.Handle) MessageID {
 		StrictCompletionRound: -1,
 		DiedOutRound:          -1,
 		PeakInformed:          1,
-		EverInformed:          1,
 	}
 	alive0 := t.g.NumAlive()
 	if alive0 > 0 {
@@ -372,9 +333,10 @@ func (t *Traffic) Inject(src graph.Handle) MessageID {
 		ln.res.Informed = append(ln.res.Informed, 1)
 		ln.res.Alive = append(ln.res.Alive, alive0)
 	}
-	ln.informedAlive = 1
 	t.setLive(li)
-	t.cross(li, src)
+	lanes := make([]uint64, t.stride)
+	lanes[li>>6] = 1 << (li & 63)
+	t.cross(src, lanes)
 
 	t.inFlight = append(t.inFlight, li)
 	t.msgs = append(t.msgs, message{laneIdx: li, status: MessageInFlight, step: t.steps})
@@ -456,6 +418,9 @@ func (t *Traffic) Step() {
 	t.freeze()
 	t.roundStartSeq = g.NextBirthSeq()
 	t.preRoundAlive = g.NumAlive()
+	if t.onFreeze != nil {
+		t.onFreeze()
+	}
 
 	t.m.AdvanceRound()
 
@@ -467,18 +432,10 @@ func (t *Traffic) Step() {
 	for w := range t.shards {
 		sh := &t.shards[w]
 		for j, v := range sh.admRecv {
-			aw := sh.admWords[j*t.stride : (j+1)*t.stride]
-			for i, m := range aw {
-				for ; m != 0; m &= m - 1 {
-					li := i<<6 | bits.TrailingZeros64(m)
-					ln := t.lanes[li]
-					ln.res.EverInformed++
-					ln.informedAlive++
-					t.cross(li, v)
-				}
-			}
+			t.cross(v, sh.admWords[j*t.stride:(j+1)*t.stride])
 		}
 	}
+	t.nAdmitted = len(t.scanNodes)
 	keep := t.inFlight[:0]
 	for _, li := range t.inFlight {
 		ln := t.lanes[li]
@@ -494,8 +451,11 @@ func (t *Traffic) Step() {
 	t.inFlight = keep
 }
 
-// roundAccounting mirrors the single engine's per-round bookkeeping for
-// one lane and reports whether the message stays in flight.
+// roundAccounting does one lane's per-round bookkeeping from the counters
+// alone — no graph pass — and reports whether the message stays in
+// flight. Every informed alive node predates the round (admission only
+// reaches nodes alive at the freeze), so informedAlive doubles as the
+// count of informed pre-round nodes.
 func (t *Traffic) roundAccounting(ln *lane, alive int) bool {
 	ln.round++
 	res := &ln.res
@@ -537,8 +497,22 @@ func (t *Traffic) roundAccounting(ln *lane, alive int) bool {
 
 // --- packed lane plumbing ---
 
-// owner maps an arena slot to its shard index — the single engine's
-// block-cyclic assignment, shared by every lane.
+// shardBlock is the number of consecutive arena slots per ownership block:
+// slot s belongs to shard (s/shardBlock) mod par. Block-cyclic ownership
+// keeps the assignment stable as the arena grows (a slot never changes
+// owners) while spreading any dense slot range across all shards; the
+// block width keeps different shards' writes to the slot-indexed arrays a
+// few cache lines apart.
+const shardBlock = 64
+
+// scanChunksPerWorker over-decomposes the frontier scan: workers claim
+// chunks atomically, so a chunk of expensive neighborhoods does not
+// serialize the tail of the pass. Chunk-indexed staging keeps the merge
+// order independent of which worker claimed what.
+const scanChunksPerWorker = 4
+
+// owner maps an arena slot to its shard index; the block-cyclic
+// assignment is shared by every lane.
 func (t *Traffic) owner(slot uint32) int {
 	if t.par == 1 {
 		return 0
@@ -546,9 +520,24 @@ func (t *Traffic) owner(slot uint32) int {
 	return int(slot/shardBlock) % t.par
 }
 
-// forEachShard fans fn out exactly like the single engine's.
+// forEachShard runs fn once per shard index: inline for par == 1, one
+// goroutine per shard otherwise, returning at the barrier. Parallel phases
+// must confine writes to shard-owned state (or disjoint staging slots) —
+// the barrier is the only synchronization.
 func (t *Traffic) forEachShard(fn func(w int)) {
-	forEachWorker(t.par, fn)
+	if t.par == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(t.par)
+	for w := 0; w < t.par; w++ {
+		go func(w int) {
+			defer wg.Done()
+			fn(w)
+		}(w)
+	}
+	wg.Wait()
 }
 
 func (t *Traffic) setLive(li int)   { t.liveMask[li>>6] |= 1 << (li & 63) }
@@ -585,81 +574,82 @@ func (ln *lane) growTo(n int) {
 	ln.senders = ns
 }
 
-// appendSender records s as an informed sender toward the uninformed
-// receiver x in lane li: it sets the lane's tracking bit on x's slot
-// (resetting the lane's sender list on a 0 -> 1 transition) and enters x
-// into its owner shard's shared receiver list when the slot was tracked
-// by no lane at all. Callable from the serial hook context (it may grow
-// the slot-indexed arrays) and from x's owner shard during a parallel
-// merge (the arrays are pre-grown there, making growth a no-op).
-func (t *Traffic) appendSender(li int, x, s graph.Handle) {
-	ln := t.lanes[li]
-	ln.growTo(int(x.Slot) + 1)
-	w, slotWasEmpty := t.tracked.claim(x)
-	wi, mask := li>>6, uint64(1)<<(li&63)
-	if w[wi]&mask == 0 {
-		w[wi] |= mask
-		ln.senders[x.Slot] = ln.senders[x.Slot][:0]
-	}
-	if slotWasEmpty {
+// track sets lane li's tracking bit on x's slot, listing x in its owner
+// shard's receivers when the slot is freshly claimed for x. Owner-shard
+// context (see fanOut).
+func (t *Traffic) track(li int, x graph.Handle) {
+	w, fresh := t.tracked.claim(x)
+	if fresh {
 		sh := &t.shards[t.owner(x.Slot)]
 		sh.receivers = append(sh.receivers, x)
 	}
-	ln.senders[x.Slot] = append(ln.senders[x.Slot], s)
+	w[li>>6] |= 1 << (li & 63)
 }
 
-// cross moves v to lane li's informed side: its receiver tracking for
-// this lane stops and its neighborhood scan is queued for the next
-// freeze (deduplicated across lanes at this call). Serial context only.
-func (t *Traffic) cross(li int, v graph.Handle) {
-	t.informed.set(v, li)
-	t.tracked.clear(v, li)
-	t.scanAdd(li, v)
-}
-
-// growNodeIdx spans the slot -> scan-index map, keeping new entries at
-// the -1 sentinel.
-func (t *Traffic) growNodeIdx(n int) {
-	if n <= len(t.nodeIdx) {
-		return
-	}
-	grown := make([]int32, n*2)
-	for i := len(t.nodeIdx); i < len(grown); i++ {
-		grown[i] = -1
-	}
-	copy(grown, t.nodeIdx)
-	t.nodeIdx = grown
-}
-
-// scanAdd queues v's neighborhood scan for lane li at the next freeze.
-// Distinct nodes are deduplicated here, at crossing time: a node queued
-// by k lanes holds one scanNodes entry with k bits in its packed lane
-// mask. Pending handles stay alive until the next freeze (no churn event
-// intervenes), so the slot -> entry map cannot go stale.
-func (t *Traffic) scanAdd(li int, v graph.Handle) {
-	t.growNodeIdx(int(v.Slot) + 1)
-	k := t.nodeIdx[v.Slot]
-	if k < 0 {
-		k = int32(len(t.scanNodes))
-		t.nodeIdx[v.Slot] = k
-		t.scanNodes = append(t.scanNodes, v)
-		for i := 0; i < t.stride; i++ {
-			t.scanLanes = append(t.scanLanes, 0)
+// cross moves v to the informed side of every lane set in lanes (a
+// stride-word mask), counting it in each lane, and queues v's
+// neighborhood scan for the next freeze with those lanes. Serial context
+// only. No lane in lanes tracks v — the admission sweep dropped the
+// admitting lanes' tracking, and a fresh lane tracks nothing — which
+// keeps the invariant later passes rely on: a lane never tracks a node
+// it informs. The sweep admits a node for all its lanes at once, so it is
+// queued once per round; only Inject can repeat a queued node, and the
+// drain folds such repeats first (foldInjected).
+func (t *Traffic) cross(v graph.Handle, lanes []uint64) {
+	t.informed.grow(int(v.Slot) + 1)
+	iw, _ := t.informed.claim(v)
+	for i, m := range lanes {
+		iw[i] |= m
+		t.scanLanes = append(t.scanLanes, m)
+		for ; m != 0; m &= m - 1 {
+			ln := t.lanes[i<<6|bits.TrailingZeros64(m)]
+			ln.res.EverInformed++
+			ln.informedAlive++
 		}
 	}
-	t.scanLanes[int(k)*t.stride+li>>6] |= 1 << (li & 63)
+	t.scanNodes = append(t.scanNodes, v)
 }
 
-// clearScans drops every pending scan entry, resetting the slot map.
-// Called after a drain, and on a Step with no in-flight lanes — pending
-// entries must never survive an AdvanceRound, or the slot map could go
-// stale under churn.
+// clearScans drops every pending scan entry. Called after a drain, and
+// on a Step with no in-flight lanes — a scan must see the snapshot of its
+// crossing, so pending entries never survive an AdvanceRound.
 func (t *Traffic) clearScans() {
-	for _, v := range t.scanNodes {
-		t.nodeIdx[v.Slot] = -1
-	}
 	t.scanNodes = t.scanNodes[:0]
 	t.scanLanes = t.scanLanes[:0]
+	t.nAdmitted = 0
+}
+
+// foldInjected merges every pending entry queued by Inject into the
+// entry already queued for the same node, so each node is scanned once
+// per drain — under sharding, twice could mean two workers compacting
+// one node's in-list at once. Admission entries are distinct (a receiver
+// is admitted once per sweep), so only the Inject entries at the tail
+// need a lookup; the emptied ones are skipped by the scan.
+func (t *Traffic) foldInjected() {
+	if t.nAdmitted == len(t.scanNodes) {
+		return
+	}
+	first := make(map[graph.Handle]int, len(t.scanNodes)-t.nAdmitted)
+	fold := func(into, k int) {
+		dst := t.scanLanes[into*t.stride : (into+1)*t.stride]
+		src := t.scanLanes[k*t.stride : (k+1)*t.stride]
+		for i := range src {
+			dst[i] |= src[i]
+			src[i] = 0
+		}
+	}
+	for k := t.nAdmitted; k < len(t.scanNodes); k++ {
+		if into, ok := first[t.scanNodes[k]]; ok {
+			fold(into, k)
+		} else {
+			first[t.scanNodes[k]] = k
+		}
+	}
+	for k := 0; k < t.nAdmitted; k++ {
+		if j, ok := first[t.scanNodes[k]]; ok {
+			fold(k, j)
+		}
+	}
 }
 
 // clearScanLane clears lane li's bit from every pending scan mask (lane
@@ -673,8 +663,10 @@ func (t *Traffic) clearScanLane(li int) {
 
 // noteDeath maintains the shared pre-round counter, decrements the
 // informed counter of exactly the in-flight lanes whose bit is set on
-// the dead slot, and drops the slot's receiver tracking for all lanes
-// with one epoch store.
+// the dead slot, empties the sender lists of the in-flight lanes
+// tracking it, and drops the slot's receiver tracking for all lanes with
+// one store. Sender-side entries naming the dead node stay in
+// other receivers' lists until the next freeze compacts them.
 func (t *Traffic) noteDeath(h graph.Handle) {
 	if t.g.BirthSeq(h) < t.roundStartSeq {
 		t.preRoundAlive--
@@ -690,46 +682,57 @@ func (t *Traffic) noteDeath(h graph.Handle) {
 			}
 		}
 	}
-	t.tracked.clearSlot(h)
+	if tw := t.tracked.wordsOf(h); tw != nil {
+		for i, w := range tw {
+			w &= t.liveMask[i]
+			for ; w != 0; w &= w - 1 {
+				senders := t.lanes[i<<6|bits.TrailingZeros64(w)].senders
+				senders[h.Slot] = senders[h.Slot][:0]
+			}
+		}
+		t.tracked.clearSlot(h)
+	}
 }
 
 // noteEdge classifies a fresh request edge against every in-flight
-// lane's cut at once: the XOR of the endpoints' informed words, masked
-// by the in-flight lanes, is exactly the lanes for which the edge has
-// one informed endpoint — a single event can be a candidate for some
-// messages and internal or irrelevant for others, and the fan-out
-// iterates only the set bits.
+// lane's cut at once: the lanes that inform exactly one endpoint are the
+// lanes for which the edge straddles the cut — a single event can be a
+// candidate for some messages and internal or irrelevant for others —
+// and each direction fans out over its set bits. Edges made during a
+// round join the cut for the next round: they are appended after the
+// freeze, so the running round's frozen candidates are untouched,
+// matching the reference's pre-advance capture.
 func (t *Traffic) noteEdge(u, v graph.Handle) {
 	if len(t.inFlight) == 0 {
 		return
 	}
 	uw := t.informed.wordsOf(u)
 	vw := t.informed.wordsOf(v)
-	if uw == nil && vw == nil {
-		return // no lane informs either endpoint: internal to no cut
+	t.edgeTo(v, u, uw, vw)
+	t.edgeTo(u, v, vw, uw)
+}
+
+// edgeTo fans a churn edge between sender s and receiver x out to the
+// in-flight lanes that inform s (sw) but not x (xw); nil words inform no
+// lane. Serial hook context: births during the advance may outgrow the
+// arrays the last drain spanned, so it grows them first.
+func (t *Traffic) edgeTo(x, s graph.Handle, sw, xw []uint64) {
+	if sw == nil {
+		return
 	}
-	for i := 0; i < t.stride; i++ {
-		var uwi, vwi uint64
-		if uw != nil {
-			uwi = uw[i]
-		}
-		if vw != nil {
-			vwi = vw[i]
-		}
-		cand := (uwi ^ vwi) & t.liveMask[i]
-		for ; cand != 0; cand &= cand - 1 {
-			bit := cand & -cand
-			li := i<<6 | bits.TrailingZeros64(cand)
-			x, s := u, v
-			if uwi&bit != 0 {
-				x, s = v, u
-			}
-			if t.onStage != nil && !t.onStage(li, x, s) {
-				continue
-			}
-			t.appendSender(li, x, s)
+	live := t.edgeCand[:0]
+	for i, w := range sw {
+		live = append(live, w&t.liveMask[i])
+	}
+	t.edgeCand = live
+	n := int(x.Slot) + 1
+	t.tracked.grow(n)
+	for i, w := range live {
+		for ; w != 0; w &= w - 1 {
+			t.lanes[i<<6|bits.TrailingZeros64(w)].growTo(n)
 		}
 	}
+	t.fanOut(live, xw, x, s)
 }
 
 // --- the batched freeze ---
@@ -749,29 +752,44 @@ func (t *Traffic) freeze() {
 }
 
 // drainFrontiers performs the one-off neighborhood scans of every node
-// that crossed any lane's cut since the last freeze. Each distinct node
-// is scanned exactly once — deduplicating the work M separate engines
-// would repeat, and confining graph.Neighbors' in-list compaction side
-// effect to a single scanner — and each discovered cut edge fans out
-// over the set bits of the node's pending lane mask, minus the lanes
-// already considering the neighbor informed. The per-scan scratch dedups
-// the multigraph neighborhood once; filtering per lane after the shared
-// dedup appends exactly the pairs the single engine's
-// informed-check-then-mark would.
+// that crossed any lane's cut since the last freeze. Each queued node is
+// scanned once for all the lanes that queued it — deduplicating the work
+// M separate runs would repeat, and confining graph.Neighbors' in-list
+// compaction side effect to a single scanner.
+//
+// The scan filters before it fans out or stages: a neighbor every
+// queueing lane already informs is skipped with one load and a compare,
+// and the rest of the work sits behind the filter, in fanOut, so the
+// callback's common path stays short and staging stays proportional to
+// the cut (DESIGN.md, "The scan filter"). A neighbor visited twice in one
+// scan — a parallel edge, or the out+in visit of a mutual request — is
+// appended twice: rare, and harmless to admission's existence test.
 func (t *Traffic) drainFrontiers() {
 	if len(t.scanNodes) == 0 {
 		return
 	}
+	t.foldInjected()
+	// Mask every pending entry down to its in-flight lanes once, so the
+	// passes below read scanLanes as-is: lanes that finished since
+	// queueing drop out, and an all-zero entry is skipped.
+	for k := range t.scanNodes {
+		lw := t.scanLanes[k*t.stride : (k+1)*t.stride]
+		for i := range lw {
+			lw[i] &= t.liveMask[i]
+		}
+	}
+	// Fan-out never reallocates: every handle the scans reach lives in
+	// the current snapshot, so spanning the arena up front suffices.
+	t.growPlane(t.g.NumSlots())
 	if t.par == 1 {
-		scratch := &t.scratch[0]
 		for k, v := range t.scanNodes {
-			if !t.scanLive(k) {
+			lw := t.scanLanes[k*t.stride : (k+1)*t.stride]
+			if !anyBit(lw) {
 				continue // queued only by lanes that since finished
 			}
-			scratch.Reset()
 			t.g.Neighbors(v, func(x graph.Handle) bool {
-				if scratch.Mark(x) {
-					t.fanOut(k, x, v)
+				if !t.informed.covers(x, lw) {
+					t.fanOut(lw, t.informed.wordsOf(x), x, v)
 				}
 				return true
 			})
@@ -782,56 +800,62 @@ func (t *Traffic) drainFrontiers() {
 	t.clearScans()
 }
 
-// scanLive reports whether any in-flight lane queued scan entry k.
-func (t *Traffic) scanLive(k int) bool {
-	lw := t.scanLanes[k*t.stride : (k+1)*t.stride]
-	for i, w := range lw {
-		if w&t.liveMask[i] != 0 {
+// anyBit reports whether any word of w is nonzero.
+func anyBit(w []uint64) bool {
+	for _, x := range w {
+		if x != 0 {
 			return true
 		}
 	}
 	return false
 }
 
-// fanOut records the discovered cut edge (v -> x) for every in-flight
-// lane that queued scan entry k and does not already consider x
-// informed — one masked word operation per 64 lanes, iterating set bits
-// only. Owner-shard context: the caller guarantees x's slot belongs to
-// the running shard (or the engine is serial).
-func (t *Traffic) fanOut(k int, x, v graph.Handle) {
-	lw := t.scanLanes[k*t.stride : (k+1)*t.stride]
-	iw := t.informed.wordsOf(x)
-	for i, w := range lw {
-		w &= t.liveMask[i]
-		if iw != nil {
-			w &^= iw[i]
-		}
+// fanOut records the cut edge (v -> x) for every lane in lanes that does
+// not hold x in xw (x's informed words; nil holds none): v joins each
+// such lane's sender list toward x. The lane index comes from lanes, not
+// from xw, so the list's address does not wait on x's informed words.
+// Owner-shard context — only x's owner shard calls it during a parallel
+// phase — and the slot-indexed arrays must already span x (growth is
+// serial: growPlane, edgeTo).
+//
+// A live lane's sender list toward a slot is non-empty exactly while the
+// lane's tracking bit is set there — every pass that clears a bit empties
+// the list (the admission sweep, noteDeath, the freeze) — so only the
+// first sender touches the packed state (track).
+func (t *Traffic) fanOut(lanes, xw []uint64, x, v graph.Handle) {
+	for i, w := range lanes {
 		for ; w != 0; w &= w - 1 {
+			if xw != nil && xw[i]&(w&-w) != 0 {
+				continue
+			}
 			li := i<<6 | bits.TrailingZeros64(w)
 			if t.onStage != nil && !t.onStage(li, x, v) {
 				continue
 			}
-			t.appendSender(li, x, v)
+			lst := &t.lanes[li].senders[x.Slot]
+			if len(*lst) == 0 {
+				t.track(li, x)
+			}
+			*lst = append(*lst, v)
 		}
 	}
 }
 
-// growPlane spans every slot-indexed structure a parallel phase touches:
-// fan-out inside a shard sweep must never reallocate shared arrays.
+// growPlane spans every slot-indexed structure a fan-out touches, so
+// fan-out inside a shard sweep never reallocates shared arrays.
 func (t *Traffic) growPlane(nSlots int) {
-	t.informed.grow(nSlots)
 	t.tracked.grow(nSlots)
 	for _, li := range t.inFlight {
 		t.lanes[li].growTo(nSlots)
 	}
 }
 
-// drainFrontiersSharded is the parallel drain: chunk-claimed scans over
-// the distinct node list stage each discovered edge for its receiver's
-// owner shard, then every shard drains its buffers in chunk order — the
-// single engine's two-barrier pattern, batched across lanes.
+// drainFrontiersSharded is the parallel drain, in two barriered passes:
+// chunk-claimed scans over the pending node list stage each candidate
+// edge for its receiver's owner shard, then every shard drains its
+// buffers in chunk order — so the per-shard receiver insertion order is a
+// pure function of the pending scans, not of scheduling.
 func (t *Traffic) drainFrontiersSharded() {
-	t.growPlane(t.g.NumSlots())
 	nScan := len(t.scanNodes)
 	nChunks := nScan
 	if max := t.par * scanChunksPerWorker; nChunks > max {
@@ -843,12 +867,10 @@ func (t *Traffic) drainFrontiersSharded() {
 		t.stage = grown
 	}
 
-	// Scan: lane-independent — the packed masks and informed words are
-	// read-only here, so the staged edges carry only the receiver and
-	// the scan index; the per-lane filter runs at the owner-shard merge.
+	// Scan: the packed masks and informed words are read-only here, so
+	// the staged edges carry only the receiver and the scan index.
 	t.chunkNext.Store(0)
 	t.forEachShard(func(w int) {
-		scratch := &t.scratch[w]
 		for {
 			c := int(t.chunkNext.Add(1)) - 1
 			if c >= nChunks {
@@ -856,13 +878,12 @@ func (t *Traffic) drainFrontiersSharded() {
 			}
 			buf := t.stage[c*t.par : (c+1)*t.par]
 			for k := c * nScan / nChunks; k < (c+1)*nScan/nChunks; k++ {
-				if !t.scanLive(k) {
+				lw := t.scanLanes[k*t.stride : (k+1)*t.stride]
+				if !anyBit(lw) {
 					continue
 				}
-				v := t.scanNodes[k]
-				scratch.Reset()
-				t.g.Neighbors(v, func(x graph.Handle) bool {
-					if scratch.Mark(x) {
+				t.g.Neighbors(t.scanNodes[k], func(x graph.Handle) bool {
+					if !t.informed.covers(x, lw) {
 						s := t.owner(x.Slot)
 						buf[s] = append(buf[s], laneCutEdge{recv: x, scan: int32(k)})
 					}
@@ -873,12 +894,15 @@ func (t *Traffic) drainFrontiersSharded() {
 	})
 
 	// Merge: each shard drains the buffers addressed to it in chunk
-	// order, fanning each edge out across its packed lane mask.
+	// order, fanning each edge out over the lanes of its scan entry that
+	// do not inform the receiver — re-read here rather than staged, which
+	// would double the staging memory.
 	t.forEachShard(func(w int) {
 		for c := 0; c < nChunks; c++ {
 			buf := t.stage[c*t.par+w]
 			for _, ce := range buf {
-				t.fanOut(int(ce.scan), ce.recv, t.scanNodes[ce.scan])
+				k := int(ce.scan)
+				t.fanOut(t.scanLanes[k*t.stride:(k+1)*t.stride], t.informed.wordsOf(ce.recv), ce.recv, t.scanNodes[k])
 			}
 			t.stage[c*t.par+w] = buf[:0]
 		}
@@ -886,43 +910,48 @@ func (t *Traffic) drainFrontiersSharded() {
 }
 
 // compactShard is the freeze pass over one shard's shared receivers,
-// batched across every lane: each distinct receiver is visited once —
-// its liveness checked once, duplicate entries dropped via the seen
-// scratch — and its per-lane candidate lists compacted by iterating only
-// the set bits of its masked tracking word. It records the frozen cut
-// flat in (receiver, ascending lane) order for the admission sweep.
+// batched across every lane: each receiver is visited once and its
+// per-lane candidate lists compacted by iterating only the set bits of
+// its masked tracking word. Stale receivers are dropped, dead senders
+// are compacted out of the surviving lists, and a lane whose every
+// sender died stops tracking the receiver; a receiver no lane still
+// tracks is dropped and its slot released (clearSlot), so a later edge
+// re-enters it once. The frozen cut is recorded flat in (receiver,
+// ascending lane) order for the admission sweep; the recorded lengths
+// exclude edges created during the upcoming advance. Tracked lanes never
+// inform the receiver (see cross), so the pass reads no informed state.
+// Every write is to shard-owned slots, so shards compact concurrently.
 func (t *Traffic) compactShard(w int) {
 	sh := &t.shards[w]
 	g := t.g
-	sh.seen.Reset()
-	sh.frozenRecv = sh.frozenRecv[:0]
+	st := t.stride
+	// First gather every receiver's live tracking words (zero for a stale
+	// entry): the loads are independent and overlap, and the pass below
+	// then takes its lanes from this sequential copy, so its sender-list
+	// loads do not wait on them. Dormant lanes' bits drop here. A death
+	// with lanes in flight releases the node's slot, so a stale entry
+	// reads nil; a node that died while none were in flight keeps only
+	// dormant lanes' bits.
 	sh.frozenWords = sh.frozenWords[:0]
+	for _, v := range sh.receivers {
+		tw := t.tracked.wordsOf(v)
+		for i := 0; i < st; i++ {
+			var live uint64
+			if tw != nil {
+				live = tw[i] & t.liveMask[i]
+			}
+			sh.frozenWords = append(sh.frozenWords, live)
+		}
+	}
 	sh.frozenLen = sh.frozenLen[:0]
 	n := 0
-	for _, v := range sh.receivers {
-		if !sh.seen.Mark(v) {
-			continue // duplicate entry (re-tracked within one window)
-		}
-		tw := t.tracked.wordsOf(v)
-		if tw == nil || !g.IsAlive(v) {
-			continue // tracking invalidated (death, slot reuse) or stale entry
-		}
-		iw := t.informed.wordsOf(v)
-		wordBase := len(sh.frozenWords)
-		any := false
-		for i := 0; i < t.stride; i++ {
-			// Live lanes still tracking v as uninformed; dormant lanes'
-			// and crossed-over lanes' bits drop here.
-			cand := tw[i] & t.liveMask[i]
-			if iw != nil {
-				cand &^= iw[i]
-			}
+	for r, v := range sh.receivers {
+		anyFrozen := false
+		for i := 0; i < st; i++ {
 			var frozen uint64
-			for m := cand; m != 0; m &= m - 1 {
-				bit := m & -m
-				li := i<<6 | bits.TrailingZeros64(m)
-				ln := t.lanes[li]
-				lst := ln.senders[v.Slot]
+			for m := sh.frozenWords[r*st+i]; m != 0; m &= m - 1 {
+				senders := t.lanes[i<<6|bits.TrailingZeros64(m)].senders
+				lst := senders[v.Slot]
 				k := 0
 				for _, s := range lst {
 					if g.IsAlive(s) {
@@ -930,27 +959,28 @@ func (t *Traffic) compactShard(w int) {
 						k++
 					}
 				}
-				ln.senders[v.Slot] = lst[:k]
-				if k == 0 {
-					cand &^= bit // every sender died: lane stops tracking v
-					continue
+				senders[v.Slot] = lst[:k]
+				if k > 0 {
+					frozen |= m & -m
+					sh.frozenLen = append(sh.frozenLen, int32(k))
 				}
-				frozen |= bit
-				sh.frozenLen = append(sh.frozenLen, int32(k))
-				any = true
 			}
-			tw[i] = cand
-			sh.frozenWords = append(sh.frozenWords, frozen)
+			sh.frozenWords[n*st+i] = frozen // n <= r: word r*st+i is read
+			anyFrozen = anyFrozen || frozen != 0
 		}
-		if !any {
-			sh.frozenWords = sh.frozenWords[:wordBase]
-			continue // no lane holds live candidates: entry dropped
+		if !anyFrozen {
+			t.tracked.clearSlot(v) // a no-op for a stale entry
+			continue               // no lane holds live candidates: entry dropped
 		}
-		sh.frozenRecv = append(sh.frozenRecv, v)
+		// Some live lane tracks v, so its slot is current: store the
+		// frozen lanes as its tracking words.
+		copy(t.tracked.words[int(v.Slot)*st:], sh.frozenWords[n*st:(n+1)*st])
 		sh.receivers[n] = v
 		n++
 	}
 	sh.receivers = sh.receivers[:n]
+	sh.frozenWords = sh.frozenWords[:n*st]
+	sh.nFrozen = n
 }
 
 // admitShard runs the admission test over one shard's frozen receivers,
@@ -958,54 +988,77 @@ func (t *Traffic) compactShard(w int) {
 // and each frozen lane's test — some frozen sender qualifies (any under
 // Asynchronous semantics, a still-alive one under Discretized) — reads
 // exactly the freeze-time prefix of the lane's sender list, so edges
-// created during the advance are excluded. Output is staged per shard
-// and applied at the serial merge.
+// created during the advance are excluded. Nothing informs a node
+// between the freeze and this sweep, so a frozen lane needs no informed
+// check. The outcome per receiver is an existence test, independent of
+// every iteration order; the admitted lanes are staged per shard and
+// applied at the serial merge.
+//
+// An admitting lane stops tracking the receiver here, in the owner
+// shard: its list is emptied and its bit cleared, so the serial cross
+// that follows only marks the node informed. The sweep also prunes the
+// receiver list — a receiver that died, or that every tracking lane
+// admitted, is dropped now, with its slot released, rather than visited
+// by the next freeze — and ends the frozen cut.
 func (t *Traffic) admitShard(w int) {
 	sh := &t.shards[w]
 	g := t.g
 	async := t.opts.Mode == Asynchronous
 	sh.admRecv = sh.admRecv[:0]
 	sh.admWords = sh.admWords[:0]
-	cur := 0
-	for fi, v := range sh.frozenRecv {
+	cur, n := 0, 0
+	for fi, v := range sh.receivers[:sh.nFrozen] {
 		fw := sh.frozenWords[fi*t.stride : (fi+1)*t.stride]
 		if !g.IsAlive(v) {
-			// Died during the advance: skip, consuming the receiver's
-			// frozen lengths (one per set bit, counted by popcount).
+			// Died during the advance (its tracking went with it): drop
+			// the entry, consuming its frozen lengths (one per set bit).
 			for _, x := range fw {
 				cur += bits.OnesCount64(x)
 			}
 			continue
 		}
-		iw := t.informed.wordsOf(v)
 		wordBase := len(sh.admWords)
-		any := false
+		var tw []uint64 // v's tracking words, fetched at the first admission
 		for i, m := range fw {
 			var admitted uint64
 			for ; m != 0; m &= m - 1 {
-				bit := m & -m
-				li := i<<6 | bits.TrailingZeros64(m)
+				senders := t.lanes[i<<6|bits.TrailingZeros64(m)].senders
+				lst := senders[v.Slot]
 				flen := int(sh.frozenLen[cur])
 				cur++
-				if iw != nil && iw[i]&bit != 0 {
-					continue // already informed (defensive; mirrors the single engine)
-				}
-				for _, s := range t.lanes[li].senders[v.Slot][:flen] {
+				for _, s := range lst[:flen] {
 					if async || g.IsAlive(s) {
-						admitted |= bit
-						any = true
+						admitted |= m & -m
+						senders[v.Slot] = lst[:0]
 						break
 					}
 				}
 			}
 			sh.admWords = append(sh.admWords, admitted)
+			if admitted != 0 {
+				if tw == nil {
+					tw = t.tracked.wordsOf(v)
+				}
+				tw[i] &^= admitted
+			}
 		}
-		if !any {
-			sh.admWords = sh.admWords[:wordBase]
-			continue
+		if tw == nil {
+			sh.admWords = sh.admWords[:wordBase] // no lane admitted v
+		} else {
+			sh.admRecv = append(sh.admRecv, v)
+			if !anyBit(tw) {
+				t.tracked.clearSlot(v) // every lane tracking v admitted it
+				continue
+			}
 		}
-		sh.admRecv = append(sh.admRecv, v)
+		sh.receivers[n] = v
+		n++
 	}
+	// Receivers tracked during the advance follow the surviving frozen
+	// ones, in order.
+	n += copy(sh.receivers[n:], sh.receivers[sh.nFrozen:])
+	sh.receivers = sh.receivers[:n]
+	sh.nFrozen = 0
 }
 
 // laneFootprint reports the allocated lane count and the summed per-slot
@@ -1036,8 +1089,8 @@ type TrafficMemStats struct {
 	// carries.
 	WordsPerSlot int
 	// PackedInformedBytes is the plane-owned informed-state footprint:
-	// the lane-membership words plus the shared per-slot epoch and
-	// generation, for all lanes together.
+	// the lane-membership words plus the shared per-slot generation, for
+	// all lanes together — WordsPerSlot·8 + 4 bytes per slot.
 	PackedInformedBytes int
 	// MarksBaselineBytes is what the same membership state costs in the
 	// pre-packing layout of one graph.Marks per lane: 12 bytes (an
@@ -1047,9 +1100,9 @@ type TrafficMemStats struct {
 
 // MemStats reports the plane's informed-state memory layout — the
 // numbers behind the packed-bitset design: PackedInformedBytes/Lanes
-// versus MarksBaselineBytes/Lanes is the per-lane saving (≈ 96× at
+// versus MarksBaselineBytes/Lanes is the per-lane saving (≈ 93× at
 // M = 1024, since an epoch+gen pair per slot per lane collapses to one
-// bit plus a 1/M share of the shared per-slot epoch/gen).
+// bit plus a 1/M share of the shared per-slot generation).
 func (t *Traffic) MemStats() TrafficMemStats {
 	st := TrafficMemStats{
 		Slots:        t.informed.slots(),

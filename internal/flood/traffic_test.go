@@ -67,14 +67,14 @@ func runTrafficPlane(m core.Model, opts TrafficOptions, steps []int) ([]Result, 
 }
 
 // replaySingle is the oracle arm: an identically seeded model advanced to
-// the injection step, flooding once from the recorded source. Flooding
-// consumes no model randomness, so the replay sees exactly the churn stream
-// the plane saw.
+// the injection step, flooded once from the recorded source by the
+// full-rescan reference. Flooding consumes no model randomness, so the
+// replay sees exactly the churn stream the plane saw.
 func replaySingle(m core.Model, opts TrafficOptions, in trafficInjection) Result {
 	for i := 0; i < in.step; i++ {
 		m.AdvanceRound()
 	}
-	return Run(m, Options{
+	return RunReference(m, Options{
 		Source:         in.src,
 		Mode:           opts.Mode,
 		MaxRounds:      opts.MaxRounds,
@@ -85,7 +85,7 @@ func replaySingle(m core.Model, opts TrafficOptions, in trafficInjection) Result
 
 // TestTrafficMatchesSingleMessageOracle is the headline differential oracle:
 // one multi-message run must be indistinguishable, message by message, from
-// M independent single-message engine runs each replaying the same churn
+// M independent single-message reference runs each replaying the same churn
 // stream — every per-message Result bit-for-bit equal, across all four
 // models × three injection schedules × worker counts × 20 seeds. Any
 // divergence is a cross-message bookkeeping bug (lanes leaking into each
@@ -229,7 +229,7 @@ func TestTrafficNegativeControl(t *testing.T) {
 // done messages mid-run must release their lanes' per-slot state (tracked
 // via the laneFootprint test hook), keeping the plane at O(live messages)
 // rather than O(all ever injected) — and a late injection reusing a retired
-// lane slot must behave bit-for-bit like a fresh engine at that model state.
+// lane slot must match the reference flooding from that model state.
 func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 	t.Parallel()
 	opts := TrafficOptions{MaxRounds: 30, KeepTrajectory: true}
@@ -281,8 +281,8 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 				seed, lanesRet, slotRet)
 		}
 
-		// Late injection into a reused lane slot: bit-for-bit a fresh
-		// single-message engine at the same model state.
+		// Late injection into a reused lane slot: bit-for-bit the
+		// reference flooding from the same model state.
 		stepsSoFar := tr.Steps()
 		src := nthAlive(m.Graph(), 0)
 		late := tr.Inject(src)
@@ -300,7 +300,7 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 
 		want := replaySingle(build(), opts, trafficInjection{step: stepsSoFar, src: src})
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: late injection in reused lane diverged from fresh engine\n%+v\n%+v",
+			t.Fatalf("seed %d: late injection in reused lane diverged from the reference\n%+v\n%+v",
 				seed, got, want)
 		}
 
@@ -320,9 +320,9 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 // TestTrafficInjectionOrderInvariance pins the determinism contract for
 // same-round admissions: permuting the Inject order of messages admitted in
 // the same Step permutes their MessageIDs and nothing else — every source's
-// Result is unchanged, at serial and sharded settings alike (the tie-break
-// is documented in DESIGN.md: lanes share no per-message state, so admission
-// order is unobservable).
+// Result is unchanged and equal to the reference's, at serial and sharded
+// settings alike (the tie-break is documented in DESIGN.md: lanes share no
+// per-message state, so admission order is unobservable).
 func TestTrafficInjectionOrderInvariance(t *testing.T) {
 	t.Parallel()
 	const messages = 4
@@ -361,6 +361,7 @@ func TestTrafficInjectionOrderInvariance(t *testing.T) {
 			return out
 		}
 		want := run([]int{0, 1, 2, 3}, 1)
+		checkAgainstReference(t, build, opts, want)
 		perms := [][]int{{3, 2, 1, 0}, {1, 3, 0, 2}, {2, 0, 3, 1}}
 		for _, perm := range perms {
 			for _, par := range []int{1, 4} {
@@ -370,6 +371,17 @@ func TestTrafficInjectionOrderInvariance(t *testing.T) {
 						seed, perm, par, got, want)
 				}
 			}
+		}
+	}
+}
+
+// checkAgainstReference checks a burst run's per-source Results against
+// the reference flooding each source from a freshly built model.
+func checkAgainstReference(t *testing.T, build func() core.Model, opts TrafficOptions, got map[graph.Handle]Result) {
+	t.Helper()
+	for src, res := range got {
+		if want := replaySingle(build(), opts, trafficInjection{src: src}); !reflect.DeepEqual(res, want) {
+			t.Fatalf("source %v diverged from the reference\nplane:     %+v\nreference: %+v", src, res, want)
 		}
 	}
 }
@@ -415,7 +427,7 @@ func TestTrafficSchedule(t *testing.T) {
 
 // TestTrafficHookLifecycle checks that NewTraffic chains a caller's hooks
 // for the plane's lifetime and Close restores them — the same nesting
-// contract the single engine keeps for one run.
+// contract Run keeps for one run.
 func TestTrafficHookLifecycle(t *testing.T) {
 	t.Parallel()
 	m := core.New(core.PDGR, 120, 5, rng.New(3))
@@ -646,6 +658,7 @@ func TestTrafficInjectionOrderAcrossWordSeam(t *testing.T) {
 			return out
 		}
 		want := run(identity, 1)
+		checkAgainstReference(t, build, opts, want)
 		for _, perm := range [][]int{reversed, seamSwap} {
 			for _, par := range []int{1, 4} {
 				got := run(perm, par)
@@ -725,4 +738,62 @@ func TestTrafficMessageIDValidation(t *testing.T) {
 	mustPanicContaining(t, "flood: Retire on a closed Traffic plane", func() { tr.Retire(id2) })
 	mustPanicContaining(t, "flood: unknown MessageID", func() { tr.Status(42) })
 	mustPanicContaining(t, "flood: Inject on a closed Traffic plane", func() { tr.Inject(graph.Nil) })
+}
+
+// TestTrafficRepeatedSources pins the fold of repeated pending scans: a
+// source injected twice before a Step, and a source injected at a node
+// the last admission sweep just queued, leave one live scan entry per
+// node (two workers scanning one node would race on its in-list), and
+// every message still matches its reference replay at every worker count.
+func TestTrafficRepeatedSources(t *testing.T) {
+	t.Parallel()
+	opts := TrafficOptions{MaxRounds: 20, KeepTrajectory: true}
+	for seed := uint64(0); seed < 4; seed++ {
+		build := func() core.Model {
+			m := core.New(core.PDGR, 150, 5, rng.New(seed))
+			core.WarmUp(m)
+			return m
+		}
+		for _, par := range testPars() {
+			m := build()
+			popts := opts
+			popts.Parallelism = par
+			tr := NewTraffic(m, popts)
+			src := nthAlive(m.Graph(), 0)
+			inj := []trafficInjection{
+				{id: tr.Inject(src), src: src},
+				{id: tr.Inject(src), src: src},
+			}
+			tr.Step()
+			if len(tr.scanNodes) == 0 {
+				t.Fatalf("seed %d: the first round admitted nobody", seed)
+			}
+			late := tr.scanNodes[len(tr.scanNodes)-1] // queued by the sweep
+			inj = append(inj, trafficInjection{id: tr.Inject(late), step: 1, src: late})
+
+			tr.foldInjected()
+			seen := map[graph.Handle]bool{}
+			for k, v := range tr.scanNodes {
+				if !anyBit(tr.scanLanes[k*tr.stride : (k+1)*tr.stride]) {
+					continue
+				}
+				if seen[v] {
+					t.Fatalf("seed %d par %d: node %v has two live scan entries", seed, par, v)
+				}
+				seen[v] = true
+			}
+
+			for tr.Live() > 0 {
+				tr.Step()
+			}
+			for i, in := range inj {
+				got := tr.Result(in.id)
+				if want := replaySingle(build(), opts, in); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d par %d: message %d diverged from the reference\nplane:     %+v\nreference: %+v",
+						seed, par, i, got, want)
+				}
+			}
+			tr.Close()
+		}
+	}
 }
