@@ -1,95 +1,95 @@
 // Command benchjson writes machine-readable perf records as JSON — the
-// artifacts CI uploads and EXPERIMENTS.md quotes for the large-n runs. It
-// carries four benchmarks, selected by -bench:
+// artifacts CI uploads and EXPERIMENTS.md quotes for the large-n runs.
 //
-//   - flood (default): the incremental cut-set flooding engine (flood.Run)
-//     against the full-rescan reference (flood.RunReference) on identically
-//     seeded warmed models — the BENCH_flood.json record. Every case builds
-//     two models from the same seed (their churn streams are identical;
-//     flooding consumes no randomness), floods one with each
-//     implementation, verifies the Results are bit-for-bit equal, and
-//     reports wall times and the speedup. Reference timing can be skipped
-//     above a size cutoff so the n=10⁶ record stays obtainable in one
-//     sitting.
+// Every bench writes one envelope (see record and row):
 //
-//   - warmup: simulated core.WarmUp (2n rounds / 7·n·ln n jump events)
-//     against direct stationary-snapshot sampling (core.SampleStationary)
-//     — the BENCH_warmup.json record behind the -fastwarmup flags. Each
-//     case times both constructions and records snapshot sanity numbers
-//     (population, mean live out-degree) so a speedup can never hide a
-//     wrong snapshot.
+//	{"bench", "scale", "generated",
+//	 "env": {"go", "goos", "goarch", "gomaxprocs", "nproc"},
+//	 "rows": [{"case": {params}, "seed", "reps": {side: n}, "ns": {side: ns},
+//	           "values": {name: number}, "audit": {"kind", "equal"}}]}
 //
-//   - floodpar: the sharded cut engine (flood.Options.Parallelism, the
-//     -floodpar knob) — serial vs W ∈ {2, 4, 8} worker shards on one
-//     broadcast per case, plus a parallel-vs-serial sweep of the
-//     graph.WireSnapshotEdgesPar arena fill. Build and flood phases are
-//     timed GC-isolated, every sharded Result is verified bit-for-bit
-//     equal to the serial one, and the record carries GOMAXPROCS so a
-//     single-core runner's parity rows read as what they are — the
-//     BENCH_floodpar.json record.
+// ns keeps each timed side's minimum wall time over its repetitions and
+// reps counts the repetitions that side actually ran. Timed sides start
+// after a forced collection. Booleans in values are 0/1. audit names the
+// row's oracle: a failed check aborts the run, and every record passes
+// parseRecord — the reader the committed BENCH_*.json files are tested
+// with — before it is written, so a record can never carry equal: false.
 //
-//   - edgerate: the cut-set engine's event feed under the bounded-degree
-//     policies (the F22/Section 5 open question): OnEdge events per time
-//     unit, the regeneration share and per-death burst sizes, and an
-//     engine-flooded broadcast, for the plain uniform draw vs the hard
-//     inbound cap at n up to 10⁶ — the BENCH_edgerate.json record behind
-//     the large-n F22 row in EXPERIMENTS.md. Policy models have no
-//     closed-form stationary law, so the warm-up is simulated (minutes at
-//     n = 10⁶; use -reps 1).
+// The benches, selected by -bench, with their sides and values:
 //
-//   - serve: the live control-plane daemon (internal/serve) under
-//     concurrent loopback-HTTP load — req/s and p50/p99 request latency
-//     for a mixed read/join/leave/step workload at n up to 10⁶, with
-//     queue-depth and snapshot-age (staleness actually served) columns —
-//     the BENCH_serve.json record. Every row ends with a consistency
-//     audit (serve.VerifySnapshot): a freshly published snapshot is
-//     compared field by field against a direct model query at the same
-//     version, and the run aborts on any divergence, so a throughput
-//     number can never hide a stale or torn read.
+//   - flood (default): the cut-set engine (flood.Run) against the
+//     full-rescan reference (flood.RunReference) on identically seeded
+//     warmed models — BENCH_flood.json. ns: warmup, engine, reference.
+//     values: speedup (reference/engine), completed, completion_round,
+//     final_informed, final_alive. audit: the two Results bit-for-bit.
 //
-//   - traffic: the multi-message traffic plane (flood.Traffic) — M
-//     concurrent broadcasts injected per a burst/staggered/poisson schedule
-//     over one churn stream, messages retired as they deliver — the
-//     BENCH_traffic.json record: messages fully delivered per wall-second
-//     at n = 10⁶ under churn, plus the completion-round histogram per
-//     injection rate. Every row carries an oracle_equal audit column: each
-//     of the row's messages is replayed as an independent single-message
-//     flood.Run on an identically seeded model and the per-message Results
-//     must be bit-for-bit equal, so a throughput number can never hide a
-//     cross-message bookkeeping bug.
+//   - warmup: simulated core.WarmUp against direct stationary sampling
+//     (core.SampleStationary), the -fastwarmup flags — BENCH_warmup.json.
+//     ns: warmup, sample (at least 3 reps: sampling is cheap). values:
+//     speedup, and snapshot sanity from each side's fastest rep —
+//     warm_alive, sampled_alive, warm_live_out_mean, sampled_live_out_mean.
+//     No oracle.
 //
-//   - expansion: the incremental expansion-witness tracker
-//     (expansion.Tracker) against per-snapshot expansion.Estimate rescans
-//     on identically seeded models — the BENCH_expansion.json record
-//     behind the -trackexp flags. Each case tracks a churn window with an
-//     observation per round; the rescan side runs a witness search at
-//     every observation point. Tracked numbers are re-verified against
-//     fresh BoundarySize rescans at sampled observations (the rescan_equal
-//     column), so a speedup can never hide wrong bookkeeping.
+//   - floodpar: the sharded cut engine (flood.Options.Parallelism) swept
+//     over case.par, serial first — BENCH_floodpar.json. case.op "flood":
+//     ns build (core.SampleStationaryPar), flood; values as for flood.
+//     case.op "wire-fill": graph.WireSnapshotEdgesPar alone, ns wire. Every
+//     non-serial row adds speedup_vs_serial and is audited against the
+//     serial row (the Result, or an adjacency hash with in-list order).
 //
-// Usage:
+//   - edgerate: the OnEdge feed of the cut engine under PDGR with the
+//     plain draw vs the hard inbound cap (F22, the Section 5 question) —
+//     BENCH_edgerate.json. Policy models have no closed-form stationary
+//     law, so warm-up is simulated (minutes at n = 10⁶) and every case runs
+//     once whatever -reps says. ns: warmup, flood. values over case.window
+//     time units: on_edge_events, births, deaths, events_per_unit,
+//     regen_share (share fired by rule-3 regeneration), max_regen_burst and
+//     mean_regen_burst (regenerations per death); then flood_completed and
+//     completion_round of one engine broadcast. No oracle.
 //
-//	benchjson -out BENCH_flood.json                        # smoke scale (CI)
-//	benchjson -scale large -out BENCH_flood.json           # committed large-n record
-//	benchjson -bench warmup -out BENCH_warmup.json         # smoke scale (CI)
+//   - expansion: the incremental witness tracker (expansion.Tracker)
+//     against an expansion.Estimate search at every observation of a
+//     case.window-round window — BENCH_expansion.json. ns: build, tracker
+//     (attach, advance, observe), estimate (advance, search). values:
+//     speedup, observations, tracked_sets, reseeds, tracker_par,
+//     tracker_min, estimate_min. audit: every tracked set against a fresh
+//     BoundarySize rescan at the first, middle and last observation.
+//
+//   - traffic: the multi-message plane (flood.Traffic), case.messages
+//     broadcasts injected per a burst/staggered/poisson schedule over one
+//     churn stream — BENCH_traffic.json. ns: build, traffic (the whole
+//     plane run), oracle. values: steps, delivered, delivered_per_sec,
+//     completed_in_round_<r> (delivered messages per completion round,
+//     zero rounds left out), lanes, words_per_slot, informed_bytes_per_lane
+//     and informed_bytes_per_lane_baseline (one graph.Marks per lane) with
+//     informed_reduction_x their ratio, traffic_alloc_bytes, oracle_audited.
+//     audit: each audited message replayed alone through flood.RunReference
+//     on an identically seeded model.
+//
+//   - serve: the control-plane daemon (internal/serve) under concurrent
+//     loopback-HTTP load — BENCH_serve.json. ns: seed (serve.New), elapsed
+//     (the load phase). values: req_per_sec, p50_ns, p99_ns, the op mix
+//     (reads, joins, leaves, steps, departed_410, backpressure_429),
+//     max_queue_depth, snapshot_age_mean_ms, snapshot_age_max_ms,
+//     final_alive. audit: serve.VerifySnapshot on a fresh publish.
+//
+// Usage (smoke scale runs in seconds and is what CI runs; large rebuilds
+// the committed record, in minutes to hours):
+//
+//	benchjson -bench flood -out BENCH_flood.smoke.json
+//	benchjson -bench flood -scale large -reps 2 -out BENCH_flood.json
 //	benchjson -bench warmup -scale large -reps 1 -out BENCH_warmup.json
-//	benchjson -bench floodpar -out BENCH_floodpar.json     # smoke scale (CI)
-//	benchjson -bench floodpar -scale large -reps 1 -out BENCH_floodpar.json
-//	benchjson -bench edgerate -scale large -reps 1 -out BENCH_edgerate.json
-//	benchjson -bench expansion -out BENCH_expansion.json   # smoke scale (CI)
-//	benchjson -bench expansion -scale large -reps 1 -out BENCH_expansion.json
-//	benchjson -bench traffic -out BENCH_traffic.json       # smoke scale (CI)
-//	benchjson -bench traffic -scale large -reps 1 -out BENCH_traffic.json
-//	benchjson -bench serve -out BENCH_serve.json           # smoke scale (CI)
-//	benchjson -bench serve -scale large -reps 1 -out BENCH_serve.json
+//
+// and likewise -bench floodpar, edgerate, expansion, traffic or serve
+// with -scale large -reps 1.
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"os"
 	"reflect"
@@ -103,123 +103,81 @@ import (
 	"github.com/dyngraph/churnnet/internal/rng"
 )
 
-type benchCase struct {
-	kind core.Kind
-	n, d int
-	mode flood.Mode
-	// window, when > 0, floods with RunToMax over that many rounds — the
-	// measurement-window workload of experiments F6/F7/F19/F23, where the
-	// broadcast keeps running under churn after completion. window == 0
-	// runs to completion (or the default horizon), the F10/F11 workload.
-	window int
-}
-
-func (c benchCase) workload() string {
-	if c.window > 0 {
-		return fmt.Sprintf("window-%d", c.window)
-	}
-	return "to-completion"
-}
-
-type caseResult struct {
-	Model    string `json:"model"`
-	N        int    `json:"n"`
-	D        int    `json:"d"`
-	Mode     string `json:"mode"`
-	Workload string `json:"workload"`
-	Seed     uint64 `json:"seed"`
-	Reps     int    `json:"reps"`
-
-	WarmupNs int64 `json:"warmup_ns"`
-
-	EngineNs    int64  `json:"engine_ns"`
-	ReferenceNs *int64 `json:"reference_ns,omitempty"`
-	// Speedup is reference/engine wall time; omitted when the reference
-	// was skipped.
-	Speedup *float64 `json:"speedup,omitempty"`
-	// ResultsEqual confirms the bit-for-bit equivalence contract held on
-	// this run; omitted when the reference was skipped.
-	ResultsEqual *bool `json:"results_equal,omitempty"`
-
-	Completed       bool `json:"completed"`
-	CompletionRound int  `json:"completion_round"`
-	FinalInformed   int  `json:"final_informed"`
-	FinalAlive      int  `json:"final_alive"`
-}
-
-type output struct {
-	Benchmark  string       `json:"benchmark"`
-	Scale      string       `json:"scale"`
-	GoVersion  string       `json:"go_version"`
-	GOOS       string       `json:"goos"`
-	GOARCH     string       `json:"goarch"`
-	GOMAXPROCS int          `json:"gomaxprocs"`
-	Generated  string       `json:"generated"`
-	Cases      []caseResult `json:"cases"`
-}
-
 func main() {
 	var (
-		bench    = flag.String("bench", "flood", "flood (engine vs reference), warmup (WarmUp vs SampleStationary), floodpar (serial vs sharded engine + parallel snapshot wiring), edgerate (cut-event feed under bounded-degree policies), expansion (incremental tracker vs per-snapshot Estimate), traffic (multi-message plane vs per-message single-flood oracle) or serve (control-plane daemon under concurrent HTTP load)")
-		out      = flag.String("out", "", "output path (- for stdout; default BENCH_<bench>.json)")
-		scale    = flag.String("scale", "smoke", "smoke (CI, seconds) or large (the committed 10k..10M record)")
-		seed     = flag.Uint64("seed", 1, "deterministic seed")
-		reps     = flag.Int("reps", 3, "timed repetitions per implementation (min is reported)")
-		maxRefN  = flag.Int("max-ref-n", 200000, "flood only: time the reference only for n <= this (0 = always)")
-		floodPar = flag.Int("floodpar", 1, "flood only: worker shards inside each engine broadcast; 0 picks W from GOMAXPROCS and n (floodpar mode sweeps its own)")
+		bench = flag.String("bench", "flood", "flood, warmup, floodpar, edgerate, expansion, traffic or serve (see the package comment)")
+		out   = flag.String("out", "", "output path (- for stdout; default BENCH_<bench>.json)")
+		scale = flag.String("scale", "smoke", "smoke (CI, seconds) or large (the committed record)")
+		seed  = flag.Uint64("seed", 1, "deterministic seed")
+		reps  = flag.Int("reps", 3, "timed repetitions per side (the minimum is reported)")
 	)
 	flag.Parse()
-	if err := validateFlags(*reps, *maxRefN, *floodPar); err != nil {
+	if err := validateFlags(*reps); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(2)
-	}
-	if *floodPar == 0 {
-		*floodPar = flood.Auto
 	}
 	if *out == "" {
 		*out = "BENCH_" + *bench + ".json"
 	}
-	switch *bench {
-	case "flood":
-		runFloodBench(*out, *scale, *seed, *reps, *maxRefN, *floodPar)
-	case "warmup":
-		runWarmupBench(*out, *scale, *seed, *reps)
-	case "floodpar":
-		runFloodParBench(*out, *scale, *seed, *reps)
-	case "edgerate":
-		runEdgeRateBench(*out, *scale, *seed, *reps)
-	case "expansion":
-		runExpansionBench(*out, *scale, *seed, *reps)
-	case "traffic":
-		runTrafficBench(*out, *scale, *seed, *reps)
-	case "serve":
-		runServeBench(*out, *scale, *seed, *reps)
-	default:
-		fmt.Fprintf(os.Stderr, "benchjson: unknown -bench %q (want flood, warmup, floodpar, edgerate, expansion, traffic or serve)\n", *bench)
+	rec, err := run(*bench, *scale, *seed, *reps)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(2)
 	}
+	write(*out, rec)
 }
 
-// validateFlags rejects invalid flag values; the returned error names the
-// offending flag. Kept separate from main so the flag paths are
-// regression-testable (see main_test.go).
-func validateFlags(reps, maxRefN, floodPar int) error {
-	switch {
-	case reps < 1:
+// validateFlags rejects invalid flag values; kept separate from main so
+// the flag paths are regression-testable (see main_test.go).
+func validateFlags(reps int) error {
+	if reps < 1 {
 		return errors.New("-reps must be >= 1")
-	case maxRefN < 0:
-		return errors.New("-max-ref-n must be >= 0 (0 = always)")
-	case floodPar < 0:
-		return errors.New("-floodpar must be >= 0 (0 = auto from GOMAXPROCS and n)")
 	}
 	return nil
 }
 
-func runFloodBench(out, scale string, seed uint64, reps, maxRefN, floodPar int) {
-	var cases []benchCase
-	switch scale {
-	case "smoke":
-		cases = []benchCase{
+// spec is one case of a bench's table. Each bench reads the fields it
+// needs and records them in its rows' case.
+type spec struct {
+	kind core.Kind
+	n, d int
+	mode flood.Mode
+	// window: flood and floodpar flood RunToMax over this many rounds
+	// (0 runs to completion); edgerate measures this many time units.
+	window int
+	// floodpar: op "wire-fill" times the snapshot arena fill instead of a
+	// flood, at every worker count in pars (serial first).
+	op   string
+	pars []int
+	// par is the traffic plane's or the daemon's worker-shard count
+	// (flood.Auto resolves it from GOMAXPROCS and n).
+	par    int
+	policy core.DegreePolicy // edgerate
+	capped bool              // expansion: cap both searches so n = 10⁶ stays runnable
+	// traffic: messages injected per schedule at spacing gap (rounds
+	// between injections, or the poisson mean inter-arrival).
+	messages, gap int
+	schedule      string
+	// serve: clients each issue reqs requests; publishMs is the snapshot
+	// MinPublishInterval in milliseconds.
+	clients, reqs, publishMs int
+}
+
+// bench is the function that measures one case into its rows, plus a
+// case table per scale.
+type bench struct {
+	measure func(c spec, seed uint64, reps int) []row
+	cases   map[string][]spec
+}
+
+var (
+	floodparSmoke = []int{1, 2, 4}
+	floodparLarge = []int{1, 2, 4, 8}
+)
+
+var benches = map[string]bench{
+	"flood": {measureFlood, map[string][]spec{
+		"smoke": {
 			{kind: core.SDGR, n: 2000, d: 21, mode: flood.Discretized},
 			{kind: core.SDGR, n: 2000, d: 21, mode: flood.Asynchronous},
 			{kind: core.SDGR, n: 2000, d: 21, mode: flood.Discretized, window: 100},
@@ -227,186 +185,25 @@ func runFloodBench(out, scale string, seed uint64, reps, maxRefN, floodPar int) 
 			{kind: core.PDGR, n: 2000, d: 35, mode: flood.Discretized, window: 100},
 			{kind: core.SDG, n: 2000, d: 4, mode: flood.Discretized},
 			{kind: core.PDG, n: 2000, d: 4, mode: flood.Discretized},
-		}
-	case "large":
-		cases = []benchCase{
+		},
+		"large": {
 			{kind: core.SDGR, n: 100000, d: 21, mode: flood.Discretized},
 			{kind: core.SDGR, n: 100000, d: 21, mode: flood.Discretized, window: 100},
 			{kind: core.PDGR, n: 100000, d: 35, mode: flood.Discretized, window: 100},
 			{kind: core.SDGR, n: 1000000, d: 21, mode: flood.Discretized},
 			{kind: core.SDGR, n: 1000000, d: 21, mode: flood.Discretized, window: 100},
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "benchjson: unknown -scale %q (want smoke or large)\n", scale)
-		os.Exit(2)
-	}
-
-	o := output{
-		Benchmark:  "flood: cut-set engine vs full-rescan reference",
-		Scale:      scale,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, c := range cases {
-		o.Cases = append(o.Cases, runCase(c, seed, reps, maxRefN, floodPar))
-	}
-	writeJSON(out, o, len(o.Cases))
-}
-
-// writeJSON marshals any record to the output path (or stdout for "-").
-func writeJSON(out string, v any, cases int) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	data = append(data, '\n')
-	if out == "-" {
-		os.Stdout.Write(data)
-		return
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %d cases to %s\n", cases, out)
-}
-
-// runCase measures one configuration. Each timed repetition floods a
-// freshly warmed model (flooding advances the network, so runs cannot
-// share one), and the minimum over repetitions is reported — the standard
-// way to suppress scheduler noise.
-func runCase(c benchCase, seed uint64, reps, maxRefN, floodPar int) caseResult {
-	fmt.Fprintf(os.Stderr, "benchjson: %s n=%d d=%d %s %s...\n", c.kind, c.n, c.d, c.mode, c.workload())
-	cr := caseResult{
-		Model: c.kind.String(), N: c.n, D: c.d,
-		Mode: c.mode.String(), Workload: c.workload(), Seed: seed, Reps: reps,
-	}
-	opts := flood.Options{Mode: c.mode, Parallelism: floodPar}
-	if c.window > 0 {
-		opts.MaxRounds = c.window
-		opts.RunToMax = true
-	}
-	timeRef := maxRefN == 0 || c.n <= maxRefN
-
-	var engRes, refRes flood.Result
-	for rep := 0; rep < reps; rep++ {
-		repSeed := seed + uint64(rep)
-
-		t0 := time.Now()
-		mEng := warm(c.kind, c.n, c.d, repSeed)
-		warmup := time.Since(t0)
-		if rep == 0 || int64(warmup) < cr.WarmupNs {
-			cr.WarmupNs = int64(warmup)
-		}
-
-		t0 = time.Now()
-		res := flood.Run(mEng, opts)
-		engNs := int64(time.Since(t0))
-		if rep == 0 || engNs < cr.EngineNs {
-			cr.EngineNs = engNs
-		}
-		if rep == 0 {
-			engRes = res
-		}
-
-		if timeRef {
-			mRef := warm(c.kind, c.n, c.d, repSeed)
-			t0 = time.Now()
-			res := flood.RunReference(mRef, opts)
-			refNs := int64(time.Since(t0))
-			if cr.ReferenceNs == nil || refNs < *cr.ReferenceNs {
-				cr.ReferenceNs = &refNs
-			}
-			if rep == 0 {
-				refRes = res
-			}
-		}
-	}
-
-	cr.Completed = engRes.Completed
-	cr.CompletionRound = engRes.CompletionRound
-	cr.FinalInformed = engRes.FinalInformed
-	cr.FinalAlive = engRes.FinalAlive
-	if cr.ReferenceNs != nil {
-		eq := reflect.DeepEqual(engRes, refRes)
-		cr.ResultsEqual = &eq
-		if !eq {
-			fmt.Fprintf(os.Stderr, "benchjson: ERROR: engine/reference results diverged for %s n=%d d=%d\n",
-				c.kind, c.n, c.d)
-			os.Exit(1)
-		}
-		sp := float64(*cr.ReferenceNs) / float64(cr.EngineNs)
-		cr.Speedup = &sp
-	}
-	return cr
-}
-
-func warm(kind core.Kind, n, d int, seed uint64) core.Model {
-	m := core.New(kind, n, d, rng.New(seed))
-	core.WarmUp(m)
-	return m
-}
-
-// --- the warm-up benchmark (-bench warmup) ---
-
-type warmupCase struct {
-	kind core.Kind
-	n, d int
-}
-
-type warmupResult struct {
-	Model string `json:"model"`
-	N     int    `json:"n"`
-	D     int    `json:"d"`
-	Seed  uint64 `json:"seed"`
-	// Reps is the -reps flag: the warm-up side's repetition count.
-	// SampleReps records the sampling side's actual count — sampling is
-	// cheap, so it always gets at least three repetitions even when the
-	// minutes-per-rep simulated side runs once. Both columns report the
-	// minimum over their own repetitions.
-	Reps       int `json:"reps"`
-	SampleReps int `json:"sample_reps"`
-
-	WarmUpNs int64   `json:"warmup_ns"`
-	SampleNs int64   `json:"sample_ns"`
-	Speedup  float64 `json:"speedup"`
-
-	// Snapshot sanity from the first repetition: a speedup only counts if
-	// the sampled snapshot looks like the warmed one.
-	WarmAlive          int     `json:"warm_alive"`
-	SampledAlive       int     `json:"sampled_alive"`
-	WarmLiveOutMean    float64 `json:"warm_live_out_mean"`
-	SampledLiveOutMean float64 `json:"sampled_live_out_mean"`
-}
-
-type warmupOutput struct {
-	Benchmark string         `json:"benchmark"`
-	Scale     string         `json:"scale"`
-	GoVersion string         `json:"go_version"`
-	GOOS      string         `json:"goos"`
-	GOARCH    string         `json:"goarch"`
-	Generated string         `json:"generated"`
-	Cases     []warmupResult `json:"cases"`
-}
-
-func runWarmupBench(out, scale string, seed uint64, reps int) {
-	var cases []warmupCase
-	switch scale {
-	case "smoke":
-		cases = []warmupCase{
+		},
+	}},
+	"warmup": {measureWarmup, map[string][]spec{
+		"smoke": {
 			{kind: core.SDG, n: 2000, d: 21},
 			{kind: core.SDGR, n: 2000, d: 21},
 			{kind: core.PDG, n: 2000, d: 35},
 			{kind: core.PDGR, n: 2000, d: 35},
 			{kind: core.SDGR, n: 10000, d: 21},
 			{kind: core.PDGR, n: 10000, d: 35},
-		}
-	case "large":
-		cases = []warmupCase{
+		},
+		"large": {
 			{kind: core.SDGR, n: 10000, d: 21},
 			{kind: core.SDGR, n: 100000, d: 21},
 			{kind: core.SDGR, n: 1000000, d: 21},
@@ -415,293 +212,251 @@ func runWarmupBench(out, scale string, seed uint64, reps int) {
 			{kind: core.PDGR, n: 1000000, d: 35},
 			{kind: core.SDG, n: 1000000, d: 21},
 			{kind: core.PDG, n: 1000000, d: 35},
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "benchjson: unknown -scale %q (want smoke or large)\n", scale)
-		os.Exit(2)
-	}
-
-	o := warmupOutput{
-		Benchmark: "warmup: simulated WarmUp vs direct stationary sampling",
-		Scale:     scale,
-		GoVersion: runtime.Version(),
-		GOOS:      runtime.GOOS,
-		GOARCH:    runtime.GOARCH,
-		Generated: time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, c := range cases {
-		o.Cases = append(o.Cases, runWarmupCase(c, seed, reps))
-	}
-	writeJSON(out, o, len(o.Cases))
+		},
+	}},
+	"floodpar": {measureFloodPar, map[string][]spec{
+		"smoke": {
+			{kind: core.SDGR, n: 2000, d: 21, pars: floodparSmoke},
+			{kind: core.SDGR, n: 10000, d: 21, window: 50, pars: floodparSmoke},
+			{kind: core.PDGR, n: 10000, d: 35, pars: floodparSmoke},
+			{op: "wire-fill", n: 20000, d: 21, pars: floodparSmoke},
+		},
+		"large": {
+			{kind: core.SDGR, n: 100000, d: 21, pars: floodparLarge},
+			{kind: core.SDGR, n: 1000000, d: 21, pars: floodparLarge},
+			{kind: core.SDGR, n: 1000000, d: 21, window: 100, pars: floodparLarge},
+			{kind: core.SDGR, n: 10000000, d: 21, pars: floodparLarge},
+			{op: "wire-fill", n: 100000, d: 21, pars: floodparLarge},
+			{op: "wire-fill", n: 1000000, d: 21, pars: floodparLarge},
+		},
+	}},
+	// d = 20 is the F22 out-degree; InCap 2d is its hard inbound cap.
+	"edgerate": {measureEdgeRate, map[string][]spec{
+		"smoke": {
+			{kind: core.PDGR, n: 2000, d: 20, window: 200},
+			{kind: core.PDGR, n: 2000, d: 20, window: 200, policy: core.DegreePolicy{InCap: 40}},
+		},
+		"large": {
+			{kind: core.PDGR, n: 100000, d: 20, window: 2000},
+			{kind: core.PDGR, n: 100000, d: 20, window: 2000, policy: core.DegreePolicy{InCap: 40}},
+			{kind: core.PDGR, n: 1000000, d: 20, window: 2000},
+			{kind: core.PDGR, n: 1000000, d: 20, window: 2000, policy: core.DegreePolicy{InCap: 40}},
+		},
+	}},
+	// window: observe every round over an O(log n)-round window (the
+	// horizon flooding completes in at these sizes).
+	"expansion": {measureExpansion, map[string][]spec{
+		"smoke": {
+			{kind: core.SDGR, n: 2000, d: 21, window: 12},
+			{kind: core.PDGR, n: 2000, d: 35, window: 12},
+			{kind: core.SDG, n: 2000, d: 4, window: 12},
+		},
+		"large": {
+			{kind: core.SDGR, n: 100000, d: 21, window: 12, capped: true},
+			{kind: core.PDGR, n: 100000, d: 35, window: 12, capped: true},
+			{kind: core.SDGR, n: 1000000, d: 21, window: 12, capped: true},
+			{kind: core.PDGR, n: 1000000, d: 35, window: 12, capped: true},
+		},
+	}},
+	"traffic": {measureTraffic, map[string][]spec{
+		"smoke": {
+			{kind: core.SDGR, n: 2000, d: 21, messages: 6, schedule: "burst", gap: 1, par: 1},
+			{kind: core.SDGR, n: 2000, d: 21, messages: 6, schedule: "staggered", gap: 2, par: 2},
+			{kind: core.PDGR, n: 2000, d: 35, messages: 6, schedule: "poisson", gap: 2, par: 1},
+			// The M sweep: burst rows at message counts crossing the packed
+			// bitset's word seams (1, 1, 4 and 16 words per slot).
+			{kind: core.SDGR, n: 2000, d: 21, messages: 16, schedule: "burst", gap: 1, par: 2},
+			{kind: core.SDGR, n: 2000, d: 21, messages: 64, schedule: "burst", gap: 1, par: 2},
+			{kind: core.SDGR, n: 2000, d: 21, messages: 256, schedule: "burst", gap: 1, par: 2},
+			{kind: core.SDGR, n: 2000, d: 21, messages: 1024, schedule: "burst", gap: 1, par: 2},
+		},
+		"large": {
+			{kind: core.SDGR, n: 1000000, d: 21, messages: 16, schedule: "burst", gap: 1, par: flood.Auto},
+			{kind: core.SDGR, n: 1000000, d: 21, messages: 16, schedule: "staggered", gap: 2, par: flood.Auto},
+			{kind: core.PDGR, n: 1000000, d: 35, messages: 16, schedule: "poisson", gap: 2, par: flood.Auto},
+			// The M sweep at n = 10^5: the node count steps down from the
+			// headline rows to keep the sweep's wall time in the same band
+			// as one n = 10^6 row while M grows 64-fold.
+			{kind: core.SDGR, n: 100000, d: 21, messages: 16, schedule: "burst", gap: 1, par: flood.Auto},
+			{kind: core.SDGR, n: 100000, d: 21, messages: 64, schedule: "burst", gap: 1, par: flood.Auto},
+			{kind: core.SDGR, n: 100000, d: 21, messages: 256, schedule: "burst", gap: 1, par: flood.Auto},
+			{kind: core.SDGR, n: 100000, d: 21, messages: 1024, schedule: "burst", gap: 1, par: flood.Auto},
+		},
+	}},
+	// The 10⁶ rows rate-limit publication: each publish copies
+	// multi-MB state, and the snapshot-age values report the staleness
+	// actually served.
+	"serve": {measureServe, map[string][]spec{
+		"smoke": {
+			{kind: core.SDGR, n: 2000, d: 3, clients: 4, reqs: 200, publishMs: 0, par: 1},
+			{kind: core.PDGR, n: 10000, d: 20, clients: 8, reqs: 200, publishMs: 5, par: 2},
+		},
+		"large": {
+			{kind: core.SDGR, n: 100000, d: 20, clients: 8, reqs: 1500, publishMs: 0, par: flood.Auto},
+			{kind: core.SDGR, n: 100000, d: 20, clients: 16, reqs: 1500, publishMs: 10, par: flood.Auto},
+			{kind: core.SDGR, n: 1000000, d: 20, clients: 16, reqs: 750, publishMs: 25, par: flood.Auto},
+			{kind: core.PDGR, n: 1000000, d: 20, clients: 16, reqs: 750, publishMs: 25, par: flood.Auto},
+		},
+	}},
 }
 
-// runWarmupCase times both constructions; the minimum over repetitions is
-// reported, and the fastest repetition's snapshots provide the sanity
-// numbers. The two sides are timed in separate phases with a forced
-// collection between models, so neither construction pays the other's
-// multi-hundred-MB live heap in GC pressure. Sampling is cheap enough that
-// it always gets at least three repetitions, even when the expensive
-// simulated side (minutes per repetition at n = 10⁶) runs with -reps 1.
-func runWarmupCase(c warmupCase, seed uint64, reps int) warmupResult {
-	fmt.Fprintf(os.Stderr, "benchjson: warmup %s n=%d d=%d...\n", c.kind, c.n, c.d)
-	wr := warmupResult{Model: c.kind.String(), N: c.n, D: c.d, Seed: seed, Reps: reps}
-
-	for rep := 0; rep < reps; rep++ {
-		runtime.GC()
-		t0 := time.Now()
-		m := warm(c.kind, c.n, c.d, seed+uint64(rep))
-		warmNs := int64(time.Since(t0))
-		if rep == 0 || warmNs < wr.WarmUpNs {
-			wr.WarmUpNs = warmNs
-			wr.WarmAlive = m.Graph().NumAlive()
-			wr.WarmLiveOutMean = meanLiveOut(m)
-		}
-	}
-
-	sampleReps := reps
-	if sampleReps < 3 {
-		sampleReps = 3
-	}
-	wr.SampleReps = sampleReps
-	for rep := 0; rep < sampleReps; rep++ {
-		runtime.GC()
-		t0 := time.Now()
-		m := core.SampleStationary(c.kind, c.n, c.d, rng.New(seed+uint64(rep)))
-		sampNs := int64(time.Since(t0))
-		if rep == 0 || sampNs < wr.SampleNs {
-			wr.SampleNs = sampNs
-			wr.SampledAlive = m.Graph().NumAlive()
-			wr.SampledLiveOutMean = meanLiveOut(m)
-		}
-	}
-	wr.Speedup = float64(wr.WarmUpNs) / float64(wr.SampleNs)
-	return wr
+// params starts a row's case with the model triple.
+func (c spec) params() map[string]any {
+	return map[string]any{"model": c.kind.String(), "n": c.n, "d": c.d}
 }
 
-func meanLiveOut(m core.Model) float64 {
-	g := m.Graph()
-	if g.NumAlive() == 0 {
-		return 0
-	}
-	return float64(g.NumEdgesLive()) / float64(g.NumAlive())
-}
-
-// --- the sharded-engine benchmark (-bench floodpar) ---
-
-type floodparCase struct {
-	kind core.Kind
-	n, d int
-	// window as in benchCase: > 0 floods RunToMax over that many rounds.
-	window int
-}
-
-type floodparResult struct {
-	Model    string `json:"model"`
-	N        int    `json:"n"`
-	D        int    `json:"d"`
-	Workload string `json:"workload"`
-	Seed     uint64 `json:"seed"`
-	Reps     int    `json:"reps"`
-	// Par is the engine's worker-shard count (flood.Options.Parallelism);
-	// 1 is the serial baseline the other rows compare against.
-	Par int `json:"par"`
-
-	// BuildNs times core.SampleStationaryPar with the snapshot wiring
-	// sharded at Par; FloodNs times flood.Run alone. The phases are
-	// GC-isolated (a forced collection before each timed region).
-	BuildNs int64 `json:"build_ns"`
-	FloodNs int64 `json:"flood_ns"`
-
-	// SpeedupVsSerial is serial-flood / this-flood wall time; omitted on
-	// the serial row itself.
-	SpeedupVsSerial *float64 `json:"speedup_vs_serial,omitempty"`
-	// ResultsEqual confirms this row's Result is bit-for-bit the serial
-	// engine's; omitted on the serial row.
-	ResultsEqual *bool `json:"results_equal,omitempty"`
-
-	Completed       bool `json:"completed"`
-	CompletionRound int  `json:"completion_round"`
-	FinalInformed   int  `json:"final_informed"`
-	FinalAlive      int  `json:"final_alive"`
-}
-
-type wireFillResult struct {
-	N       int    `json:"n"`
-	D       int    `json:"d"`
-	Workers int    `json:"workers"`
-	Seed    uint64 `json:"seed"`
-	Reps    int    `json:"reps"`
-	WireNs  int64  `json:"wire_ns"`
-	// SpeedupVsSerial is serial-fill / this-fill wall time; omitted on the
-	// workers=1 row.
-	SpeedupVsSerial *float64 `json:"speedup_vs_serial,omitempty"`
-	// LayoutEqual confirms the filled adjacency (including in-list order)
-	// hashes identically to the serial fill; omitted on the workers=1 row.
-	LayoutEqual *bool `json:"layout_equal,omitempty"`
-}
-
-type floodparOutput struct {
-	Benchmark  string           `json:"benchmark"`
-	Scale      string           `json:"scale"`
-	GoVersion  string           `json:"go_version"`
-	GOOS       string           `json:"goos"`
-	GOARCH     string           `json:"goarch"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Generated  string           `json:"generated"`
-	Cases      []floodparResult `json:"cases"`
-	WireFill   []wireFillResult `json:"wire_fill"`
-}
-
-// runFloodParBench measures the sharded engine against its own serial
-// mode, then the parallel WireSnapshotEdges fill against the serial one.
-// Models are built by stationary sampling (simulated warm-up would
-// dominate at n = 10⁷ and the engine contract is warm-up-agnostic);
-// identical seeds build identical models at every Par, so the
-// result-equality column is exact.
-func runFloodParBench(out, scale string, seed uint64, reps int) {
-	var cases []floodparCase
-	var pars []int
-	var wireNs []int
-	switch scale {
-	case "smoke":
-		cases = []floodparCase{
-			{kind: core.SDGR, n: 2000, d: 21},
-			{kind: core.SDGR, n: 10000, d: 21, window: 50},
-			{kind: core.PDGR, n: 10000, d: 35},
-		}
-		pars = []int{1, 2, 4}
-		wireNs = []int{20000}
-	case "large":
-		cases = []floodparCase{
-			{kind: core.SDGR, n: 100000, d: 21},
-			{kind: core.SDGR, n: 1000000, d: 21},
-			{kind: core.SDGR, n: 1000000, d: 21, window: 100},
-			{kind: core.SDGR, n: 10000000, d: 21},
-		}
-		pars = []int{1, 2, 4, 8}
-		wireNs = []int{100000, 1000000}
-	default:
-		fmt.Fprintf(os.Stderr, "benchjson: unknown -scale %q (want smoke or large)\n", scale)
-		os.Exit(2)
-	}
-
-	o := floodparOutput{
-		Benchmark:  "floodpar: serial vs sharded cut engine + parallel snapshot wiring",
-		Scale:      scale,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, c := range cases {
-		var serial floodparResult
-		var serialRes flood.Result
-		for _, par := range pars {
-			fr, res := runFloodParCase(c, par, seed, reps)
-			if par == 1 {
-				serial, serialRes = fr, res
-			} else {
-				sp := float64(serial.FloodNs) / float64(fr.FloodNs)
-				fr.SpeedupVsSerial = &sp
-				eq := reflect.DeepEqual(res, serialRes)
-				fr.ResultsEqual = &eq
-				if !eq {
-					fmt.Fprintf(os.Stderr, "benchjson: ERROR: par %d diverged from serial for %s n=%d\n",
-						par, c.kind, c.n)
-					os.Exit(1)
-				}
-			}
-			o.Cases = append(o.Cases, fr)
-		}
-	}
-	for _, n := range wireNs {
-		var serial wireFillResult
-		var serialHash uint64
-		for _, w := range pars {
-			wr, h := runWireFillCase(n, 21, w, seed, reps)
-			if w == 1 {
-				serial, serialHash = wr, h
-			} else {
-				sp := float64(serial.WireNs) / float64(wr.WireNs)
-				wr.SpeedupVsSerial = &sp
-				eq := h == serialHash
-				wr.LayoutEqual = &eq
-				if !eq {
-					fmt.Fprintf(os.Stderr, "benchjson: ERROR: wire fill at %d workers diverged (n=%d)\n", w, n)
-					os.Exit(1)
-				}
-			}
-			o.WireFill = append(o.WireFill, wr)
-		}
-	}
-	writeJSON(out, o, len(o.Cases)+len(o.WireFill))
-}
-
-func (c floodparCase) workload() string {
+func (c spec) workload() string {
 	if c.window > 0 {
 		return fmt.Sprintf("window-%d", c.window)
 	}
 	return "to-completion"
 }
 
-func runFloodParCase(c floodparCase, par int, seed uint64, reps int) (floodparResult, flood.Result) {
-	fmt.Fprintf(os.Stderr, "benchjson: floodpar %s n=%d d=%d %s par=%d...\n",
-		c.kind, c.n, c.d, c.workload(), par)
-	fr := floodparResult{
-		Model: c.kind.String(), N: c.n, D: c.d,
-		Workload: c.workload(), Seed: seed, Reps: reps, Par: par,
-	}
-	opts := flood.Options{Parallelism: par}
+func (c spec) floodOptions() flood.Options {
+	opts := flood.Options{Mode: c.mode}
 	if c.window > 0 {
-		opts.MaxRounds = c.window
-		opts.RunToMax = true
+		opts.MaxRounds, opts.RunToMax = c.window, true
 	}
-	var first flood.Result
-	for rep := 0; rep < reps; rep++ {
-		repSeed := seed + uint64(rep)
-		runtime.GC()
-		t0 := time.Now()
-		m := core.SampleStationaryPar(c.kind, c.n, c.d, rng.New(repSeed), par)
-		buildNs := int64(time.Since(t0))
-		if rep == 0 || buildNs < fr.BuildNs {
-			fr.BuildNs = buildNs
-		}
-		runtime.GC()
-		t0 = time.Now()
-		res := flood.Run(m, opts)
-		floodNs := int64(time.Since(t0))
-		if rep == 0 || floodNs < fr.FloodNs {
-			fr.FloodNs = floodNs
-		}
-		if rep == 0 {
-			first = res
-		}
-	}
-	fr.Completed = first.Completed
-	fr.CompletionRound = first.CompletionRound
-	fr.FinalInformed = first.FinalInformed
-	fr.FinalAlive = first.FinalAlive
-	return fr, first
+	return opts
 }
 
-// runWireFillCase times graph.WireSnapshotEdgesPar alone on a synthetic
-// uniform d-out spec (the snapshot samplers' workload shape) and returns
-// an adjacency hash covering out-target and in-source order, so a layout
+func resultValues(v map[string]float64, res flood.Result) {
+	v["completed"] = b2f(res.Completed)
+	v["completion_round"] = float64(res.CompletionRound)
+	v["final_informed"] = float64(res.FinalInformed)
+	v["final_alive"] = float64(res.FinalAlive)
+}
+
+func warm(kind core.Kind, n, d int, seed uint64) core.Model {
+	m := core.New(kind, n, d, rng.New(seed))
+	core.WarmUp(m)
+	return m
+}
+
+// measureFlood floods a freshly warmed model per repetition (flooding
+// advances the network, so repetitions cannot share one) with the engine
+// and with the reference; identical seeds give both the same churn stream
+// and flooding consumes no randomness.
+func measureFlood(c spec, seed uint64, reps int) []row {
+	p := c.params()
+	p["mode"], p["workload"] = c.mode.String(), c.workload()
+	r := newRow(seed, p)
+	opts := c.floodOptions()
+	var eng, ref flood.Result
+	for rep := 0; rep < reps; rep++ {
+		repSeed := seed + uint64(rep)
+		var m core.Model
+		var engRes, refRes flood.Result
+		r.timed("warmup", func() { m = warm(c.kind, c.n, c.d, repSeed) })
+		r.timed("engine", func() { engRes = flood.Run(m, opts) })
+		m = warm(c.kind, c.n, c.d, repSeed)
+		r.timed("reference", func() { refRes = flood.RunReference(m, opts) })
+		if rep == 0 {
+			eng, ref = engRes, refRes
+		}
+	}
+	resultValues(r.Values, eng)
+	r.Values["speedup"] = ratio(r.NS["reference"], r.NS["engine"])
+	r.audit("flood.RunReference", reflect.DeepEqual(eng, ref))
+	return []row{r}
+}
+
+// measureWarmup times both constructions, keeping each side's fastest
+// repetition's snapshot numbers: a speedup only counts if the sampled
+// snapshot looks like the warmed one.
+func measureWarmup(c spec, seed uint64, reps int) []row {
+	r := newRow(seed, c.params())
+	snapshot := func(prefix string, m core.Model) {
+		g := m.Graph()
+		r.Values[prefix+"_alive"] = float64(g.NumAlive())
+		r.Values[prefix+"_live_out_mean"] = 0
+		if g.NumAlive() > 0 {
+			r.Values[prefix+"_live_out_mean"] = float64(g.NumEdgesLive()) / float64(g.NumAlive())
+		}
+	}
+	for rep := 0; rep < reps; rep++ {
+		var m core.Model
+		if r.timed("warmup", func() { m = warm(c.kind, c.n, c.d, seed+uint64(rep)) }) {
+			snapshot("warm", m)
+		}
+	}
+	for rep := 0; rep < max(reps, 3); rep++ {
+		var m core.Model
+		if r.timed("sample", func() { m = core.SampleStationary(c.kind, c.n, c.d, rng.New(seed+uint64(rep))) }) {
+			snapshot("sampled", m)
+		}
+	}
+	r.Values["speedup"] = ratio(r.NS["warmup"], r.NS["sample"])
+	return []row{r}
+}
+
+// sweepPars measures one row per worker count in c.pars. The first row is
+// the serial baseline: every later row records its speedup on side and is
+// audited (oracle kind) against what the serial row's measure returned.
+func sweepPars(c spec, seed uint64, params map[string]any, side, kind string, measure func(r *row, par int) any) []row {
+	var rows []row
+	var serial any
+	for _, par := range c.pars {
+		r := newRow(seed, maps.Clone(params))
+		r.Case["par"] = par
+		got := measure(&r, par)
+		if rows == nil {
+			serial = got
+		} else {
+			r.Values["speedup_vs_serial"] = ratio(rows[0].NS[side], r.NS[side])
+			r.audit(kind, reflect.DeepEqual(got, serial))
+		}
+		rows = append(rows, r)
+	}
+	return rows
+}
+
+// measureFloodPar builds models by stationary sampling (simulated warm-up
+// would dominate at n = 10⁷, and the engine contract is
+// warm-up-agnostic); identical seeds build identical models at every
+// worker count, so the audit is exact.
+func measureFloodPar(c spec, seed uint64, reps int) []row {
+	if c.op == "wire-fill" {
+		p := map[string]any{"op": c.op, "n": c.n, "d": c.d}
+		return sweepPars(c, seed, p, "wire", "serial adjacency hash", func(r *row, par int) any {
+			return wireFill(r, c.n, c.d, par, seed, reps)
+		})
+	}
+	p := c.params()
+	p["op"], p["workload"] = "flood", c.workload()
+	return sweepPars(c, seed, p, "flood", "serial flood.Run", func(r *row, par int) any {
+		opts := c.floodOptions()
+		opts.Parallelism = par
+		var first flood.Result
+		for rep := 0; rep < reps; rep++ {
+			var m core.Model
+			var res flood.Result
+			r.timed("build", func() { m = core.SampleStationaryPar(c.kind, c.n, c.d, rng.New(seed+uint64(rep)), par) })
+			r.timed("flood", func() { res = flood.Run(m, opts) })
+			if rep == 0 {
+				first = res
+			}
+		}
+		resultValues(r.Values, first)
+		return first
+	})
+}
+
+// wireFill times graph.WireSnapshotEdgesPar alone on a synthetic uniform
+// d-out spec (the snapshot samplers' workload shape) and returns an
+// adjacency hash covering out-target and in-source order, so a layout
 // divergence can never hide behind a fast fill.
 //
 //churnvet:hookexempt microbenchmark times the bare fill; no hook subscriber exists in this process
-func runWireFillCase(n, d, workers int, seed uint64, reps int) (wireFillResult, uint64) {
-	fmt.Fprintf(os.Stderr, "benchjson: wire fill n=%d d=%d workers=%d...\n", n, d, workers)
-	wr := wireFillResult{N: n, D: d, Workers: workers, Seed: seed, Reps: reps}
+func wireFill(r *row, n, d, workers int, seed uint64, reps int) uint64 {
 	var hash uint64
 	for rep := 0; rep < reps; rep++ {
-		r := rng.New(seed) // same spec every rep and every worker count
+		rn := rng.New(seed) // same spec every rep and every worker count
 		starts := make([]int32, n+1)
 		targets := make([]uint32, 0, n*d)
 		for s := 0; s < n; s++ {
 			for j := 0; j < d && n > 1; j++ {
-				t := r.Intn(n - 1)
+				t := rn.Intn(n - 1)
 				if t >= s {
 					t++
 				}
@@ -713,18 +468,12 @@ func runWireFillCase(n, d, workers int, seed uint64, reps int) (wireFillResult, 
 		for i := 0; i < n; i++ {
 			g.AddNode(float64(i))
 		}
-		runtime.GC()
-		t0 := time.Now()
-		g.WireSnapshotEdgesPar(starts, targets, workers)
-		wireNs := int64(time.Since(t0))
-		if rep == 0 || wireNs < wr.WireNs {
-			wr.WireNs = wireNs
-		}
+		r.timed("wire", func() { g.WireSnapshotEdgesPar(starts, targets, workers) })
 		if rep == 0 {
 			hash = adjacencyHash(g, n)
 		}
 	}
-	return wr, hash
+	return hash
 }
 
 // adjacencyHash folds every node's out-target and in-source sequences
@@ -746,364 +495,134 @@ func adjacencyHash(g *graph.Graph, n int) uint64 {
 	return h.Sum64()
 }
 
-// --- the cut-event-feed benchmark (-bench edgerate) ---
-
-type edgeRateResult struct {
-	Model  string `json:"model"`
-	Policy string `json:"policy"`
-	N      int    `json:"n"`
-	D      int    `json:"d"`
-	Seed   uint64 `json:"seed"`
-
-	WarmupNs int64 `json:"warmup_ns"`
-
-	// Window is the measured span in time units; the counters below cover
-	// exactly that span.
-	Window float64 `json:"window"`
-	Events int     `json:"on_edge_events"`
-	Births int     `json:"births"`
-	Deaths int     `json:"deaths"`
-	// EventsPerUnit is the OnEdge rate the cut engine absorbs per
-	// transmission time unit.
-	EventsPerUnit float64 `json:"events_per_unit"`
-	// RegenShare is the fraction of OnEdge events fired by rule-3
-	// regeneration rather than birth requests.
-	RegenShare float64 `json:"regen_share"`
-	// MaxRegenBurst / MeanRegenBurst describe the per-death regeneration
-	// bursts (the dying node's live in-degree) — the quantity the inbound
-	// cap bounds.
-	MaxRegenBurst  int     `json:"max_regen_burst"`
-	MeanRegenBurst float64 `json:"mean_regen_burst"`
-
-	// A broadcast on the measured network, run on the cut-set engine: the
-	// F22 engine-reuse signal at scale.
-	FloodNs         int64 `json:"flood_ns"`
-	FloodCompleted  bool  `json:"flood_completed"`
-	CompletionRound int   `json:"completion_round"`
-}
-
-type edgeRateOutput struct {
-	Benchmark  string           `json:"benchmark"`
-	Scale      string           `json:"scale"`
-	GoVersion  string           `json:"go_version"`
-	GOOS       string           `json:"goos"`
-	GOARCH     string           `json:"goarch"`
-	GOMAXPROCS int              `json:"gomaxprocs"`
-	Generated  string           `json:"generated"`
-	Cases      []edgeRateResult `json:"cases"`
-}
-
-// runEdgeRateBench measures the OnEdge event stream feeding the cut
-// engine under PDGR dynamics with the plain uniform draw vs the hard
-// inbound cap (core.DegreePolicy{InCap: 2d}) — the F22 configuration.
-// Policy variants have no closed-form stationary law, so warm-up is
-// simulated; at n = 10⁶ expect minutes per case.
-func runEdgeRateBench(out, scale string, seed uint64, reps int) {
-	d := 20 // the F22 out-degree
-	var ns []int
-	var window float64
-	switch scale {
-	case "smoke":
-		ns = []int{2000}
-		window = 200
-	case "large":
-		ns = []int{100000, 1000000}
-		window = 2000
-	default:
-		fmt.Fprintf(os.Stderr, "benchjson: unknown -scale %q (want smoke or large)\n", scale)
-		os.Exit(2)
-	}
-	_ = reps // warm-up dominates; each case runs once
-
-	o := edgeRateOutput{
-		Benchmark:  "edgerate: OnEdge feed of the cut engine under bounded-degree policies (F22)",
-		Scale:      scale,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-	}
-	policies := []core.DegreePolicy{{}, {InCap: 2 * d}}
-	for _, n := range ns {
-		for _, policy := range policies {
-			o.Cases = append(o.Cases, runEdgeRateCase(n, d, policy, seed, window))
-		}
-	}
-	writeJSON(out, o, len(o.Cases))
-}
-
-func runEdgeRateCase(n, d int, policy core.DegreePolicy, seed uint64, window float64) edgeRateResult {
-	fmt.Fprintf(os.Stderr, "benchjson: edgerate %s n=%d d=%d (simulated warm-up)...\n", policy, n, d)
-	er := edgeRateResult{
-		Model: core.PDGR.String(), Policy: policy.String(), N: n, D: d, Seed: seed,
-	}
-	m := core.NewPoissonVariant(n, d, true, policy, rng.New(seed))
-	t0 := time.Now()
-	m.WarmUp()
-	er.WarmupNs = int64(time.Since(t0))
+// measureEdgeRate counts the OnEdge stream feeding the cut engine under
+// PDGR dynamics with c.policy over a window of c.window time units, then
+// floods the measured network once on the engine (the F22 engine-reuse
+// signal at scale).
+func measureEdgeRate(c spec, seed uint64, _ int) []row {
+	p := c.params()
+	p["policy"], p["window"] = c.policy.String(), c.window
+	r := newRow(seed, p)
+	m := core.NewPoissonVariant(c.n, c.d, true, c.policy, rng.New(seed))
+	r.timed("warmup", m.WarmUp)
 
 	g := m.Graph()
-	bursts := 0
+	var events, births, deaths, bursts, maxBurst int
 	m.SetHooks(core.Hooks{
-		OnBirth: func(graph.Handle) { er.Births++ },
+		OnBirth: func(graph.Handle) { births++ },
 		OnDeath: func(h graph.Handle) {
-			er.Deaths++
+			deaths++
 			// The hook fires before removal: the live in-degree is exactly
 			// the number of rule-3 regenerations this death triggers.
 			b := g.InDegreeLive(h)
 			bursts += b
-			if b > er.MaxRegenBurst {
-				er.MaxRegenBurst = b
-			}
+			maxBurst = max(maxBurst, b)
 		},
-		OnEdge: func(u, v graph.Handle) { er.Events++ },
+		OnEdge: func(u, v graph.Handle) { events++ },
 	})
-	m.AdvanceTime(window)
+	m.AdvanceTime(float64(c.window))
 	m.SetHooks(core.Hooks{})
-	er.Window = window
-	er.EventsPerUnit = float64(er.Events) / window
-	if er.Events > 0 {
-		er.RegenShare = float64(er.Events-d*er.Births) / float64(er.Events)
+	v := r.Values
+	v["on_edge_events"], v["births"], v["deaths"] = float64(events), float64(births), float64(deaths)
+	v["events_per_unit"] = float64(events) / float64(c.window)
+	v["regen_share"], v["max_regen_burst"], v["mean_regen_burst"] = 0, float64(maxBurst), 0
+	if events > 0 {
+		v["regen_share"] = float64(events-c.d*births) / float64(events)
 	}
-	if er.Deaths > 0 {
-		er.MeanRegenBurst = float64(bursts) / float64(er.Deaths)
+	if deaths > 0 {
+		v["mean_regen_burst"] = float64(bursts) / float64(deaths)
 	}
 
 	for !g.IsAlive(m.LastBorn()) {
 		m.AdvanceRound()
 	}
-	runtime.GC()
-	t0 = time.Now()
-	res := flood.Run(m, flood.Options{Source: m.LastBorn()})
-	er.FloodNs = int64(time.Since(t0))
-	er.FloodCompleted = res.Completed
-	er.CompletionRound = res.CompletionRound
-	return er
+	var res flood.Result
+	r.timed("flood", func() { res = flood.Run(m, flood.Options{Source: m.LastBorn()}) })
+	v["flood_completed"], v["completion_round"] = b2f(res.Completed), float64(res.CompletionRound)
+	return []row{r}
 }
 
-// --- the incremental-expansion benchmark (-bench expansion) ---
-
-type expansionCase struct {
-	kind core.Kind
-	n, d int
-}
-
-type expansionResult struct {
-	Model string `json:"model"`
-	N     int    `json:"n"`
-	D     int    `json:"d"`
-	Seed  uint64 `json:"seed"`
-	Reps  int    `json:"reps"`
-	// Window is the tracked churn window in rounds, with one observation
-	// per round (the standard tracking cadence); the rescan side runs one
-	// Estimate search per observation point on an identically seeded
-	// model. TrackerPar is the tracker's resolved flush worker count.
-	Window       int `json:"window"`
-	Observations int `json:"observations"`
-	TrackedSets  int `json:"tracked_sets"`
-	Reseeds      int `json:"reseeds"`
-	TrackerPar   int `json:"tracker_par"`
-
-	// BuildNs times the stationary-sampled model build (identical for
-	// both sides); TrackerNs covers attach + window advancement +
-	// per-round observations; EstimateNs covers the same advancement plus
-	// the per-observation Estimate searches. All are minima over reps,
-	// GC-isolated per phase.
-	BuildNs    int64   `json:"build_ns"`
-	TrackerNs  int64   `json:"tracker_ns"`
-	EstimateNs int64   `json:"estimate_ns"`
-	Speedup    float64 `json:"speedup"`
-
-	// RescanEqual confirms that at the sampled observations (first,
-	// middle, last) every tracked set's live size, boundary and ratio were
-	// bit-for-bit what fresh BoundarySize/Ratio rescans computed.
-	RescanEqual bool `json:"rescan_equal"`
-
-	// Window minima from the first repetition (upper bounds on h_out over
-	// time; the two searches track different candidate draws, so the
-	// numbers are sanity context, not an equality).
-	TrackerMin  float64 `json:"tracker_min"`
-	EstimateMin float64 `json:"estimate_min"`
-}
-
-type expansionOutput struct {
-	Benchmark  string            `json:"benchmark"`
-	Scale      string            `json:"scale"`
-	GoVersion  string            `json:"go_version"`
-	GOOS       string            `json:"goos"`
-	GOARCH     string            `json:"goarch"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Generated  string            `json:"generated"`
-	Cases      []expansionResult `json:"cases"`
-}
-
-// expansionBenchWindow is the tracked-window length (rounds, one
-// observation each) of every expansion bench case — the standard
-// tracking cadence: observe every round over an O(log n)-round window
-// (the horizon flooding completes in at these sizes), re-seeding the
-// adaptive families once mid-window.
-const (
-	expansionBenchWindow = 12
-	expansionBenchReseed = 8
-)
-
-// runExpansionBench measures time-resolved expansion tracking: the
-// event-driven tracker riding the churn stream versus re-running the
-// per-snapshot witness search at every observation point. Models are
-// built by stationary sampling (the tracker contract is warm-up-agnostic
-// and simulated warm-up would dominate at n = 10⁶).
-func runExpansionBench(out, scale string, seed uint64, reps int) {
-	var cases []expansionCase
-	switch scale {
-	case "smoke":
-		cases = []expansionCase{
-			{kind: core.SDGR, n: 2000, d: 21},
-			{kind: core.PDGR, n: 2000, d: 35},
-			{kind: core.SDG, n: 2000, d: 4},
-		}
-	case "large":
-		cases = []expansionCase{
-			{kind: core.SDGR, n: 100000, d: 21},
-			{kind: core.PDGR, n: 100000, d: 35},
-			{kind: core.SDGR, n: 1000000, d: 21},
-			{kind: core.PDGR, n: 1000000, d: 35},
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "benchjson: unknown -scale %q (want smoke or large)\n", scale)
-		os.Exit(2)
-	}
-
-	o := expansionOutput{
-		Benchmark:  "expansion: incremental tracker vs per-snapshot Estimate rescans",
-		Scale:      scale,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, c := range cases {
-		o.Cases = append(o.Cases, runExpansionCase(c, seed, reps, scale == "large"))
-	}
-	writeJSON(out, o, len(o.Cases))
-}
-
-// benchTrackerCfg keeps the tracked families comparable to the rescan
-// side's search (benchEstimateCfg): the same ladder, the same adversarial
-// family kinds, fewer random draws per size — the tracker keeps its sets
-// between observations, the search redraws them every time.
-func benchTrackerCfg(large bool) expansion.TrackerConfig {
-	cfg := expansion.TrackerConfig{
+// expansionConfigs keeps the tracked families comparable to the rescan
+// side's search: the same ladder and adversarial family kinds, fewer
+// random draws per size — the tracker keeps its sets between
+// observations, the search redraws them every time. Capped configs bound
+// greedy growth (quadratic in its cap) on both sides.
+func expansionConfigs(capped bool) (expansion.TrackerConfig, expansion.Config) {
+	tc := expansion.TrackerConfig{
 		Singletons:        8,
 		RandomSetsPerSize: 2,
 		BFSSeeds:          4,
 		GreedySeeds:       2,
-		ReseedEvery:       expansionBenchReseed,
+		ReseedEvery:       8, // once inside the 12-round window
 		Parallelism:       flood.Auto,
 	}
-	if large {
-		cfg.LadderStride = 2
-		cfg.MaxBFSSize = 1 << 16
-		cfg.MaxGreedySize = 1024
+	if !capped {
+		return tc, expansion.Config{}
 	}
-	return cfg
+	tc.LadderStride, tc.MaxBFSSize, tc.MaxGreedySize = 2, 1<<16, 1024
+	return tc, expansion.Config{SampleTrialsPerSize: 8, BFSSeeds: 4, GreedySeeds: 2, MaxGreedySize: 1024}
 }
 
-func benchEstimateCfg(large bool) expansion.Config {
-	if !large {
-		return expansion.Config{}
-	}
-	// Greedy growth is quadratic in its cap; cap it the same way the
-	// tracker side does so the rescan side stays runnable at n = 10⁶.
-	return expansion.Config{
-		SampleTrialsPerSize: 8,
-		BFSSeeds:            4,
-		GreedySeeds:         2,
-		MaxGreedySize:       1024,
-	}
-}
-
-func runExpansionCase(c expansionCase, seed uint64, reps int, large bool) expansionResult {
-	fmt.Fprintf(os.Stderr, "benchjson: expansion %s n=%d d=%d...\n", c.kind, c.n, c.d)
-	er := expansionResult{
-		Model: c.kind.String(), N: c.n, D: c.d, Seed: seed, Reps: reps,
-		Window: expansionBenchWindow, Observations: expansionBenchWindow,
-		RescanEqual: true,
-	}
-	checkAt := map[int]bool{1: true, expansionBenchWindow / 2: true, expansionBenchWindow: true}
-
+// measureExpansion tracks a churn window with an observation per round
+// against a fresh witness search per observation on an identically seeded
+// model. Models are built by stationary sampling (the tracker contract is
+// warm-up-agnostic).
+func measureExpansion(c spec, seed uint64, reps int) []row {
+	p := c.params()
+	p["window"] = c.window
+	r := newRow(seed, p)
+	trackerCfg, estimateCfg := expansionConfigs(c.capped)
+	checkAt := map[int]bool{1: true, c.window / 2: true, c.window: true}
+	rescanEqual := true
 	for rep := 0; rep < reps; rep++ {
 		repSeed := seed + uint64(rep)
+		var m core.Model
+		r.timed("build", func() { m = core.SampleStationary(c.kind, c.n, c.d, rng.New(repSeed)) })
 
-		// Tracker side: attach, then advance the window observing every
-		// round; rescan verification runs off the clock.
-		runtime.GC()
-		t0 := time.Now()
-		m := core.SampleStationary(c.kind, c.n, c.d, rng.New(repSeed))
-		buildNs := int64(time.Since(t0))
-		if rep == 0 || buildNs < er.BuildNs {
-			er.BuildNs = buildNs
-		}
+		// Tracker side: the rescan audit at checkAt runs off the clock.
 		runtime.GC()
 		trackerMin := math.Inf(1)
 		var trackerNs int64
-		t0 = time.Now()
-		tr := expansion.NewTracker(m, rng.New(repSeed^0xe1), benchTrackerCfg(large))
-		for round := 1; round <= expansionBenchWindow; round++ {
+		t0 := time.Now()
+		tr := expansion.NewTracker(m, rng.New(repSeed^0xe1), trackerCfg)
+		for round := 1; round <= c.window; round++ {
 			m.AdvanceRound()
-			obs := tr.Observe()
-			if obs.Min < trackerMin {
-				trackerMin = obs.Min
-			}
+			trackerMin = min(trackerMin, tr.Observe().Min)
 			if checkAt[round] {
-				trackerNs += int64(time.Since(t0)) // pause for the untimed rescan audit
-				if !rescanMatches(m.Graph(), tr) {
-					er.RescanEqual = false
-				}
+				trackerNs += int64(time.Since(t0))
+				rescanEqual = rescanEqual && rescanMatches(m.Graph(), tr)
 				t0 = time.Now()
 			}
 		}
 		trackerNs += int64(time.Since(t0))
+		r.keepMin("tracker", trackerNs)
 		if rep == 0 {
-			er.TrackerMin = trackerMin
-			er.TrackedSets = tr.NumSets()
-			er.Reseeds = tr.Reseeds()
-			er.TrackerPar = tr.Parallelism()
+			r.Values["tracker_min"] = trackerMin
+			r.Values["tracked_sets"] = float64(tr.NumSets())
+			r.Values["reseeds"] = float64(tr.Reseeds())
+			r.Values["tracker_par"] = float64(tr.Parallelism())
 		}
 		tr.Close()
-		if rep == 0 || trackerNs < er.TrackerNs {
-			er.TrackerNs = trackerNs
-		}
 
-		// Rescan side: identical model and advancement, a fresh witness
-		// search at every observation point.
-		m2 := core.SampleStationary(c.kind, c.n, c.d, rng.New(repSeed))
+		// Rescan side: identical model and advancement.
+		m = core.SampleStationary(c.kind, c.n, c.d, rng.New(repSeed))
 		estR := rng.New(repSeed ^ 0xe2)
 		estimateMin := math.Inf(1)
-		runtime.GC()
-		t0 = time.Now()
-		for round := 1; round <= expansionBenchWindow; round++ {
-			m2.AdvanceRound()
-			if min, _ := expansion.Estimate(m2.Graph(), estR, benchEstimateCfg(large)).Min(); min < estimateMin {
-				estimateMin = min
+		r.timed("estimate", func() {
+			for round := 1; round <= c.window; round++ {
+				m.AdvanceRound()
+				got, _ := expansion.Estimate(m.Graph(), estR, estimateCfg).Min()
+				estimateMin = min(estimateMin, got)
 			}
-		}
-		estimateNs := int64(time.Since(t0))
+		})
 		if rep == 0 {
-			er.EstimateMin = estimateMin
-		}
-		if rep == 0 || estimateNs < er.EstimateNs {
-			er.EstimateNs = estimateNs
+			r.Values["estimate_min"] = estimateMin
 		}
 	}
-	er.Speedup = float64(er.EstimateNs) / float64(er.TrackerNs)
-	if !er.RescanEqual {
-		fmt.Fprintf(os.Stderr, "benchjson: ERROR: tracker diverged from the rescan oracle for %s n=%d d=%d\n",
-			c.kind, c.n, c.d)
-		os.Exit(1)
-	}
-	return er
+	r.Values["observations"] = float64(c.window)
+	r.Values["speedup"] = ratio(r.NS["estimate"], r.NS["tracker"])
+	r.audit("BoundarySize rescan", rescanEqual)
+	return []row{r}
 }
 
 // rescanMatches audits every tracked set against a from-scratch
@@ -1123,163 +642,17 @@ func rescanMatches(g *graph.Graph, tr *expansion.Tracker) bool {
 	return true
 }
 
-// --- the multi-message traffic benchmark (-bench traffic) ---
-
-type trafficCase struct {
-	kind     core.Kind
-	n, d     int
-	messages int
-	schedule string
-	gap      int
-	par      int
-}
-
-type trafficResult struct {
-	Model    string `json:"model"`
-	N        int    `json:"n"`
-	D        int    `json:"d"`
-	Schedule string `json:"schedule"`
-	// Gap is the injection spacing: rounds between injections (staggered)
-	// or the mean inter-arrival (poisson); 1 for burst.
-	Gap      int    `json:"gap"`
-	Messages int    `json:"messages"`
-	Seed     uint64 `json:"seed"`
-	Reps     int    `json:"reps"`
-	// Par is the plane's worker-shard count (TrafficOptions.Parallelism,
-	// resolved; the Auto policy picks from GOMAXPROCS and n).
-	Par int `json:"par"`
-
-	// BuildNs times core.SampleStationaryPar; TrafficNs covers the whole
-	// plane run — injections, Steps until every message finished, prompt
-	// retirement of delivered messages. Both are minima over reps,
-	// GC-isolated.
-	BuildNs   int64 `json:"build_ns"`
-	TrafficNs int64 `json:"traffic_ns"`
-
-	// Steps is the plane rounds executed; Delivered counts messages that
-	// completed (Definition 3.3); DeliveredPerSec divides by the traffic
-	// wall time — the headline throughput number.
-	Steps           int     `json:"steps"`
-	Delivered       int     `json:"delivered"`
-	DeliveredPerSec float64 `json:"delivered_per_sec"`
-
-	// CompletionHistogram counts delivered messages per completion round
-	// (relative to each message's injection): index r holds the messages
-	// that completed in round r. Index 0 is structurally empty (completion
-	// is checked after round 1 at the earliest) and kept so indexes read
-	// as rounds.
-	CompletionHistogram []int `json:"completion_histogram"`
-
-	// Memory-layout columns of the packed lane bitsets (flood.TrafficMemStats,
-	// captured at the end of the first repetition's plane run). Lanes is the
-	// peak simultaneous message count (burst rows: Messages; staggered and
-	// poisson rows: however many overlapped); WordsPerSlot = ceil(Lanes/64).
-	// InformedBytesPerLane is the plane's packed informed-state footprint
-	// divided by Lanes; the Baseline column is what one graph.Marks per lane
-	// costs at the same slot span (12 bytes/slot/lane) and ReductionX their
-	// ratio — the ISSUE 8 acceptance number (>= 4x at M = 1024).
-	Lanes                        int     `json:"lanes"`
-	WordsPerSlot                 int     `json:"words_per_slot"`
-	InformedBytesPerLane         float64 `json:"informed_bytes_per_lane"`
-	InformedBytesPerLaneBaseline float64 `json:"informed_bytes_per_lane_baseline"`
-	InformedReductionX           float64 `json:"informed_reduction_x"`
-
-	// TrafficAllocBytes is the heap allocated during the first repetition's
-	// whole plane run (runtime.MemStats.TotalAlloc delta): injections,
-	// steps, retirements.
-	TrafficAllocBytes uint64 `json:"traffic_alloc_bytes"`
-
-	// OracleNs times the audit: messages of the first repetition replayed
-	// as independent single-message flood.Runs on identically seeded models
-	// advanced to the injection round. All messages are replayed up to
-	// trafficOracleSampleCap; above it an evenly spaced sample including the
-	// first and last admissions is, with OracleAudited recording the count.
-	// OracleEqual confirms every audited Result was bit-for-bit equal — the
-	// run aborts otherwise, so a committed record can never carry false.
-	OracleNs      int64 `json:"oracle_ns"`
-	OracleAudited int   `json:"oracle_audited"`
-	OracleEqual   bool  `json:"oracle_equal"`
-}
-
 // trafficOracleSampleCap bounds the per-row oracle replays: rows up to
-// this many messages are audited in full (every M in the sweep's word-
-// boundary band), larger rows by an evenly spaced sample — the replay arm
-// rebuilds the model per message, which at M = 1024 would otherwise
-// dominate the row by an order of magnitude.
+// this many messages are audited in full, larger rows by an evenly spaced
+// sample including the first and last admissions — the replay rebuilds
+// the model per message, which at M = 1024 would otherwise dominate the
+// row by an order of magnitude.
 const trafficOracleSampleCap = 64
-
-type trafficOutput struct {
-	Benchmark  string          `json:"benchmark"`
-	Scale      string          `json:"scale"`
-	GoVersion  string          `json:"go_version"`
-	GOOS       string          `json:"goos"`
-	GOARCH     string          `json:"goarch"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Generated  string          `json:"generated"`
-	Cases      []trafficResult `json:"cases"`
-}
-
-// runTrafficBench measures the multi-message traffic plane: delivered
-// messages per wall-second and the completion-round histogram across
-// injection schedules, with every row audited against the per-message
-// single-flood oracle. Models are built by stationary sampling (the plane
-// contract is warm-up-agnostic); identical seeds rebuild identical models
-// for the oracle replays.
-func runTrafficBench(out, scale string, seed uint64, reps int) {
-	var cases []trafficCase
-	switch scale {
-	case "smoke":
-		cases = []trafficCase{
-			{kind: core.SDGR, n: 2000, d: 21, messages: 6, schedule: "burst", gap: 1, par: 1},
-			{kind: core.SDGR, n: 2000, d: 21, messages: 6, schedule: "staggered", gap: 2, par: 2},
-			{kind: core.PDGR, n: 2000, d: 35, messages: 6, schedule: "poisson", gap: 2, par: 1},
-			// The M sweep: burst rows at message counts crossing the packed
-			// bitset's word seams (1, 1, 4 and 16 words per slot), carrying
-			// the bytes-per-lane and allocation columns.
-			{kind: core.SDGR, n: 2000, d: 21, messages: 16, schedule: "burst", gap: 1, par: 2},
-			{kind: core.SDGR, n: 2000, d: 21, messages: 64, schedule: "burst", gap: 1, par: 2},
-			{kind: core.SDGR, n: 2000, d: 21, messages: 256, schedule: "burst", gap: 1, par: 2},
-			{kind: core.SDGR, n: 2000, d: 21, messages: 1024, schedule: "burst", gap: 1, par: 2},
-		}
-	case "large":
-		cases = []trafficCase{
-			{kind: core.SDGR, n: 1000000, d: 21, messages: 16, schedule: "burst", gap: 1, par: flood.Auto},
-			{kind: core.SDGR, n: 1000000, d: 21, messages: 16, schedule: "staggered", gap: 2, par: flood.Auto},
-			{kind: core.PDGR, n: 1000000, d: 35, messages: 16, schedule: "poisson", gap: 2, par: flood.Auto},
-			// The M sweep at n = 10^5: the lane population is the variable
-			// under test, so the node count steps down from the headline
-			// rows to keep the sweep's wall time in the same band as one
-			// n = 10^6 row while M grows 64-fold.
-			{kind: core.SDGR, n: 100000, d: 21, messages: 16, schedule: "burst", gap: 1, par: flood.Auto},
-			{kind: core.SDGR, n: 100000, d: 21, messages: 64, schedule: "burst", gap: 1, par: flood.Auto},
-			{kind: core.SDGR, n: 100000, d: 21, messages: 256, schedule: "burst", gap: 1, par: flood.Auto},
-			{kind: core.SDGR, n: 100000, d: 21, messages: 1024, schedule: "burst", gap: 1, par: flood.Auto},
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "benchjson: unknown -scale %q (want smoke or large)\n", scale)
-		os.Exit(2)
-	}
-
-	o := trafficOutput{
-		Benchmark:  "traffic: multi-message plane vs per-message single-flood oracle",
-		Scale:      scale,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, c := range cases {
-		o.Cases = append(o.Cases, runTrafficCase(c, seed, reps))
-	}
-	writeJSON(out, o, len(o.Cases))
-}
 
 // trafficSource picks the injection source the way Flood defaults do —
 // the most recently born node — falling back to the newest alive node
-// when churn already evicted it (possible in Poisson models). Both are
-// deterministic functions of the snapshot, and the oracle replays the
-// recorded handle, so any deterministic rule is exact.
+// when churn already evicted it (possible in Poisson models). The oracle
+// replays the recorded handle, so any deterministic rule is exact.
 func trafficSource(m core.Model) graph.Handle {
 	if src := m.LastBorn(); m.Graph().IsAlive(src) {
 		return src
@@ -1287,142 +660,113 @@ func trafficSource(m core.Model) graph.Handle {
 	return m.Graph().Newest()
 }
 
-// trafficInjectionRecord remembers one admitted message for the oracle.
-type trafficInjectionRecord struct {
-	step int
-	src  graph.Handle
-	res  flood.Result
-}
-
-func runTrafficCase(c trafficCase, seed uint64, reps int) trafficResult {
-	fmt.Fprintf(os.Stderr, "benchjson: traffic %s n=%d d=%d %s gap=%d M=%d...\n",
-		c.kind, c.n, c.d, c.schedule, c.gap, c.messages)
-	tr := trafficResult{
-		Model: c.kind.String(), N: c.n, D: c.d,
-		Schedule: c.schedule, Gap: c.gap, Messages: c.messages,
-		Seed: seed, Reps: reps,
+// measureTraffic runs the plane until every message finished, retiring
+// messages as they deliver, then replays the first repetition's messages
+// as independent reference floods. Models are built by stationary
+// sampling (the plane contract is warm-up-agnostic); identical seeds
+// rebuild identical models for the replays.
+func measureTraffic(c spec, seed uint64, reps int) []row {
+	par := c.par
+	if par < 0 {
+		par = flood.AutoParallelism(c.n)
 	}
-	opts := flood.TrafficOptions{Parallelism: c.par}
-	if c.par < 0 {
-		tr.Par = flood.AutoParallelism(c.n)
-	} else {
-		tr.Par = c.par
-	}
+	p := c.params()
+	p["schedule"], p["gap"], p["messages"], p["par"] = c.schedule, c.gap, c.messages, par
+	r := newRow(seed, p)
+	v := r.Values
 
-	var first []trafficInjectionRecord
+	// Each admitted message of the first repetition: its step, source
+	// and final Result, for the oracle.
+	type injection struct {
+		step int
+		src  graph.Handle
+		res  flood.Result
+	}
+	var first []injection
 	for rep := 0; rep < reps; rep++ {
 		repSeed := seed + uint64(rep)
 		steps, err := flood.TrafficSchedule(c.schedule, c.messages, c.gap, repSeed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
+			fatal("%v", err)
 		}
+		var m core.Model
+		r.timed("build", func() { m = core.SampleStationaryPar(c.kind, c.n, c.d, rng.New(repSeed), par) })
 
-		runtime.GC()
-		t0 := time.Now()
-		m := core.SampleStationaryPar(c.kind, c.n, c.d, rng.New(repSeed), tr.Par)
-		buildNs := int64(time.Since(t0))
-		if rep == 0 || buildNs < tr.BuildNs {
-			tr.BuildNs = buildNs
-		}
-
-		runtime.GC()
-		var ms0 runtime.MemStats
-		if rep == 0 {
-			runtime.ReadMemStats(&ms0)
-		}
-		t0 = time.Now()
-		plane := flood.NewTraffic(m, opts)
-		recs := make([]trafficInjectionRecord, 0, len(steps))
-		ids := make([]flood.MessageID, 0, len(steps))
-		next := 0
-		for next < len(steps) || plane.Live() > 0 {
-			for next < len(steps) && steps[next] == plane.Steps() {
-				src := trafficSource(m)
-				ids = append(ids, plane.Inject(src))
-				recs = append(recs, trafficInjectionRecord{step: plane.Steps(), src: src})
-				next++
-			}
-			plane.Step()
-			for i, id := range ids {
-				if plane.Status(id) == flood.MessageDone {
-					recs[i].res = plane.Result(id)
-					plane.Retire(id)
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		var recs []injection
+		var mem flood.TrafficMemStats
+		var planeSteps int
+		r.timed("traffic", func() {
+			plane := flood.NewTraffic(m, flood.TrafficOptions{Parallelism: c.par})
+			ids := make([]flood.MessageID, 0, len(steps))
+			for next := 0; next < len(steps) || plane.Live() > 0; {
+				for ; next < len(steps) && steps[next] == plane.Steps(); next++ {
+					src := trafficSource(m)
+					ids = append(ids, plane.Inject(src))
+					recs = append(recs, injection{step: plane.Steps(), src: src})
+				}
+				plane.Step()
+				for i, id := range ids {
+					if plane.Status(id) == flood.MessageDone {
+						recs[i].res = plane.Result(id)
+						plane.Retire(id)
+					}
 				}
 			}
+			planeSteps, mem = plane.Steps(), plane.MemStats()
+			plane.Close()
+		})
+		if rep > 0 {
+			continue
 		}
-		planeSteps := plane.Steps()
-		mem := plane.MemStats()
-		plane.Close()
-		trafficNs := int64(time.Since(t0))
-		if rep == 0 || trafficNs < tr.TrafficNs {
-			tr.TrafficNs = trafficNs
-		}
-		if rep == 0 {
-			var ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms1)
-			tr.TrafficAllocBytes = ms1.TotalAlloc - ms0.TotalAlloc
-			tr.Steps = planeSteps
-			first = recs
-			tr.Lanes = mem.Lanes
-			tr.WordsPerSlot = mem.WordsPerSlot
-			if mem.Lanes > 0 {
-				tr.InformedBytesPerLane = float64(mem.PackedInformedBytes) / float64(mem.Lanes)
-				tr.InformedBytesPerLaneBaseline = float64(mem.MarksBaselineBytes) / float64(mem.Lanes)
-				if tr.InformedBytesPerLane > 0 {
-					tr.InformedReductionX = tr.InformedBytesPerLaneBaseline / tr.InformedBytesPerLane
-				}
+		runtime.ReadMemStats(&ms1)
+		first = recs
+		v["traffic_alloc_bytes"] = float64(ms1.TotalAlloc - ms0.TotalAlloc)
+		v["steps"], v["lanes"], v["words_per_slot"] = float64(planeSteps), float64(mem.Lanes), float64(mem.WordsPerSlot)
+		v["informed_bytes_per_lane"], v["informed_bytes_per_lane_baseline"], v["informed_reduction_x"] = 0, 0, 0
+		if mem.Lanes > 0 {
+			v["informed_bytes_per_lane"] = float64(mem.PackedInformedBytes) / float64(mem.Lanes)
+			v["informed_bytes_per_lane_baseline"] = float64(mem.MarksBaselineBytes) / float64(mem.Lanes)
+			if v["informed_bytes_per_lane"] > 0 {
+				v["informed_reduction_x"] = v["informed_bytes_per_lane_baseline"] / v["informed_bytes_per_lane"]
 			}
 		}
 	}
 
+	delivered := 0
 	for _, rec := range first {
 		if rec.res.Completed {
-			tr.Delivered++
-			for len(tr.CompletionHistogram) <= rec.res.CompletionRound {
-				tr.CompletionHistogram = append(tr.CompletionHistogram, 0)
-			}
-			tr.CompletionHistogram[rec.res.CompletionRound]++
+			delivered++
+			v[fmt.Sprintf("completed_in_round_%d", rec.res.CompletionRound)]++
 		}
 	}
-	tr.DeliveredPerSec = float64(tr.Delivered) / (float64(tr.TrafficNs) / 1e9)
+	v["delivered"] = float64(delivered)
+	v["delivered_per_sec"] = float64(delivered) / (float64(r.NS["traffic"]) / 1e9)
 
-	// The oracle audit: messages of the first repetition replayed as
-	// independent single-message runs on identically seeded models — all of
-	// them up to trafficOracleSampleCap, an evenly spaced sample (first and
-	// last admissions always included) above it.
+	// The oracle: every message up to trafficOracleSampleCap, an evenly
+	// spaced sample (first and last admissions included) above it.
 	audit := make([]int, 0, trafficOracleSampleCap)
-	if len(first) <= trafficOracleSampleCap {
-		for i := range first {
+	for k := 0; k < min(len(first), trafficOracleSampleCap); k++ {
+		i := k
+		if len(first) > trafficOracleSampleCap {
+			i = k * (len(first) - 1) / (trafficOracleSampleCap - 1)
+		}
+		if len(audit) == 0 || audit[len(audit)-1] != i {
 			audit = append(audit, i)
 		}
-	} else {
-		prev := -1
-		for k := 0; k < trafficOracleSampleCap; k++ {
-			i := k * (len(first) - 1) / (trafficOracleSampleCap - 1)
-			if i != prev {
-				audit = append(audit, i)
-				prev = i
+	}
+	equal := true
+	r.timed("oracle", func() {
+		for _, i := range audit {
+			m := core.SampleStationaryPar(c.kind, c.n, c.d, rng.New(seed), par)
+			for s := 0; s < first[i].step; s++ {
+				m.AdvanceRound()
 			}
+			equal = equal && reflect.DeepEqual(first[i].res, flood.RunReference(m, flood.Options{Source: first[i].src}))
 		}
-	}
-	t0 := time.Now()
-	tr.OracleEqual = true
-	for _, i := range audit {
-		rec := first[i]
-		m := core.SampleStationaryPar(c.kind, c.n, c.d, rng.New(seed), tr.Par)
-		for s := 0; s < rec.step; s++ {
-			m.AdvanceRound()
-		}
-		want := flood.Run(m, flood.Options{Source: rec.src, Parallelism: tr.Par})
-		if !reflect.DeepEqual(rec.res, want) {
-			tr.OracleEqual = false
-			fmt.Fprintf(os.Stderr, "benchjson: ERROR: traffic message %d diverged from its single-flood replay for %s n=%d %s M=%d\n",
-				i, c.kind, c.n, c.schedule, c.messages)
-			os.Exit(1)
-		}
-	}
-	tr.OracleAudited = len(audit)
-	tr.OracleNs = int64(time.Since(t0))
-	return tr
+	})
+	v["oracle_audited"] = float64(len(audit))
+	r.audit("flood.RunReference replay", equal)
+	return []row{r}
 }

@@ -4,176 +4,148 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// TestValidateFlags pins the flag guard rails: -reps keeps its >= 1
-// contract, -max-ref-n its 0 = always meaning, and -floodpar accepts 0 as the
-// automatic shard policy (main exits with status 2 on error).
+// TestValidateFlags pins the -reps >= 1 guard rail (main exits with
+// status 2 on error).
 func TestValidateFlags(t *testing.T) {
 	cases := []struct {
-		name                    string
-		reps, maxRefN, floodPar int
-		wantErr                 bool
+		name    string
+		reps    int
+		wantErr bool
 	}{
-		{"defaults", 3, 200000, 1, false},
-		{"reference always", 1, 0, 1, false},
-		{"sharded engine", 3, 200000, 8, false},
-		{"zero reps", 0, 200000, 1, true},
-		{"negative max-ref-n", 3, -1, 1, true},
-		{"auto floodpar", 3, 200000, 0, false},
-		{"negative floodpar", 3, 200000, -4, true},
+		{"defaults", 3, false},
+		{"one rep", 1, false},
+		{"zero reps", 0, true},
+		{"negative reps", -2, true},
 	}
 	for _, c := range cases {
-		err := validateFlags(c.reps, c.maxRefN, c.floodPar)
+		err := validateFlags(c.reps)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: validateFlags = %v, wantErr %v", c.name, err, c.wantErr)
 		}
 	}
 }
 
-// TestFloodparEqualityColumnsSmoke regenerates the floodpar record at
-// smoke scale and asserts every result-equality column is true — the
-// guard the ROADMAP asked for so a multi-core regeneration of the
-// committed record can never silently trade correctness for scaling.
-// (Divergence also aborts the run with exit 1; the column check keeps the
-// guarantee even if that aborting path regresses.)
-func TestFloodparEqualityColumnsSmoke(t *testing.T) {
+// TestSmokeRecords measures benches at smoke scale and passes each record
+// through the shared reader, which rejects any audit that is not equal.
+// (Divergence also aborts the run with exit 1; the reader keeps the
+// guarantee even if that aborting path regresses.) serve's rate-limited
+// case needs an inject with no later command to be published.
+func TestSmokeRecords(t *testing.T) {
 	if testing.Short() {
-		t.Skip("floodpar smoke bench skipped in -short mode")
+		t.Skip("smoke benches skipped in -short mode")
 	}
-	out := filepath.Join(t.TempDir(), "floodpar.json")
-	runFloodParBench(out, "smoke", 1, 1)
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"floodpar", "traffic", "serve"} {
+		t.Run(name, func(t *testing.T) {
+			rec, err := run(name, "smoke", 1, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := encode(rec); err != nil { // encode runs the shared reader
+				t.Fatal(err)
+			}
+			if name == "floodpar" && !hasRow(rec, "op", "wire-fill") {
+				t.Error("floodpar smoke record has no wire-fill rows")
+			}
+		})
 	}
-	var o floodparOutput
-	if err := json.Unmarshal(data, &o); err != nil {
-		t.Fatal(err)
-	}
-	assertFloodparEquality(t, &o, "smoke run")
 }
 
-// TestTrafficEqualityColumnsSmoke regenerates the traffic record at smoke
-// scale and asserts every row's oracle_equal audit column is true — the
-// per-message differential oracle the traffic plane ships with, kept as a
-// CI-visible column so a regenerated record can never hide a cross-message
-// bookkeeping divergence. (Divergence also aborts the run with exit 1; the
-// column check keeps the guarantee even if that aborting path regresses.)
-func TestTrafficEqualityColumnsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("traffic smoke bench skipped in -short mode")
+func hasRow(rec record, param string, want any) bool {
+	for _, r := range rec.Rows {
+		if r.Case[param] == want {
+			return true
+		}
 	}
-	out := filepath.Join(t.TempDir(), "traffic.json")
-	runTrafficBench(out, "smoke", 1, 1)
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var o trafficOutput
-	if err := json.Unmarshal(data, &o); err != nil {
-		t.Fatal(err)
-	}
-	assertTrafficEquality(t, &o, "smoke run")
+	return false
 }
 
-// TestCommittedRecordsEqualityColumns parses the committed benchmark
-// records and asserts their equality columns are all true, so a record
-// regenerated elsewhere (e.g. the multi-core CI job) cannot be committed
-// with a silent divergence.
+// TestCommittedRecordsEqualityColumns parses every committed benchmark
+// record with the shared reader, so a record regenerated elsewhere (e.g.
+// the multi-core CI job) cannot be committed with a silent divergence or
+// in another schema.
 func TestCommittedRecordsEqualityColumns(t *testing.T) {
-	// Independent subtests: a missing record skips only its own check.
-	t.Run("floodpar", func(t *testing.T) {
-		data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_floodpar.json"))
-		if err != nil {
-			t.Skipf("no committed BENCH_floodpar.json: %v", err)
-		}
-		var o floodparOutput
-		if err := json.Unmarshal(data, &o); err != nil {
-			t.Fatal(err)
-		}
-		assertFloodparEquality(t, &o, "committed record")
-	})
-	t.Run("traffic", func(t *testing.T) {
-		data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_traffic.json"))
-		if err != nil {
-			t.Skipf("no committed BENCH_traffic.json: %v", err)
-		}
-		var o trafficOutput
-		if err := json.Unmarshal(data, &o); err != nil {
-			t.Fatal(err)
-		}
-		assertTrafficEquality(t, &o, "committed record")
-	})
-	t.Run("expansion", func(t *testing.T) {
-		data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_expansion.json"))
-		if err != nil {
-			t.Skipf("no committed BENCH_expansion.json: %v", err)
-		}
-		var e expansionOutput
-		if err := json.Unmarshal(data, &e); err != nil {
-			t.Fatal(err)
-		}
-		if len(e.Cases) == 0 {
-			t.Fatal("committed BENCH_expansion.json has no cases")
-		}
-		for _, c := range e.Cases {
-			if !c.RescanEqual {
-				t.Errorf("committed expansion case %s n=%d: rescan_equal is false", c.Model, c.N)
+	for _, name := range benchNames() {
+		t.Run(name, func(t *testing.T) {
+			data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_"+name+".json"))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-}
-
-func assertTrafficEquality(t *testing.T, o *trafficOutput, tag string) {
-	t.Helper()
-	if len(o.Cases) == 0 {
-		t.Fatalf("%s: empty traffic record", tag)
-	}
-	for _, c := range o.Cases {
-		if !c.OracleEqual {
-			t.Errorf("%s: %s n=%d %s gap=%d: oracle_equal is false",
-				tag, c.Model, c.N, c.Schedule, c.Gap)
-		}
-		if c.OracleAudited < 1 {
-			t.Errorf("%s: %s n=%d %s M=%d: oracle audited no messages",
-				tag, c.Model, c.N, c.Schedule, c.Messages)
-		}
-		if c.Delivered > 0 && c.DeliveredPerSec <= 0 {
-			t.Errorf("%s: %s n=%d %s: delivered %d but delivered_per_sec %v",
-				tag, c.Model, c.N, c.Schedule, c.Delivered, c.DeliveredPerSec)
-		}
-		// The ISSUE 8 acceptance number: on burst rows the whole message
-		// population floods at once, and from one full word of lanes up the
-		// packed layout must undercut the Marks-per-lane baseline by >= 4x
-		// (it lands near 38x at M = 64 and 87x at M = 1024).
-		if c.Schedule == "burst" && c.Messages >= 64 && c.InformedReductionX < 4 {
-			t.Errorf("%s: %s n=%d M=%d: informed_reduction_x = %.1f, want >= 4",
-				tag, c.Model, c.N, c.Messages, c.InformedReductionX)
-		}
+			rec, err := parseRecord(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Bench != name {
+				t.Errorf("BENCH_%s.json holds bench %q", name, rec.Bench)
+			}
+		})
 	}
 }
 
-func assertFloodparEquality(t *testing.T, o *floodparOutput, tag string) {
+// validTraffic is a minimal traffic record the reader accepts: one burst
+// row at M = 64 with an equal audit.
+func validTraffic() record {
+	rec := record{Bench: "traffic", Scale: "smoke", Generated: "2026-01-01T00:00:00Z"}
+	r := newRow(1, map[string]any{"model": "SDGR", "n": 2000, "d": 21, "schedule": "burst", "gap": 1, "messages": 64, "par": 1})
+	r.keepMin("traffic", 1000)
+	r.Values["oracle_audited"] = 64
+	r.Values["informed_reduction_x"] = 38
+	r.Values["delivered"] = 64
+	r.Values["delivered_per_sec"] = 1
+	r.audit("flood.RunReference replay", true)
+	rec.Rows = []row{r}
+	return rec
+}
+
+// TestRecordReaderRejects is the negative control of every rejection the
+// shared reader makes: each mutation of a valid record must fail with the
+// named reason.
+func TestRecordReaderRejects(t *testing.T) {
+	if _, err := parseRecord(mustMarshal(t, validTraffic())); err != nil {
+		t.Fatalf("valid record rejected: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(rec *record)
+		want   string
+	}{
+		{"unknown bench", func(rec *record) { rec.Bench = "nosuch" }, "unknown bench"},
+		{"unknown scale", func(rec *record) { rec.Scale = "huge" }, "unknown scale"},
+		{"no rows", func(rec *record) { rec.Rows = nil }, "no rows"},
+		{"no case", func(rec *record) { rec.Rows[0].Case = nil }, "no case parameters"},
+		{"no timed side", func(rec *record) { rec.Rows[0].NS, rec.Rows[0].Reps = nil, nil }, "no timed side"},
+		{"zero ns", func(rec *record) { rec.Rows[0].NS["traffic"] = 0 }, "ns 0"},
+		{"side without reps", func(rec *record) { delete(rec.Rows[0].Reps, "traffic") }, "over 0 reps"},
+		{"reps without side", func(rec *record) { rec.Rows[0].Reps["oracle"] = 1 }, "never timed"},
+		{"missing audit", func(rec *record) { rec.Rows[0].Audit = nil }, "missing audit"},
+		{"baseline with audit", func(rec *record) { rec.Bench = "warmup" }, "baseline row carries an audit"},
+		{"audit without kind", func(rec *record) { rec.Rows[0].Audit.Kind = "" }, "names no oracle"},
+		{"unequal audit", func(rec *record) { rec.Rows[0].Audit.Equal = false }, "is not equal"},
+		{"no audited message", func(rec *record) { rec.Rows[0].Values["oracle_audited"] = 0 }, "audited no messages"},
+		{"zero throughput", func(rec *record) { rec.Rows[0].Values["delivered_per_sec"] = 0 }, "delivered_per_sec"},
+		{"packed layout bound", func(rec *record) { rec.Rows[0].Values["informed_reduction_x"] = 3.9 }, "want >= 4"},
+	}
+	for _, c := range cases {
+		rec := validTraffic()
+		c.mutate(&rec)
+		if _, err := parseRecord(mustMarshal(t, rec)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: parseRecord error = %v, want one containing %q", c.name, err, c.want)
+		}
+	}
+	// A pre-envelope record (a top-level "cases" list) is not a record.
+	if _, err := parseRecord([]byte(`{"benchmark": "traffic", "cases": []}`)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+		t.Errorf("old-schema record: parseRecord error = %v, want an unknown-field error", err)
+	}
+}
+
+func mustMarshal(t *testing.T, rec record) []byte {
 	t.Helper()
-	if len(o.Cases) == 0 || len(o.WireFill) == 0 {
-		t.Fatalf("%s: empty floodpar record", tag)
+	data, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range o.Cases {
-		if c.Par == 1 {
-			if c.ResultsEqual != nil {
-				t.Errorf("%s: serial row %s n=%d carries an equality column", tag, c.Model, c.N)
-			}
-			continue
-		}
-		if c.ResultsEqual == nil || !*c.ResultsEqual {
-			t.Errorf("%s: %s n=%d par=%d results_equal not true", tag, c.Model, c.N, c.Par)
-		}
-	}
-	for _, w := range o.WireFill {
-		if w.Workers > 1 && (w.LayoutEqual == nil || !*w.LayoutEqual) {
-			t.Errorf("%s: wire fill n=%d workers=%d layout_equal not true", tag, w.N, w.Workers)
-		}
-	}
+	return data
 }

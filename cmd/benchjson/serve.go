@@ -5,179 +5,45 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
 
-	"github.com/dyngraph/churnnet/internal/core"
 	"github.com/dyngraph/churnnet/internal/flood"
 	"github.com/dyngraph/churnnet/internal/rng"
 	"github.com/dyngraph/churnnet/internal/serve"
 )
 
-// --- the control-plane daemon benchmark (-bench serve) ---
+// measureServe drives the live control-plane daemon end to end over real
+// loopback HTTP: concurrent clients issue a mixed read/mutate/step
+// workload against the single-writer event loop, with snapshot staleness
+// sampled while the load runs. The row ends with the consistency audit
+// (serve.VerifySnapshot): a freshly published snapshot compared field by
+// field against a direct model query at the same version.
+func measureServe(c spec, seed uint64, reps int) []row {
+	p := c.params()
+	p["clients"], p["requests"], p["publish_interval_ms"] = c.clients, c.clients*c.reqs, c.publishMs
+	r := newRow(seed, p)
+	v := r.Values
 
-type serveCase struct {
-	kind core.Kind
-	n, d int
-	// clients is the concurrent HTTP client count; reqs the requests
-	// each one issues.
-	clients, reqs int
-	// publishMs is the snapshot MinPublishInterval in milliseconds (0 =
-	// publish after every command batch; large populations pay a
-	// multi-MB state copy per publish, so the 10⁶ rows rate-limit and
-	// the snapshot-age columns report the staleness actually served).
-	publishMs int
-	// par is the seeding / traffic-plane worker-shard count.
-	par int
-}
-
-type serveResult struct {
-	Model string `json:"model"`
-	N     int    `json:"n"`
-	D     int    `json:"d"`
-	Seed  uint64 `json:"seed"`
-	Reps  int    `json:"reps"`
-
-	Clients  int `json:"clients"`
-	Requests int `json:"requests"`
-	// PublishIntervalMs is the configured snapshot rate limit.
-	PublishIntervalMs int `json:"publish_interval_ms"`
-
-	// SeedNs times serve.New — stationary sampling plus plane attach.
-	SeedNs int64 `json:"seed_ns"`
-	// ElapsedNs is the load phase's wall time (min over reps);
-	// ReqPerSec divides the request total by it.
-	ElapsedNs int64   `json:"elapsed_ns"`
-	ReqPerSec float64 `json:"req_per_sec"`
-	// P50Ns/P99Ns are per-request latency percentiles over the fastest
-	// repetition's full sample (loopback HTTP round-trip included).
-	P50Ns int64 `json:"p50_ns"`
-	P99Ns int64 `json:"p99_ns"`
-
-	// The op mix actually executed (fastest repetition).
-	Reads  int `json:"reads"`
-	Joins  int `json:"joins"`
-	Leaves int `json:"leaves"`
-	Steps  int `json:"steps"`
-	// Departed410 counts reads that landed on departed nodes (a valid
-	// well-formed answer, not an error); Backpressure429 counts
-	// queue-full/overload rejections — the bounded-queue contract
-	// surfacing, not a failure. Any other non-2xx aborts the run.
-	Departed410     int `json:"departed_410"`
-	Backpressure429 int `json:"backpressure_429"`
-
-	// MaxQueueDepth is the largest command-queue depth the writer
-	// observed at a batch start, over the whole case.
-	MaxQueueDepth int `json:"max_queue_depth"`
-	// The snapshot-age columns sample the published snapshot's age every
-	// 5ms while the load runs: how stale the state served to readers
-	// actually was (worst repetition's mean and max).
-	SnapshotAgeMeanMs float64 `json:"snapshot_age_mean_ms"`
-	SnapshotAgeMaxMs  float64 `json:"snapshot_age_max_ms"`
-
-	// AuditOK is the per-row consistency audit (serve.VerifySnapshot):
-	// after the load, a fresh snapshot is published and compared field
-	// by field against a direct model query at the same version. The
-	// run aborts on a mismatch, so a committed record can never carry
-	// false.
-	AuditOK    bool `json:"audit_ok"`
-	FinalAlive int  `json:"final_alive"`
-}
-
-type serveOutput struct {
-	Benchmark  string        `json:"benchmark"`
-	Scale      string        `json:"scale"`
-	GoVersion  string        `json:"go_version"`
-	GOOS       string        `json:"goos"`
-	GOARCH     string        `json:"goarch"`
-	GOMAXPROCS int           `json:"gomaxprocs"`
-	Generated  string        `json:"generated"`
-	Cases      []serveResult `json:"cases"`
-}
-
-// runServeBench measures the live control-plane daemon (internal/serve)
-// end to end over real loopback HTTP: concurrent clients issue a mixed
-// read/mutate/step workload against the single-writer event loop, with
-// snapshot staleness sampled while the load runs.
-func runServeBench(out, scale string, seed uint64, reps int) {
-	var cases []serveCase
-	switch scale {
-	case "smoke":
-		cases = []serveCase{
-			{kind: core.SDGR, n: 2000, d: 3, clients: 4, reqs: 200, publishMs: 0, par: 1},
-			{kind: core.PDGR, n: 10000, d: 20, clients: 8, reqs: 200, publishMs: 5, par: 2},
-		}
-	case "large":
-		cases = []serveCase{
-			{kind: core.SDGR, n: 100000, d: 20, clients: 8, reqs: 1500, publishMs: 0, par: flood.Auto},
-			{kind: core.SDGR, n: 100000, d: 20, clients: 16, reqs: 1500, publishMs: 10, par: flood.Auto},
-			{kind: core.SDGR, n: 1000000, d: 20, clients: 16, reqs: 750, publishMs: 25, par: flood.Auto},
-			{kind: core.PDGR, n: 1000000, d: 20, clients: 16, reqs: 750, publishMs: 25, par: flood.Auto},
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "benchjson: unknown -scale %q (want smoke or large)\n", scale)
-		os.Exit(2)
-	}
-
-	o := serveOutput{
-		Benchmark:  "serve: live control-plane daemon under concurrent HTTP load",
-		Scale:      scale,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, c := range cases {
-		o.Cases = append(o.Cases, runServeCase(c, seed, reps))
-	}
-	writeJSON(out, o, len(o.Cases))
-}
-
-// serveOpCounts tallies one repetition's executed op mix.
-type serveOpCounts struct {
-	reads, joins, leaves, steps int
-	departed410, backpressure   int
-}
-
-func (a *serveOpCounts) add(b serveOpCounts) {
-	a.reads += b.reads
-	a.joins += b.joins
-	a.leaves += b.leaves
-	a.steps += b.steps
-	a.departed410 += b.departed410
-	a.backpressure += b.backpressure
-}
-
-func runServeCase(c serveCase, seed uint64, reps int) serveResult {
-	fmt.Fprintf(os.Stderr, "benchjson: serve %s n=%d d=%d clients=%d reqs=%d publish=%dms...\n",
-		c.kind, c.n, c.d, c.clients, c.reqs, c.publishMs)
-	sr := serveResult{
-		Model: c.kind.String(), N: c.n, D: c.d, Seed: seed, Reps: reps,
-		Clients: c.clients, Requests: c.clients * c.reqs,
-		PublishIntervalMs: c.publishMs,
-	}
-
-	runtime.GC()
-	t0 := time.Now()
-	s := serve.New(serve.Config{
-		Kind: c.kind, N: c.n, D: c.d, Seed: seed,
-		Parallelism:        c.par,
-		MinPublishInterval: time.Duration(c.publishMs) * time.Millisecond,
+	var s *serve.Server
+	r.timed("seed", func() {
+		s = serve.New(serve.Config{
+			Kind: c.kind, N: c.n, D: c.d, Seed: seed,
+			Parallelism:        c.par,
+			MinPublishInterval: time.Duration(c.publishMs) * time.Millisecond,
+		})
 	})
-	sr.SeedNs = int64(time.Since(t0))
 	s.Start()
 	defer s.Stop()
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fatal("%v", err)
 	}
 	hs := &http.Server{Handler: s.Handler()}
 	go func() { _ = hs.Serve(ln) }()
@@ -185,60 +51,57 @@ func runServeCase(c serveCase, seed uint64, reps int) serveResult {
 	base := "http://" + ln.Addr().String()
 	nodesIssued := s.Current().NumNodes()
 
-	// One broadcast so the /status reads have a message to poll.
-	if _, _, aerr := s.Inject(0, false); aerr != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: serve inject:", aerr)
-		os.Exit(1)
+	// One broadcast so the /status reads have a message to poll; wait
+	// until a snapshot shows it, since a rate-limited publish may lag.
+	msg, _, aerr := s.Inject(0, false)
+	if aerr != nil {
+		fatal("serve inject: %v", aerr)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, merr := s.Current().MsgStatus(int(msg)); merr == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			fatal("serve: message %d was never published", msg)
+		}
 	}
 
+	v["snapshot_age_mean_ms"], v["snapshot_age_max_ms"] = 0, 0
 	for rep := 0; rep < reps; rep++ {
 		lat, counts, elapsed, ageMean, ageMax := runServeLoad(base, s, c, seed+uint64(rep), nodesIssued)
-		if ageMean > sr.SnapshotAgeMeanMs {
-			sr.SnapshotAgeMeanMs = ageMean
-		}
-		if ageMax > sr.SnapshotAgeMaxMs {
-			sr.SnapshotAgeMaxMs = ageMax
-		}
-		if rep == 0 || int64(elapsed) < sr.ElapsedNs {
-			sr.ElapsedNs = int64(elapsed)
+		v["snapshot_age_mean_ms"] = max(v["snapshot_age_mean_ms"], ageMean)
+		v["snapshot_age_max_ms"] = max(v["snapshot_age_max_ms"], ageMax)
+		if r.keepMin("elapsed", int64(elapsed)) {
 			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-			sr.P50Ns = percentileNs(lat, 0.50)
-			sr.P99Ns = percentileNs(lat, 0.99)
-			sr.Reads = counts.reads
-			sr.Joins = counts.joins
-			sr.Leaves = counts.leaves
-			sr.Steps = counts.steps
-			sr.Departed410 = counts.departed410
-			sr.Backpressure429 = counts.backpressure
+			v["p50_ns"], v["p99_ns"] = percentileNs(lat, 0.50), percentileNs(lat, 0.99)
+			maps.Copy(v, counts)
 		}
 	}
-	sr.ReqPerSec = float64(sr.Requests) / (float64(sr.ElapsedNs) / 1e9)
+	v["req_per_sec"] = float64(c.clients*c.reqs) / (float64(r.NS["elapsed"]) / 1e9)
 
-	// The per-row consistency audit, on the writer with a fresh publish.
+	// The consistency audit, on the writer with a fresh publish.
 	var auditErr error
-	aerr := s.Audit(func(m *serve.LiveModel, plane *flood.Traffic, snap *serve.Snapshot) {
+	aerr = s.Audit(func(m *serve.LiveModel, plane *flood.Traffic, snap *serve.Snapshot) {
 		auditErr = serve.VerifySnapshot(m, plane, snap)
-		sr.FinalAlive = snap.Alive
-		sr.MaxQueueDepth = s.MaxQueueLen()
+		v["final_alive"] = float64(snap.Alive)
+		v["max_queue_depth"] = float64(s.MaxQueueLen())
 	})
 	if aerr != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: serve audit:", aerr)
-		os.Exit(1)
+		fatal("serve audit: %v", aerr)
 	}
 	if auditErr != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: ERROR: serve snapshot diverged from the model for %s n=%d: %v\n",
-			c.kind, c.n, auditErr)
-		os.Exit(1)
+		fmt.Fprintf(os.Stderr, "benchjson: serve snapshot diverged from the model: %v\n", auditErr)
 	}
-	sr.AuditOK = true
-	return sr
+	r.audit("serve.VerifySnapshot", auditErr == nil)
+	return []row{r}
 }
 
 // runServeLoad drives one repetition: c.clients goroutines each issuing
 // c.reqs timed requests of the mixed workload, plus a sampler reading
 // the published snapshot's age every 5ms. Returns per-request
-// latencies, the op tally, the wall time, and the age mean/max in ms.
-func runServeLoad(base string, s *serve.Server, c serveCase, seed uint64, nodesIssued int) ([]int64, serveOpCounts, time.Duration, float64, float64) {
+// latencies, the executed op mix by value name, the wall time, and the
+// age mean/max in ms.
+func runServeLoad(base string, s *serve.Server, c spec, seed uint64, nodesIssued int) ([]int64, map[string]float64, time.Duration, float64, float64) {
 	transport := &http.Transport{MaxIdleConns: c.clients * 2, MaxIdleConnsPerHost: c.clients * 2}
 	defer transport.CloseIdleConnections()
 	client := &http.Client{Transport: transport, Timeout: 30 * time.Second}
@@ -272,7 +135,7 @@ func runServeLoad(base string, s *serve.Server, c serveCase, seed uint64, nodesI
 
 	type clientTally struct {
 		lat    []int64
-		counts serveOpCounts
+		counts map[string]float64
 	}
 	tallies := make([]clientTally, c.clients)
 	var wg sync.WaitGroup
@@ -282,38 +145,33 @@ func runServeLoad(base string, s *serve.Server, c serveCase, seed uint64, nodesI
 		go func(cl int) {
 			defer wg.Done()
 			ct := &tallies[cl]
-			ct.lat = make([]int64, 0, c.reqs)
+			ct.lat, ct.counts = make([]int64, 0, c.reqs), map[string]float64{}
 			r := rng.New(seed ^ (uint64(cl)+1)*0x9e3779b97f4a7c15)
 			var myNodes []uint64 // ids this client joined and may depart
 			for i := 0; i < c.reqs; i++ {
-				var method, path string
+				var op, method, path string
 				var body []byte
-				isJoin := false
 				switch {
 				case cl == 0 && i%50 == 10:
-					method, path, body = "POST", "/step", []byte(`{"rounds":1}`)
-					ct.counts.steps++
+					op, method, path, body = "steps", "POST", "/step", []byte(`{"rounds":1}`)
 				case i%10 == 3:
-					method, path, isJoin = "POST", "/join", true
-					ct.counts.joins++
+					op, method, path = "joins", "POST", "/join"
 				case i%10 == 7 && len(myNodes) > 0:
 					id := myNodes[len(myNodes)-1]
 					myNodes = myNodes[:len(myNodes)-1]
-					method, path, body = "POST", "/leave", fmt.Appendf(nil, `{"id":%d}`, id)
-					ct.counts.leaves++
+					op, method, path, body = "leaves", "POST", "/leave", fmt.Appendf(nil, `{"id":%d}`, id)
 				case i%5 == 4:
-					method, path = "GET", "/status/0"
-					ct.counts.reads++
+					op, method, path = "reads", "GET", "/status/0"
 				default:
-					method, path = "GET", fmt.Sprintf("/node-info/%d", r.Intn(nodesIssued))
-					ct.counts.reads++
+					op, method, path = "reads", "GET", fmt.Sprintf("/node-info/%d", r.Intn(nodesIssued))
 				}
+				ct.counts[op]++
 				rt0 := time.Now()
 				status, resp := serveRequest(client, base, method, path, body)
 				ct.lat = append(ct.lat, int64(time.Since(rt0)))
 				switch status {
 				case 200:
-					if isJoin {
+					if op == "joins" {
 						var out struct {
 							IDs []uint64 `json:"ids"`
 						}
@@ -322,13 +180,11 @@ func runServeLoad(base string, s *serve.Server, c serveCase, seed uint64, nodesI
 						}
 					}
 				case 410:
-					ct.counts.departed410++
+					ct.counts["departed_410"]++
 				case 429, 503:
-					ct.counts.backpressure++
+					ct.counts["backpressure_429"]++
 				default:
-					fmt.Fprintf(os.Stderr, "benchjson: ERROR: serve %s %s answered %d: %s\n",
-						method, path, status, firstLineOf(resp))
-					os.Exit(1)
+					fatal("ERROR: serve %s %s answered %d: %s", method, path, status, firstLineOf(resp))
 				}
 			}
 		}(cl)
@@ -339,10 +195,12 @@ func runServeLoad(base string, s *serve.Server, c serveCase, seed uint64, nodesI
 	ages := <-ageDone
 
 	var lat []int64
-	var counts serveOpCounts
+	counts := map[string]float64{"reads": 0, "joins": 0, "leaves": 0, "steps": 0, "departed_410": 0, "backpressure_429": 0}
 	for i := range tallies {
 		lat = append(lat, tallies[i].lat...)
-		counts.add(tallies[i].counts)
+		for op, n := range tallies[i].counts {
+			counts[op] += n
+		}
 	}
 	return lat, counts, elapsed, ages[0], ages[1]
 }
@@ -355,32 +213,29 @@ func serveRequest(client *http.Client, base, method, path string, body []byte) (
 	}
 	req, err := http.NewRequest(method, base+path, rd)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fatal("%v", err)
 	}
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: serve request:", err)
-		os.Exit(1)
+		fatal("serve request: %v", err)
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson: serve response:", err)
-		os.Exit(1)
+		fatal("serve response: %v", err)
 	}
 	return resp.StatusCode, data
 }
 
-func percentileNs(sorted []int64, p float64) int64 {
+func percentileNs(sorted []int64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
 	idx := int(p*float64(len(sorted)-1) + 0.5)
-	return sorted[idx]
+	return float64(sorted[idx])
 }
 
 func firstLineOf(b []byte) string {

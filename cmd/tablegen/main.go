@@ -177,7 +177,7 @@ the sub-second version exercised by ` + "`go test`" + ` and ` + "`go test -bench
 runs on the incremental cut-set engine (see DESIGN.md, "The cut-set
 flooding engine"), which is pinned bit-for-bit against the definition-level
 reference implementation. The committed BENCH_flood.json (regenerated by
-` + "`go run ./cmd/benchjson -scale large`" + `) records the engine at sizes the
+` + "`go run ./cmd/benchjson -bench flood -scale large -reps 2`" + `) records the engine at sizes the
 rescan implementation could not sustain: an SDGR n = 10⁶, d = 21 broadcast
 completes in seconds, and on the 100-round measurement window used by
 F6/F7/F19/F23 the engine beats the reference ≈ 55–64× at n = 10⁵–10⁶

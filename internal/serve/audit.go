@@ -9,8 +9,8 @@ import (
 // VerifySnapshot compares a published snapshot field by field against
 // direct model and plane queries: alive totals, per-node liveness and
 // births, per-message lifecycle and informed membership (totals and
-// per-node bits). It is the consistency audit behind the serve bench's
-// audit_ok column and the scenario tests.
+// per-node bits). It is the consistency audit behind every serve bench
+// row's audit and the scenario tests.
 //
 // It must run with the writer quiescent and the snapshot freshly
 // published — i.e. inside Server.Audit, which guarantees both.

@@ -38,7 +38,8 @@ type Config struct {
 
 	// MinPublishInterval rate-limits snapshot publication: after a
 	// mutation batch, a new snapshot is published only if the current
-	// one is at least this old (0 = publish after every batch). Reads
+	// one is at least this old (0 = publish after every batch); a batch
+	// that lands inside the interval is published when it runs out. Reads
 	// in between see a bounded-stale snapshot; /healthz reports the age.
 	MinPublishInterval time.Duration
 
@@ -258,6 +259,10 @@ func (s *Server) loop() {
 		defer t.Stop()
 		tickC = t.C
 	}
+	// publishC fires when a rate-limited dirty state becomes due, so a
+	// mutation with no later command is still published within
+	// MinPublishInterval. Nil (never armed) at interval 0.
+	var publishC <-chan time.Time
 	for {
 		select {
 		case <-s.stop:
@@ -281,10 +286,16 @@ func (s *Server) loop() {
 			}
 		case <-tickC:
 			s.stepRounds(1)
+		case <-publishC:
+			publishC = nil
 		}
 		now := time.Now()
-		if s.dirty && now.Sub(s.lastPublish) >= s.cfg.MinPublishInterval {
-			s.publish(now)
+		if s.dirty {
+			if wait := s.cfg.MinPublishInterval - now.Sub(s.lastPublish); wait <= 0 {
+				s.publish(now)
+			} else if publishC == nil {
+				publishC = time.After(wait)
+			}
 		}
 		s.flushReplies()
 	}

@@ -351,3 +351,25 @@ func TestServerTick(t *testing.T) {
 	}
 	t.Fatalf("tick mode executed %d steps in 5s, want >= 3", s.Current().Steps)
 }
+
+// TestServerRateLimitedPublishCatchesUp: under a positive
+// MinPublishInterval, a mutation that lands inside the interval and is
+// followed by no further command must still be published once the
+// interval runs out — the snapshot is bounded-stale, never stuck.
+func TestServerRateLimitedPublishCatchesUp(t *testing.T) {
+	const interval = 50 * time.Millisecond
+	s := newTestServer(t, Config{Kind: core.SDGR, N: 50, D: 2, Seed: 6,
+		MinPublishInterval: interval})
+	msg, _, err := s.Inject(0, false)
+	if err != nil {
+		t.Fatalf("inject: %v", err)
+	}
+	deadline := time.Now().Add(5 * interval)
+	for time.Now().Before(deadline) {
+		if _, merr := s.Current().MsgStatus(int(msg)); merr == nil {
+			return
+		}
+		time.Sleep(interval / 10)
+	}
+	t.Fatalf("message %d not published within %v of a rate-limited inject", msg, 5*interval)
+}
