@@ -283,7 +283,7 @@ func BoundarySize(g *Graph, set []Handle) int { return expansion.BoundarySize(g,
 type ExpansionTracker = expansion.Tracker
 
 // ExpansionTrackerConfig tunes the tracked witness families, the re-seed
-// cadence and the flush-plane parallelism.
+// cadence and the seeding-sweep parallelism.
 type ExpansionTrackerConfig = expansion.TrackerConfig
 
 // ExpansionObservation is one time-resolved expansion measurement.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	churnnet "github.com/dyngraph/churnnet"
+	"github.com/dyngraph/churnnet/internal/expansion"
 )
 
 // These tests exercise the public facade end to end: they are the
@@ -128,10 +129,8 @@ func TestExpansionTrackerFacade(t *testing.T) {
 	}
 	// Tracked numbers must be exactly what a fresh rescan computes.
 	g := m.Graph()
-	for i, st := range tr.Sets() {
-		if st.Boundary != churnnet.BoundarySize(g, st.Members) {
-			t.Fatalf("set %d (%v): tracked boundary %d != rescan", i, st.Family, st.Boundary)
-		}
+	if err := expansion.VerifyTracker(g, tr); err != nil {
+		t.Fatal(err)
 	}
 	// Flooding shares the hook chain with an attached tracker.
 	for !g.IsAlive(m.LastBorn()) {

@@ -590,7 +590,7 @@ func measureExpansion(c spec, seed uint64, reps int) []row {
 			trackerMin = min(trackerMin, tr.Observe().Min)
 			if checkAt[round] {
 				trackerNs += int64(time.Since(t0))
-				rescanEqual = rescanEqual && rescanMatches(m.Graph(), tr)
+				rescanEqual = rescanEqual && expansion.VerifyTracker(m.Graph(), tr) == nil
 				t0 = time.Now()
 			}
 		}
@@ -623,23 +623,6 @@ func measureExpansion(c spec, seed uint64, reps int) []row {
 	r.Values["speedup"] = ratio(r.NS["estimate"], r.NS["tracker"])
 	r.audit("BoundarySize rescan", rescanEqual)
 	return []row{r}
-}
-
-// rescanMatches audits every tracked set against a from-scratch
-// BoundarySize rescan of its member list.
-func rescanMatches(g *graph.Graph, tr *expansion.Tracker) bool {
-	for _, st := range tr.Sets() {
-		live := 0
-		for _, h := range st.Members {
-			if g.IsAlive(h) {
-				live++
-			}
-		}
-		if st.Live != live || st.Boundary != expansion.BoundarySize(g, st.Members) {
-			return false
-		}
-	}
-	return true
 }
 
 // trafficOracleSampleCap bounds the per-row oracle replays: rows up to

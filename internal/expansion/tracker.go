@@ -31,29 +31,30 @@ package expansion
 // the death that orphaned it, and the re-pointed request fires a fresh
 // OnEdge (rule 3).
 //
-// # Two state planes, and the sharded flush
+// # One state plane, and the seeding sweep
 //
-// State splits into a serial hook plane and a sharded flush plane. The
-// hook plane — per-slot membership lists and per-set live counts — is read
-// and written only while the model advances (hooks are strictly serial).
-// Hook handlers do not apply boundary updates directly: they *resolve*
-// each event against the membership lists into per-slot operations
-// (increment/decrement one count, drop one node's counts) and append them
-// to per-shard operation logs, routed by the block-cyclic slot ownership
-// the flooding engine uses (owner(slot) = (slot/64) mod W).
+// All state — per-slot membership lists, per-slot count lists, and each
+// set's live size and |∂out| — is updated in place by the hook handlers
+// as events arrive (hooks are strictly serial), so an observation is a
+// plain read. Epoch tags make re-seeds O(1): bumping the tracker epoch
+// invalidates every per-slot list lazily, the same trick graph.Marks uses
+// for generations.
 //
-// The flush plane — the per-slot count lists and per-set boundary sizes —
-// is touched only by flush(), which fans the logs out across W workers:
-// each worker applies its own shard's ops in log order (it owns every slot
-// they touch) and accumulates per-set boundary deltas in a private row;
-// the rows are summed at the barrier. Per-slot state evolves in log order
-// no matter how slots map to workers, and integer sums are
-// order-independent, so every observable is bit-for-bit identical at any
-// W (pinned by TestTrackerParallelismInvariance) — the knob only spends
-// more cores on re-seed scans and event bursts. Epoch tags make re-seeds
-// O(1): bumping the tracker epoch invalidates every per-slot list lazily,
-// the same trick graph.Marks uses for generations.
+// The one O(Σ|S|·d)-sized pass is seeding, at construction and at every
+// re-seed. Instead of walking each set's members, it runs one sweep in
+// which every alive node x walks its own neighborhood once and counts, per
+// set x is not in, its live edges to that set's members. The sweep is
+// sharded by the block-cyclic slot ownership the flooding engine uses
+// (owner(slot) = (slot/64) mod W): worker w sweeps only the slots it owns,
+// so it writes only its own nodes' count lists (and compacts only their
+// in-lists, a stable filter that leaves every later neighborhood visit
+// order unchanged), and accumulates per-set boundary sizes in a private
+// row; the rows are summed at the barrier. A node's counts depend only on
+// its own neighborhood and integer sums are order-independent, so every
+// observable is bit-for-bit identical at any W (pinned by
+// TestTrackerParallelismInvariance and TestTrackerGolden).
 import (
+	"fmt"
 	"sort"
 	"sync"
 
@@ -135,7 +136,7 @@ type TrackerConfig struct {
 	// at the cohorts where churn currently concentrates weak witnesses;
 	// a tracker that never re-seeds watches its frozen sets age out.
 	ReseedEvery int
-	// Parallelism is the worker-shard count of the flush plane: 0 or 1
+	// Parallelism is the worker-shard count of the seeding sweep: 0 or 1
 	// serial, negative picks graph.AutoWorkers(n) from GOMAXPROCS and
 	// the model size. Results are bit-for-bit identical at any setting.
 	Parallelism int
@@ -169,28 +170,7 @@ const defaultMaxGreedyTracked = 2048
 // the flooding engine's: slot s belongs to shard (s/64) mod W.
 const trackerShardBlock = 64
 
-// trackerFlushThreshold bounds the pending-operation backlog; seeding
-// scans and long inter-observation windows flush incrementally instead of
-// accumulating an O(Σ|S|·d) log.
-const trackerFlushThreshold = 1 << 16
-
-// Op kinds of the flush plane.
-const (
-	opIncr uint8 = iota // one more live edge between a set and a non-member
-	opDecr              // one fewer (a member death severed an edge)
-	opDrop              // a node died: zero all its boundary counts
-)
-
-// trackOp is one resolved per-slot update. Ops are appended in event
-// order to the log of the shard owning their slot.
-type trackOp struct {
-	kind uint8
-	slot uint32
-	gen  uint32
-	set  uint32
-}
-
-// slotSets lists the tracked sets a node belongs to (hook plane).
+// slotSets lists the tracked sets a node belongs to.
 type slotSets struct {
 	epoch uint32
 	gen   uint32
@@ -198,7 +178,7 @@ type slotSets struct {
 }
 
 // slotBnd holds one node's live-edge counts into the sets it borders
-// (flush plane; entries only for counts >= 1).
+// (entries only for counts >= 1).
 type slotBnd struct {
 	epoch   uint32
 	gen     uint32
@@ -213,8 +193,8 @@ type bndEntry struct {
 type trackedSet struct {
 	family   Family
 	members  []graph.Handle
-	live     int // alive members (hook plane)
-	boundary int // |∂out| (flush plane)
+	live     int // alive members
+	boundary int // |∂out|
 }
 
 // SetState reports one tracked set; Members is the seeded list (dead
@@ -265,12 +245,8 @@ type Tracker struct {
 	epoch uint32
 	sets  []trackedSet
 
-	member []slotSets // hook plane, indexed by arena slot
-
-	bnd    []slotBnd   // flush plane, indexed by arena slot
-	ops    [][]trackOp // pending ops, one log per owner shard
-	nOps   int
-	deltas [][]int64 // per shard: per-set boundary deltas of one flush
+	member []slotSets // indexed by arena slot
+	bnd    []slotBnd  // indexed by arena slot
 
 	inSet graph.Marks // seeding scratch
 
@@ -297,7 +273,6 @@ func NewTracker(m core.Model, r *rng.RNG, cfg TrackerConfig) *Tracker {
 		par = 1
 	}
 	t := &Tracker{m: m, g: m.Graph(), r: r, cfg: cfg, par: par}
-	t.ops = make([][]trackOp, par)
 	t.prev = m.Hooks()
 	m.SetHooks(core.ChainHooks(core.Hooks{OnDeath: t.onDeath, OnEdge: t.onEdge}, t.prev))
 	t.reseed()
@@ -315,7 +290,7 @@ func (t *Tracker) Close() {
 	t.m.SetHooks(t.prev)
 }
 
-// Parallelism returns the resolved flush worker-shard count.
+// Parallelism returns the resolved seeding-sweep worker-shard count.
 func (t *Tracker) Parallelism() int { return t.par }
 
 // Observations returns how many Observe calls have been made.
@@ -328,20 +303,19 @@ func (t *Tracker) Reseeds() int { return t.reseeds }
 // NumSets returns the number of currently tracked sets.
 func (t *Tracker) NumSets() int { return len(t.sets) }
 
-// LastObservation returns the most recent Observe result without flushing
-// pending events (a pure read — serving layers republish it between
+// LastObservation returns the most recent Observe result without
+// measuring again (a pure read — serving layers republish it between
 // observation ticks). The second result is false before the first
 // Observe.
 func (t *Tracker) LastObservation() (Observation, bool) {
 	return t.last, t.observations > 0
 }
 
-// Observe flushes pending events and returns the current measurement;
-// on every cfg.ReseedEvery-th call it then re-derives the families from
-// the current snapshot (the returned observation still reflects the sets
-// tracked up to this instant).
+// Observe returns the current measurement, read from the counts the hooks
+// keep up to date; on every cfg.ReseedEvery-th call it then re-derives the
+// families from the current snapshot (the returned observation still
+// reflects the sets tracked up to this instant).
 func (t *Tracker) Observe() Observation {
-	t.flush()
 	p := &Profile{N: t.g.NumAlive(), BestBySize: make(map[int]Witness)}
 	for i := range t.sets {
 		st := &t.sets[i]
@@ -363,10 +337,9 @@ func (t *Tracker) Observe() Observation {
 	return obs
 }
 
-// Sets flushes pending events and returns every tracked set's state, in
-// stable set-index order. The member slices are copies.
+// Sets returns every tracked set's current state, in stable set-index
+// order. The member slices are copies.
 func (t *Tracker) Sets() []SetState {
-	t.flush()
 	out := make([]SetState, len(t.sets))
 	for i := range t.sets {
 		st := &t.sets[i]
@@ -377,23 +350,7 @@ func (t *Tracker) Sets() []SetState {
 	return out
 }
 
-// --- hook plane ---
-
-func (t *Tracker) owner(slot uint32) int {
-	if t.par == 1 {
-		return 0
-	}
-	return int(slot/trackerShardBlock) % t.par
-}
-
-func (t *Tracker) appendOp(op trackOp) {
-	w := t.owner(op.slot)
-	t.ops[w] = append(t.ops[w], op)
-	t.nOps++
-	if t.nOps >= trackerFlushThreshold {
-		t.flush()
-	}
-}
+// --- event handlers ---
 
 // memberSets returns the sets h currently belongs to (nil for non-members
 // and stale incarnations).
@@ -427,7 +384,20 @@ func (t *Tracker) addMember(h graph.Handle, set uint32) {
 	ss.sets = append(ss.sets, set)
 }
 
-// onEdge resolves a fresh request edge u–v: for each set holding exactly
+// counts returns h's count list if it belongs to h's incarnation in the
+// current epoch, nil otherwise.
+func (t *Tracker) counts(h graph.Handle) *slotBnd {
+	if int(h.Slot) >= len(t.bnd) {
+		return nil
+	}
+	b := &t.bnd[h.Slot]
+	if b.epoch != t.epoch || b.gen != h.Gen {
+		return nil
+	}
+	return b
+}
+
+// onEdge handles a fresh request edge u–v: for each set holding exactly
 // one endpoint, the other endpoint gains one unit of boundary count.
 func (t *Tracker) onEdge(u, v graph.Handle) {
 	t.noteEdgeSide(u, v)
@@ -437,17 +407,68 @@ func (t *Tracker) onEdge(u, v graph.Handle) {
 func (t *Tracker) noteEdgeSide(m, x graph.Handle) {
 	for _, s := range t.memberSets(m) {
 		if !t.isMember(x, s) {
-			t.appendOp(trackOp{kind: opIncr, slot: x.Slot, gen: x.Gen, set: s})
+			t.incr(x, s)
 		}
 	}
 }
 
-// onDeath resolves a death: the node leaves every boundary it was on
-// (opDrop), and if it was a member its sets lose one live node plus one
-// boundary unit per live incident edge to a non-member — resolved here,
-// while the hook contract keeps the neighborhood inspectable.
+// incr adds one live edge between x and set; x joins the set's boundary
+// on its first unit.
+func (t *Tracker) incr(x graph.Handle, set uint32) {
+	b := t.counts(x)
+	if b == nil {
+		// First count of this incarnation (or of this epoch): any
+		// leftover entries belong to a drained past and were already
+		// debited when it died or re-seeded.
+		t.growBnd(int(x.Slot) + 1)
+		b = &t.bnd[x.Slot]
+		b.epoch, b.gen = t.epoch, x.Gen
+		b.entries = b.entries[:0]
+	}
+	for i := range b.entries {
+		if b.entries[i].set == set {
+			b.entries[i].cnt++
+			return
+		}
+	}
+	b.entries = append(b.entries, bndEntry{set: set, cnt: 1})
+	t.sets[set].boundary++
+}
+
+// decr removes one live edge between x and set; x leaves the set's
+// boundary with its last unit. A decrement always finds its unit: the edge
+// it retires was counted either by the seeding sweep or by an earlier
+// incr. A miss means the model broke the edge-event contract (or an
+// observer dropped events).
+func (t *Tracker) decr(x graph.Handle, set uint32) {
+	if b := t.counts(x); b != nil {
+		for i := range b.entries {
+			if b.entries[i].set != set {
+				continue
+			}
+			if b.entries[i].cnt--; b.entries[i].cnt == 0 {
+				last := len(b.entries) - 1
+				b.entries[i] = b.entries[last]
+				b.entries = b.entries[:last]
+				t.sets[set].boundary--
+			}
+			return
+		}
+	}
+	panic("expansion: tracker boundary decrement without a matching count (edge-event contract violated)")
+}
+
+// onDeath handles a death: the node leaves every boundary it was on, and
+// if it was a member its sets lose one live node plus one boundary unit
+// per live incident edge to a non-member — read here, while the hook
+// contract keeps the neighborhood inspectable.
 func (t *Tracker) onDeath(h graph.Handle) {
-	t.appendOp(trackOp{kind: opDrop, slot: h.Slot, gen: h.Gen})
+	if b := t.counts(h); b != nil {
+		for _, e := range b.entries {
+			t.sets[e.set].boundary--
+		}
+		b.entries = b.entries[:0]
+	}
 	ms := t.memberSets(h)
 	if len(ms) == 0 {
 		return
@@ -458,15 +479,13 @@ func (t *Tracker) onDeath(h graph.Handle) {
 	t.g.Neighbors(h, func(x graph.Handle) bool {
 		for _, s := range ms {
 			if !t.isMember(x, s) {
-				t.appendOp(trackOp{kind: opDecr, slot: x.Slot, gen: x.Gen, set: s})
+				t.decr(x, s)
 			}
 		}
 		return true
 	})
 	t.member[h.Slot].sets = t.member[h.Slot].sets[:0]
 }
-
-// --- flush plane ---
 
 func (t *Tracker) growMember(n int) {
 	if n <= len(t.member) {
@@ -486,134 +505,16 @@ func (t *Tracker) growBnd(n int) {
 	t.bnd = grown
 }
 
-func (t *Tracker) ensureDeltas() {
-	if t.deltas != nil && len(t.deltas[0]) == len(t.sets) {
-		return
-	}
-	t.deltas = make([][]int64, t.par)
-	for w := range t.deltas {
-		t.deltas[w] = make([]int64, len(t.sets))
-	}
-}
-
-// flush applies the pending per-shard op logs. Worker w owns every slot
-// its log touches and accumulates boundary deltas in its private row, so
-// the barrier is the only synchronization; the merge sums rows in shard
-// order (integer sums — order never observable).
-func (t *Tracker) flush() {
-	if t.nOps == 0 {
-		return
-	}
-	t.growBnd(t.g.NumSlots())
-	t.ensureDeltas()
-	if t.par == 1 {
-		t.applyShard(0)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(t.par)
-		for w := 0; w < t.par; w++ {
-			go func(w int) {
-				defer wg.Done()
-				t.applyShard(w)
-			}(w)
-		}
-		wg.Wait()
-	}
-	for w := 0; w < t.par; w++ {
-		d := t.deltas[w]
-		for s := range d {
-			if d[s] != 0 {
-				t.sets[s].boundary += int(d[s])
-				d[s] = 0
-			}
-		}
-		t.ops[w] = t.ops[w][:0]
-	}
-	t.nOps = 0
-}
-
-// applyShard replays one shard's op log in order over the slots it owns.
-func (t *Tracker) applyShard(w int) {
-	delta := t.deltas[w]
-	for _, op := range t.ops[w] {
-		b := &t.bnd[op.slot]
-		switch op.kind {
-		case opIncr:
-			if b.epoch != t.epoch || b.gen != op.gen {
-				// First count of this incarnation (or of this epoch):
-				// any leftover entries belong to a drained past and were
-				// already debited when it died or re-seeded.
-				b.epoch, b.gen = t.epoch, op.gen
-				b.entries = b.entries[:0]
-			}
-			found := false
-			for i := range b.entries {
-				if b.entries[i].set == op.set {
-					b.entries[i].cnt++
-					// Move-to-front: op streams hit the same (slot, set)
-					// in bursts (seeding scans count one set at a time),
-					// so the next search is O(1). The reordering is a
-					// deterministic function of the per-slot op sequence,
-					// which is identical at every worker count.
-					b.entries[0], b.entries[i] = b.entries[i], b.entries[0]
-					found = true
-					break
-				}
-			}
-			if !found {
-				b.entries = append(b.entries, bndEntry{set: op.set, cnt: 1})
-				last := len(b.entries) - 1
-				b.entries[0], b.entries[last] = b.entries[last], b.entries[0]
-				delta[op.set]++
-			}
-		case opDecr:
-			// A decrement always finds its unit: the edge it retires was
-			// counted either by the seeding scan or by an earlier opIncr
-			// in this same slot-ordered log. A miss means the model broke
-			// the edge-event contract (or an observer dropped events).
-			ok := false
-			if b.epoch == t.epoch && b.gen == op.gen {
-				for i := range b.entries {
-					if b.entries[i].set == op.set {
-						if b.entries[i].cnt--; b.entries[i].cnt == 0 {
-							last := len(b.entries) - 1
-							b.entries[i] = b.entries[last]
-							b.entries = b.entries[:last]
-							delta[op.set]--
-						} else {
-							b.entries[0], b.entries[i] = b.entries[i], b.entries[0]
-						}
-						ok = true
-						break
-					}
-				}
-			}
-			if !ok {
-				panic("expansion: tracker boundary decrement without a matching count (edge-event contract violated)")
-			}
-		case opDrop:
-			if b.epoch == t.epoch && b.gen == op.gen {
-				for _, e := range b.entries {
-					delta[e.set]--
-				}
-				b.entries = b.entries[:0]
-			}
-		}
-	}
-}
-
 // --- seeding ---
 
 // reseed derives every family from the current snapshot: epoch-invalidate
 // all per-slot state, build the member lists (consuming the tracker RNG in
-// a fixed order), install memberships, and run the per-set boundary scans
-// through the op logs so the sharded flush absorbs them — seeding is the
-// tracker's one O(Σ|S|·d) pass, and the one that benefits from W > 1.
+// a fixed order), install memberships, and count every set's crossing
+// edges in one sharded sweep — seeding is the tracker's one O(Σ|S|·d)
+// pass, and the one that benefits from W > 1.
 func (t *Tracker) reseed() {
-	t.flush()
 	t.epoch++
 	t.sets = t.sets[:0]
-	t.deltas = nil
 	t.reseeds++
 	g, cfg := t.g, t.cfg
 	hs := g.AliveHandles()
@@ -709,9 +610,9 @@ func (t *Tracker) reseed() {
 		}
 	}
 
-	// Install memberships first — the boundary scans must see every
-	// same-set co-member — then count each set's crossing edges with
-	// multiplicity (so that later per-edge decrements net out exactly).
+	// Install memberships first — the sweep must see every same-set
+	// co-member — then count each set's crossing edges with multiplicity
+	// (so that later per-edge decrements net out exactly).
 	for id := range t.sets {
 		st := &t.sets[id]
 		for _, h := range st.members {
@@ -719,21 +620,103 @@ func (t *Tracker) reseed() {
 		}
 		st.live = len(st.members)
 	}
-	for id := range t.sets {
-		st := &t.sets[id]
-		sid := uint32(id)
-		t.inSet.Reset()
-		for _, h := range st.members {
-			t.inSet.Mark(h)
+	t.growBnd(g.NumSlots())
+	rows := make([][]int, t.par)
+	if t.par == 1 {
+		rows[0] = t.sweepShard(0, hs)
+	} else {
+		var wg sync.WaitGroup
+		wg.Add(t.par)
+		for w := 0; w < t.par; w++ {
+			go func(w int) {
+				defer wg.Done()
+				rows[w] = t.sweepShard(w, hs)
+			}(w)
 		}
-		for _, u := range st.members {
-			g.Neighbors(u, func(x graph.Handle) bool {
-				if !t.inSet.Has(x) {
-					t.appendOp(trackOp{kind: opIncr, slot: x.Slot, gen: x.Gen, set: sid})
-				}
-				return true
-			})
+		wg.Wait()
+	}
+	for _, row := range rows {
+		for s, b := range row {
+			t.sets[s].boundary += b
 		}
 	}
-	t.flush()
+}
+
+func (t *Tracker) owner(slot uint32) int {
+	if t.par == 1 {
+		return 0
+	}
+	return int(slot/trackerShardBlock) % t.par
+}
+
+// sweepShard is worker w's part of the seeding sweep: every alive node x
+// it owns walks its own neighborhood once and counts, per set x is not a
+// member of, the live edges to that set's members. It writes only the
+// count lists (and, through Neighbors, the in-lists) of the slots w owns,
+// and returns the number of nodes it put on each set's boundary.
+func (t *Tracker) sweepShard(w int, hs []graph.Handle) []int {
+	row := make([]int, len(t.sets))
+	// cnt[s] is x's running count into set s, or -1 for x's own sets;
+	// touched lists the sets with a count, in first-touch order.
+	cnt := make([]int32, len(t.sets))
+	var touched []uint32
+	visit := func(y graph.Handle) bool {
+		for _, s := range t.memberSets(y) {
+			if c := cnt[s]; c >= 0 {
+				if c == 0 {
+					touched = append(touched, s)
+				}
+				cnt[s] = c + 1
+			}
+		}
+		return true
+	}
+	for _, x := range hs {
+		if t.owner(x.Slot) != w {
+			continue
+		}
+		own := t.memberSets(x)
+		for _, s := range own {
+			cnt[s] = -1
+		}
+		touched = touched[:0]
+		t.g.Neighbors(x, visit)
+		b := &t.bnd[x.Slot]
+		b.epoch, b.gen = t.epoch, x.Gen
+		b.entries = b.entries[:0]
+		for _, s := range touched {
+			b.entries = append(b.entries, bndEntry{set: s, cnt: cnt[s]})
+			row[s]++
+			cnt[s] = 0
+		}
+		for _, s := range own {
+			cnt[s] = 0
+		}
+	}
+	return row
+}
+
+// VerifyTracker is the tracker's rescan oracle: it compares every tracked
+// set's live size and |∂out| with a from-scratch count of its member list
+// on g's current snapshot (liveness and BoundarySize). The error names
+// the first set that disagrees and its family. It backs the tracker
+// tests and the expansion bench row's audit.
+func VerifyTracker(g *graph.Graph, tr *Tracker) error {
+	for i := range tr.sets {
+		st := &tr.sets[i]
+		live := 0
+		for _, h := range st.members {
+			if g.IsAlive(h) {
+				live++
+			}
+		}
+		if st.live != live {
+			return fmt.Errorf("set %d (%s): tracked live %d, rescan %d", i, st.family, st.live, live)
+		}
+		if want := BoundarySize(g, st.members); st.boundary != want {
+			return fmt.Errorf("set %d (%s, |S|=%d, live %d): tracked boundary %d, rescan %d",
+				i, st.family, len(st.members), live, st.boundary, want)
+		}
+	}
+	return nil
 }

@@ -1,7 +1,9 @@
 package expansion
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"reflect"
 	"runtime"
@@ -14,44 +16,25 @@ import (
 	"github.com/dyngraph/churnnet/internal/staticgraph"
 )
 
-// trackerTestPars sweeps the flush-plane worker counts the equivalence
+// trackerTestPars sweeps the seeding-sweep worker counts the equivalence
 // tests pin: serial, two intermediate shard counts, and the machine's
 // core count (duplicates are fine).
 func trackerTestPars() []int {
 	return []int{1, 2, 4, runtime.GOMAXPROCS(0)}
 }
 
-// checkTrackerAgainstRescan compares every tracked set's incremental
-// state with a from-scratch BoundarySize/Ratio rescan of its member list
-// on the current snapshot.
+// checkTrackerAgainstRescan fails the test if VerifyTracker finds a
+// tracked set that disagrees with a from-scratch rescan.
 func checkTrackerAgainstRescan(t *testing.T, g *graph.Graph, tr *Tracker, tag string) {
 	t.Helper()
-	for i, st := range tr.Sets() {
-		live := 0
-		for _, h := range st.Members {
-			if g.IsAlive(h) {
-				live++
-			}
-		}
-		if st.Live != live {
-			t.Fatalf("%s set %d (%s): tracked live %d, rescan %d", tag, i, st.Family, st.Live, live)
-		}
-		want := BoundarySize(g, st.Members)
-		if st.Boundary != want {
-			t.Fatalf("%s set %d (%s, |S|=%d live %d): tracked boundary %d, rescan %d",
-				tag, i, st.Family, len(st.Members), live, st.Boundary, want)
-		}
-		if live > 0 {
-			if got, want := float64(st.Boundary)/float64(st.Live), Ratio(g, st.Members); got != want {
-				t.Fatalf("%s set %d (%s): tracked ratio %v, rescan %v", tag, i, st.Family, got, want)
-			}
-		}
+	if err := VerifyTracker(g, tr); err != nil {
+		t.Fatalf("%s: %v", tag, err)
 	}
 }
 
 // TestTrackerMatchesRescan is the rescan-oracle equivalence property
-// test: across all four models, two scales and 20 seeds — with the flush
-// plane swept over every worker count — the tracker's boundary sizes and
+// test: across all four models, two scales and 20 seeds — with the
+// seeding sweep run at every worker count — the tracker's boundary sizes and
 // ratios must be bit-for-bit what fresh BoundarySize/Ratio rescans
 // compute at every sampled round, through churn, slot reuse, both
 // regeneration paths and periodic re-seeding.
@@ -87,7 +70,7 @@ func TestTrackerMatchesRescan(t *testing.T) {
 }
 
 // TestTrackerParallelismInvariance pins bit-for-bit equality across
-// flush-plane worker counts: identically seeded runs must produce
+// seeding-sweep worker counts: identically seeded runs must produce
 // identical observations and identical per-set states at every W.
 func TestTrackerParallelismInvariance(t *testing.T) {
 	for _, kind := range []core.Kind{core.SDGR, core.PDG} {
@@ -208,10 +191,10 @@ func TestTrackerDichotomy(t *testing.T) {
 	}
 }
 
-// TestTrackerStaleNegativeControl proves the rescan oracle has teeth: a
+// TestTrackerStaleNegativeControl is VerifyTracker's negative control: a
 // deliberately stale tracker — its hooks detached for a churn window, so
-// it drops events — must diverge from the rescan, and a fresh comparison
-// must catch it.
+// it drops events — must diverge from the rescan, and the oracle must
+// return an error for it.
 func TestTrackerStaleNegativeControl(t *testing.T) {
 	t.Parallel()
 	m := core.New(core.SDGR, 300, 8, rng.New(21))
@@ -233,21 +216,7 @@ func TestTrackerStaleNegativeControl(t *testing.T) {
 	}
 	m.SetHooks(chained)
 
-	diverged := false
-	g := m.Graph()
-	for _, st := range tr.Sets() {
-		live := 0
-		for _, h := range st.Members {
-			if g.IsAlive(h) {
-				live++
-			}
-		}
-		if st.Live != live || st.Boundary != BoundarySize(g, st.Members) {
-			diverged = true
-			break
-		}
-	}
-	if !diverged {
+	if VerifyTracker(m.Graph(), tr) == nil {
 		t.Fatal("stale tracker still matched the rescan oracle — the equivalence test cannot detect dropped events")
 	}
 }
@@ -369,7 +338,8 @@ func TestTrackerConfigKnobs(t *testing.T) {
 }
 
 // TestTrackerLastObservation: the pure-read accessor replays the latest
-// Observe result without flushing, and reports absence before the first.
+// Observe result without measuring again, and reports absence before the
+// first.
 func TestTrackerLastObservation(t *testing.T) {
 	m := core.NewStreaming(300, 4, true, rng.New(3))
 	m.WarmUp()
@@ -384,7 +354,7 @@ func TestTrackerLastObservation(t *testing.T) {
 		t.Fatalf("LastObservation %+v != Observe %+v", got, obs)
 	}
 	// Advancing the model must not change the stored observation (pure
-	// read; no flush).
+	// read).
 	m.AdvanceRound()
 	got2, _ := tr.LastObservation()
 	if got2.Time != obs.Time || got2.N != obs.N || got2.Min != obs.Min {
@@ -407,5 +377,65 @@ func BenchmarkTrackerWindowSDGR(b *testing.B) {
 			tr.Observe()
 		}
 		tr.Close()
+	}
+}
+
+// trackerGoldenHash is the FNV-64a digest TestTrackerGolden computes,
+// recorded from an independent earlier implementation of the tracker (a
+// per-slot op log replayed by a sharded flush). It pins every observation
+// and every tracked set — membership, RNG draw order, live sizes and
+// boundary sizes — so any drift fails.
+const trackerGoldenHash = 0x6f4f9c4358be9640
+
+// TestTrackerGolden hashes every Observation (Time, N, Min bits,
+// MinWitness) and every SetState after each Observe, over all four models
+// and several seeds at n≈3000 with re-seeds every third observation, and
+// requires the recorded digest at each worker count.
+func TestTrackerGolden(t *testing.T) {
+	for _, par := range []int{1, 2, 4} {
+		par := par
+		t.Run(fmt.Sprintf("W%d", par), func(t *testing.T) {
+			t.Parallel()
+			h := fnv.New64a()
+			put := func(v uint64) {
+				var b [8]byte
+				binary.LittleEndian.PutUint64(b[:], v)
+				h.Write(b[:])
+			}
+			for _, kind := range core.Kinds() {
+				for seed := uint64(1); seed <= 4; seed++ {
+					m := core.SampleStationary(kind, 3000, 6, rng.New(seed))
+					tr := NewTracker(m, rng.New(seed^0x9e37), TrackerConfig{
+						ReseedEvery:   3,
+						LadderStride:  2,
+						MaxGreedySize: 256, // quadratic growth would dominate the run
+						Parallelism:   par,
+					})
+					for round := 1; round <= 10; round++ {
+						m.AdvanceRound()
+						obs := tr.Observe()
+						put(math.Float64bits(obs.Time))
+						put(uint64(obs.N))
+						put(math.Float64bits(obs.Min))
+						put(uint64(obs.MinWitness.Size))
+						put(uint64(obs.MinWitness.Boundary))
+						put(math.Float64bits(obs.MinWitness.Ratio))
+						for _, st := range tr.Sets() {
+							put(uint64(st.Family))
+							put(uint64(st.Live))
+							put(uint64(st.Boundary))
+							put(uint64(len(st.Members)))
+							for _, mh := range st.Members {
+								put(uint64(mh.Slot)<<32 | uint64(mh.Gen))
+							}
+						}
+					}
+					tr.Close()
+				}
+			}
+			if got := h.Sum64(); got != trackerGoldenHash {
+				t.Fatalf("tracker golden digest %#x, want %#x", got, uint64(trackerGoldenHash))
+			}
+		})
 	}
 }

@@ -118,9 +118,10 @@ type Config struct {
 	// (Theorems 3.15/4.16). Default off: the committed EXPERIMENTS.md
 	// record uses the per-snapshot search.
 	TrackExpansion bool
-	// ExpansionParallelism shards the tracker's event application and
-	// re-seed scans (expansion.TrackerConfig.Parallelism): 0 or 1 serial,
-	// negative auto. Tracked results are bit-identical at every setting.
+	// ExpansionParallelism shards the tracker's seeding sweep, run at
+	// attach and at every re-seed (expansion.TrackerConfig.Parallelism):
+	// 0 or 1 serial, negative auto. Tracked results are bit-identical at
+	// every setting.
 	ExpansionParallelism int
 }
 

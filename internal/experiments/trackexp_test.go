@@ -32,7 +32,7 @@ func TestTrackExpansionMode(t *testing.T) {
 }
 
 // TestTrackExpansionParallelismInvariance pins bit-identical tables across
-// the tracker's flush-plane worker counts (ExpansionParallelism), serial
+// the tracker's seeding-sweep worker counts (ExpansionParallelism), serial
 // through auto.
 func TestTrackExpansionParallelismInvariance(t *testing.T) {
 	e, ok := ByID("F8")

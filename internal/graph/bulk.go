@@ -66,11 +66,12 @@ func (g *Graph) WireSnapshotEdges(starts []int32, targets []uint32) {
 // target slots into a private count row. Stacking the rows per target
 // (worker w's edges into slot t land at inStart[t] + Σ_{w'<w} counts[w'][t])
 // turns them into exact disjoint cursors for the in pass, so the filled
-// arenas — including the in-list order within every node — are bit-for-bit
-// what the serial pass builds, at any worker count (pinned by
-// TestWireSnapshotEdgesParMatchesSerial). workers == 0 or 1 runs serially,
-// negative selects AutoWorkers(NumSlots()); the sharded path costs
-// ~4·workers·NumSlots() bytes of transient count rows.
+// arenas — including the in-list order within every node — are the same at
+// any worker count, and equal to the per-edge AddOutEdge build (pinned by
+// TestWireSnapshotEdgesMatchesAddOutEdge over a worker sweep). workers 0
+// or 1 run the same passes over one range; negative selects
+// AutoWorkers(NumSlots()). The passes cost ~4·workers·NumSlots() bytes of
+// transient count rows.
 func (g *Graph) WireSnapshotEdgesPar(starts []int32, targets []uint32, workers int) {
 	nSlots := len(g.nodes)
 	if workers < 0 {
@@ -97,58 +98,13 @@ func (g *Graph) WireSnapshotEdgesPar(starts []int32, targets []uint32, workers i
 	if workers > nSlots {
 		workers = nSlots
 	}
-	if workers <= 1 {
-		g.wireSerial(starts, targets)
-		return
+	if workers < 1 {
+		workers = 1
 	}
 	g.wireSharded(starts, targets, workers)
 }
 
-// wireSerial is the single-threaded arena fill.
-func (g *Graph) wireSerial(starts []int32, targets []uint32) {
-	nSlots := len(g.nodes)
-	nEdges := len(targets)
-	outArena := make([]Handle, nEdges)
-	inDeg := make([]int32, nSlots)
-	for s := 0; s < nSlots; s++ {
-		a, b := starts[s], starts[s+1]
-		seg := outArena[a:b:b]
-		for k, t := range targets[a:b] {
-			if int(t) >= nSlots || int(t) == s {
-				panic(fmt.Sprintf("graph: WireSnapshotEdges target %d of slot %d invalid", t, s))
-			}
-			seg[k] = Handle{Slot: t, Gen: 1}
-			inDeg[t]++
-		}
-		g.nodes[s].out = seg
-	}
-
-	// Counting-sort the in-lists: prefix sums give each slot its segment of
-	// the shared arena, then every in-ref drops at its slot's cursor.
-	inStart := make([]int32, nSlots+1)
-	for s := 0; s < nSlots; s++ {
-		inStart[s+1] = inStart[s] + inDeg[s]
-	}
-	inArena := make([]inRef, nEdges)
-	cursor := inDeg // reuse as cursors: rewind to segment starts
-	copy(cursor, inStart[:nSlots])
-	for s := 0; s < nSlots; s++ {
-		src := Handle{Slot: uint32(s), Gen: 1}
-		for k, t := range targets[starts[s]:starts[s+1]] {
-			c := cursor[t]
-			inArena[c] = inRef{src: src, slot: uint32(k)}
-			cursor[t] = c + 1
-		}
-	}
-	for s := 0; s < nSlots; s++ {
-		a, b := inStart[s], inStart[s+1]
-		if a != b {
-			g.nodes[s].in = inArena[a:b:b]
-		}
-	}
-}
-
-// wireSharded is the parallel arena fill; see WireSnapshotEdgesPar for the
+// wireSharded is the arena fill; see WireSnapshotEdgesPar for the
 // algorithm. Every pass writes disjoint index ranges (owner segments, one
 // count/cursor row per worker, stacked in-arena cursors), so the phase
 // barriers are the only synchronization.
@@ -183,7 +139,7 @@ func (g *Graph) wireSharded(starts []int32, targets []uint32, workers int) {
 	// Out pass: fill owner segments, histogram targets per worker. Target
 	// validation happens here (first sight of every edge); errors are
 	// collected per worker and re-raised deterministically — lowest owner
-	// range first, matching the serial scan order.
+	// range first, so the first invalid edge in owner order is reported.
 	outArena := make([]Handle, nEdges)
 	counts := make([]int32, workers*nSlots)
 	errs := make([]error, workers)
@@ -238,7 +194,8 @@ func (g *Graph) wireSharded(starts []int32, targets []uint32, workers int) {
 
 	// In pass: every worker drops its owners' in-refs at its own cursors.
 	// Owner ranges ascend with worker index, so each target's segment ends
-	// up in global owner order — the serial layout.
+	// up in global owner order — the layout AddOutEdge calls in owner order
+	// build.
 	inArena := make([]inRef, nEdges)
 	runRanges(func(w int) {
 		cur := counts[w*nSlots : (w+1)*nSlots]

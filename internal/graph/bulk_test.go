@@ -2,6 +2,7 @@ package graph
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/dyngraph/churnnet/internal/rng"
@@ -35,50 +36,41 @@ func freshNodes(n int) (*Graph, []Handle) {
 }
 
 // TestWireSnapshotEdgesMatchesAddOutEdge pins the bulk path against the
-// per-edge path: identical specs must produce graphs that agree on every
-// adjacency observable, including in-list order (InSources visits sources
-// in insertion order for both).
+// per-edge path at every worker count (negative = AutoWorkers): identical
+// specs must produce graphs that agree on every adjacency observable,
+// including in-list order (InSources visits sources in insertion order for
+// both, and the sharded cursors stack per target in owner order).
 func TestWireSnapshotEdgesMatchesAddOutEdge(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 17, 200, 20000} {
+	for _, n := range []int{1, 2, 3, 7, 17, 64, 65, 200, 20000} {
 		starts, targets := buildSpec(n, 5, rng.New(uint64(n)))
-
-		bulk, bh := freshNodes(n)
-		bulk.WireSnapshotEdges(starts, targets)
-
 		ref, rh := freshNodes(n)
 		for s := 0; s < n; s++ {
 			for _, tg := range targets[starts[s]:starts[s+1]] {
 				ref.AddOutEdge(rh[s], rh[tg])
 			}
 		}
-
-		if err := bulk.CheckInvariants(); err != nil {
-			t.Fatalf("n=%d: bulk invariants: %v", n, err)
-		}
-		for s := 0; s < n; s++ {
-			hb, hr := bh[s], rh[s]
-			if bulk.OutDegreeLive(hb) != ref.OutDegreeLive(hr) ||
-				bulk.InDegreeLive(hb) != ref.InDegreeLive(hr) ||
-				bulk.OutSlotCount(hb) != ref.OutSlotCount(hr) {
-				t.Fatalf("n=%d slot %d: degree mismatch", n, s)
+		for _, workers := range []int{1, 2, 3, 4, 8, 19, -1} {
+			bulk, bh := freshNodes(n)
+			bulk.WireSnapshotEdgesPar(starts, targets, workers)
+			if err := bulk.CheckInvariants(); err != nil {
+				t.Fatalf("n=%d workers=%d: bulk invariants: %v", n, workers, err)
 			}
-			var ob, or []uint32
-			bulk.OutTargets(hb, func(h Handle) bool { ob = append(ob, h.Slot); return true })
-			ref.OutTargets(hr, func(h Handle) bool { or = append(or, h.Slot); return true })
-			for i := range ob {
-				if ob[i] != or[i] {
-					t.Fatalf("n=%d slot %d: out target %d differs", n, s, i)
+			for s := 0; s < n; s++ {
+				hb, hr := bh[s], rh[s]
+				if bulk.OutSlotCount(hb) != ref.OutSlotCount(hr) {
+					t.Fatalf("n=%d workers=%d slot %d: out-slot count differs", n, workers, s)
 				}
-			}
-			ob, or = ob[:0], or[:0]
-			bulk.InSources(hb, func(h Handle) bool { ob = append(ob, h.Slot); return true })
-			ref.InSources(hr, func(h Handle) bool { or = append(or, h.Slot); return true })
-			if len(ob) != len(or) {
-				t.Fatalf("n=%d slot %d: in-list length differs", n, s)
-			}
-			for i := range ob {
-				if ob[i] != or[i] {
-					t.Fatalf("n=%d slot %d: in source %d differs (order)", n, s, i)
+				var ob, or []uint32
+				bulk.OutTargets(hb, func(h Handle) bool { ob = append(ob, h.Slot); return true })
+				ref.OutTargets(hr, func(h Handle) bool { or = append(or, h.Slot); return true })
+				if !slices.Equal(ob, or) {
+					t.Fatalf("n=%d workers=%d slot %d: out targets differ", n, workers, s)
+				}
+				ob, or = ob[:0], or[:0]
+				bulk.InSources(hb, func(h Handle) bool { ob = append(ob, h.Slot); return true })
+				ref.InSources(hr, func(h Handle) bool { or = append(or, h.Slot); return true })
+				if !slices.Equal(ob, or) {
+					t.Fatalf("n=%d workers=%d slot %d: in sources differ (order)", n, workers, s)
 				}
 			}
 		}
@@ -86,10 +78,11 @@ func TestWireSnapshotEdgesMatchesAddOutEdge(t *testing.T) {
 }
 
 // TestWireSnapshotEdgesParMatchesSerial pins the sharded arena fill
-// against the serial one: at every worker count the two must build graphs
-// that agree on every adjacency observable, including the in-list order
-// within each node (the sharded cursors stack per target in owner order,
-// reproducing the serial layout bit for bit).
+// against the single-range one (WireSnapshotEdges): at every worker count
+// the two must build graphs that agree on every adjacency observable,
+// including the in-list order within each node (the sharded cursors stack
+// per target in owner order, reproducing the single-range layout bit for
+// bit).
 func TestWireSnapshotEdgesParMatchesSerial(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 64, 65, 200, 20000} {
 		for _, workers := range []int{2, 3, 4, 8, 19} {
@@ -112,24 +105,14 @@ func TestWireSnapshotEdgesParMatchesSerial(t *testing.T) {
 				var op, os []uint32
 				par.OutTargets(hp, func(h Handle) bool { op = append(op, h.Slot); return true })
 				ser.OutTargets(hs, func(h Handle) bool { os = append(os, h.Slot); return true })
-				if len(op) != len(os) {
-					t.Fatalf("n=%d workers=%d slot %d: out degree differs", n, workers, s)
-				}
-				for i := range op {
-					if op[i] != os[i] {
-						t.Fatalf("n=%d workers=%d slot %d: out target %d differs", n, workers, s, i)
-					}
+				if !slices.Equal(op, os) {
+					t.Fatalf("n=%d workers=%d slot %d: out targets differ", n, workers, s)
 				}
 				op, os = op[:0], os[:0]
 				par.InSources(hp, func(h Handle) bool { op = append(op, h.Slot); return true })
 				ser.InSources(hs, func(h Handle) bool { os = append(os, h.Slot); return true })
-				if len(op) != len(os) {
-					t.Fatalf("n=%d workers=%d slot %d: in-list length differs", n, workers, s)
-				}
-				for i := range op {
-					if op[i] != os[i] {
-						t.Fatalf("n=%d workers=%d slot %d: in source %d differs (order)", n, workers, s, i)
-					}
+				if !slices.Equal(op, os) {
+					t.Fatalf("n=%d workers=%d slot %d: in sources differ (order)", n, workers, s)
 				}
 			}
 		}
@@ -159,7 +142,7 @@ func TestAutoWorkersPolicy(t *testing.T) {
 }
 
 // TestWireSnapshotEdgesAutoWorkers checks that a negative worker count
-// resolves through AutoWorkers and still builds the serial layout.
+// resolves through AutoWorkers and still builds the single-range layout.
 func TestWireSnapshotEdgesAutoWorkers(t *testing.T) {
 	const n = 500
 	starts, targets := buildSpec(n, 4, rng.New(99))
@@ -174,24 +157,22 @@ func TestWireSnapshotEdgesAutoWorkers(t *testing.T) {
 		var oa, os []uint32
 		auto.OutTargets(ah[s], func(h Handle) bool { oa = append(oa, h.Slot); return true })
 		ser.OutTargets(sh[s], func(h Handle) bool { os = append(os, h.Slot); return true })
-		if len(oa) != len(os) {
-			t.Fatalf("slot %d: out degree differs under auto workers", s)
+		if !slices.Equal(oa, os) {
+			t.Fatalf("slot %d: out targets differ under auto workers", s)
 		}
 		oa, os = oa[:0], os[:0]
 		auto.InSources(ah[s], func(h Handle) bool { oa = append(oa, h.Slot); return true })
 		ser.InSources(sh[s], func(h Handle) bool { os = append(os, h.Slot); return true })
-		for i := range oa {
-			if oa[i] != os[i] {
-				t.Fatalf("slot %d: in source %d differs under auto workers", s, i)
-			}
+		if !slices.Equal(oa, os) {
+			t.Fatalf("slot %d: in sources differ under auto workers", s)
 		}
 	}
 }
 
-// TestWireSnapshotEdgesParPanics pins the sharded path's guard rails: the
-// spec validation and the in-pass target checks must reject exactly what
-// the serial path rejects, with the panic raised from the caller's
-// goroutine.
+// TestWireSnapshotEdgesParPanics pins the guard rails at W > 1: the spec
+// validation and the out-pass target checks must reject exactly what
+// TestWireSnapshotEdgesPanics rejects, with the panic raised from the
+// caller's goroutine.
 func TestWireSnapshotEdgesParPanics(t *testing.T) {
 	expectPanic := func(name string, f func()) {
 		t.Helper()

@@ -2,7 +2,7 @@
 // staging-buffer discipline inside worker callbacks.
 //
 // The engine's parallel phases (flood's per-slot-range shard sweeps, the
-// tracker's flush plane, the bulk wire-fill) run a callback once per worker
+// tracker's seeding sweep, the bulk wire-fill) run a callback once per worker
 // index with a barrier as the only synchronization. The discipline that
 // keeps them deterministic AND race-free is: a worker may write only
 // through state it owns — state indexed by its own worker index, by a chunk

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -204,10 +205,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// sortByBirth orders handles oldest-first (insertion sort is fine for
-// tests; real populations use the O(n log n) path).
+// sortByBirth orders alive handles oldest-first, in O(n log n).
 func sortByBirth(g *graph.Graph, hs []graph.Handle) {
-	sortHandles(hs, func(a, b graph.Handle) bool { return g.BirthSeq(a) < g.BirthSeq(b) })
+	sort.Slice(hs, func(i, j int) bool { return g.BirthSeq(hs[i]) < g.BirthSeq(hs[j]) })
 }
 
 // Start launches the writer loop.

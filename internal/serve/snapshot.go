@@ -3,12 +3,10 @@ package serve
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"github.com/dyngraph/churnnet/internal/expansion"
 	"github.com/dyngraph/churnnet/internal/flood"
-	"github.com/dyngraph/churnnet/internal/graph"
 )
 
 // obsRingCap bounds the expansion-observation history a snapshot carries.
@@ -195,8 +193,3 @@ func newExpansionObs(obs expansion.Observation, round int) ExpansionObs {
 // Expansion returns the retained observation history, oldest first. The
 // slice is shared with the snapshot; callers must not mutate it.
 func (s *Snapshot) Expansion() []ExpansionObs { return s.expansion }
-
-// sortHandles orders hs by the given less function.
-func sortHandles(hs []graph.Handle, less func(a, b graph.Handle) bool) {
-	sort.Slice(hs, func(i, j int) bool { return less(hs[i], hs[j]) })
-}
