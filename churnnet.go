@@ -229,9 +229,10 @@ const (
 	MessageRetired = flood.MessageRetired
 )
 
-// TrafficMemStats describes a plane's packed informed-state memory
-// layout — slots, lanes, words per slot, and the packed footprint versus
-// the one-Marks-per-lane baseline; see Traffic.MemStats.
+// TrafficMemStats describes a plane's per-slot memory layout — slots,
+// lanes, words per slot, the packed informed footprint versus the
+// one-Marks-per-lane baseline, and the cut-count store; see
+// Traffic.MemStats.
 type TrafficMemStats = flood.TrafficMemStats
 
 // NewTraffic opens a traffic plane over m. The plane owns the model until

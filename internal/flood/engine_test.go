@@ -117,9 +117,9 @@ func TestEngineRestoresHooks(t *testing.T) {
 
 // TestEngineCutMatchesRecompute is the churn-heavy bookkeeping property
 // test: at every freeze, each in-flight lane's frozen cut — tracked
-// receivers with their compacted sender lists — must equal the cut
-// recomputed from scratch out of the snapshot: for every alive node the
-// lane does not inform, its set of distinct alive neighbors the lane
+// receivers with their cut counts — must equal the cut recomputed from
+// scratch out of the snapshot: for every alive node the lane does not
+// inform, the number of its live edge incidences with nodes the lane
 // informs. It runs one message (Run's case) and three concurrent ones.
 func TestEngineCutMatchesRecompute(t *testing.T) {
 	cases := []struct {
@@ -175,9 +175,11 @@ func TestEngineCutMatchesRecompute(t *testing.T) {
 	}
 }
 
-// checkFrozenCut compares every in-flight lane's frozen cut with a
-// from-scratch recomputation over the current snapshot, and checks the
-// shard layout: each frozen receiver sits in its owner shard, once.
+// checkFrozenCut compares every in-flight lane's frozen counts with a
+// from-scratch recomputation of the incidence multiplicities over the
+// current snapshot, checks that no live lane holds a count where it does
+// not track, and checks the shard layout: each frozen receiver sits in
+// its owner shard, once.
 func checkFrozenCut(t *testing.T, tr *Traffic, at string) {
 	t.Helper()
 	g := tr.g
@@ -186,9 +188,9 @@ func checkFrozenCut(t *testing.T, tr *Traffic, at string) {
 		live[li] = true
 	}
 
-	got := map[int]map[graph.Handle]map[graph.Handle]bool{}
+	got := map[int]map[graph.Handle]int32{}
 	for li := range live {
-		got[li] = map[graph.Handle]map[graph.Handle]bool{}
+		got[li] = map[graph.Handle]int32{}
 	}
 	frozen := map[graph.Handle]bool{}
 	for si := range tr.shards {
@@ -196,7 +198,6 @@ func checkFrozenCut(t *testing.T, tr *Traffic, at string) {
 		if len(sh.frozenWords) != sh.nFrozen*tr.stride {
 			t.Fatalf("%s: shard %d has %d frozen words for %d receivers", at, si, len(sh.frozenWords), sh.nFrozen)
 		}
-		cur := 0
 		for i, v := range sh.receivers[:sh.nFrozen] {
 			if want := tr.owner(v.Slot); want != si {
 				t.Fatalf("%s: receiver %v frozen in shard %d, owner is %d", at, v, si, want)
@@ -208,58 +209,59 @@ func checkFrozenCut(t *testing.T, tr *Traffic, at string) {
 			if !g.IsAlive(v) {
 				t.Fatalf("%s: frozen receiver %v is dead", at, v)
 			}
+			row := tr.cnt.row(v.Slot)
 			for wi, m := range sh.frozenWords[i*tr.stride : (i+1)*tr.stride] {
 				for ; m != 0; m &= m - 1 {
 					li := wi<<6 | bits.TrailingZeros64(m)
-					flen := int(sh.frozenLen[cur])
-					cur++
 					if !live[li] {
 						t.Fatalf("%s: receiver %v frozen for dormant lane %d", at, v, li)
 					}
 					if tr.informed.has(v, li) {
 						t.Fatalf("%s: receiver %v frozen for lane %d, which informs it", at, v, li)
 					}
-					set := map[graph.Handle]bool{}
-					for _, s := range tr.lanes[li].senders[v.Slot][:flen] {
-						if !g.IsAlive(s) || !tr.informed.has(s, li) {
-							t.Fatalf("%s: lane %d frozen sender %v of %v is dead or uninformed", at, li, s, v)
-						}
-						set[s] = true
-					}
-					got[li][v] = set
+					got[li][v] = row[li]
 				}
 			}
 		}
-		if cur != len(sh.frozenLen) {
-			t.Fatalf("%s: shard %d consumed %d of %d frozen lengths", at, si, cur, len(sh.frozenLen))
-		}
 	}
 
+	// Outside the frozen cut a live lane's count is zero: the freeze keeps
+	// exactly the tracked lanes with a positive count.
+	g.ForEachAlive(func(v graph.Handle) bool {
+		if tr.tracked.wordsOf(v) == nil {
+			return true
+		}
+		row := tr.cnt.row(v.Slot)
+		for li := range live {
+			if c := row[li]; c != 0 && (!frozen[v] || !tr.tracked.has(v, li)) {
+				t.Fatalf("%s: lane %d holds count %d on %v outside its frozen cut", at, li, c, v)
+			}
+		}
+		return true
+	})
+
 	for li := range live {
-		// Recompute: alive node lane li does not inform -> set of distinct
-		// alive neighbors it does.
-		want := map[graph.Handle]map[graph.Handle]bool{}
+		// Recompute: alive node lane li does not inform -> number of
+		// visits of alive neighbors it does, one per edge incidence.
+		want := map[graph.Handle]int32{}
 		g.ForEachAlive(func(v graph.Handle) bool {
 			if tr.informed.has(v, li) {
 				return true
 			}
-			var set map[graph.Handle]bool
+			var mult int32
 			g.Neighbors(v, func(u graph.Handle) bool {
 				if tr.informed.has(u, li) {
-					if set == nil {
-						set = map[graph.Handle]bool{}
-					}
-					set[u] = true
+					mult++
 				}
 				return true
 			})
-			if set != nil {
-				want[v] = set
+			if mult > 0 {
+				want[v] = mult
 			}
 			return true
 		})
 		if !reflect.DeepEqual(got[li], want) {
-			t.Fatalf("%s: lane %d frozen cut diverged from the recompute\ngot  %v\nwant %v", at, li, got[li], want)
+			t.Fatalf("%s: lane %d frozen cut counts diverged from the recompute\ngot  %v\nwant %v", at, li, got[li], want)
 		}
 	}
 }

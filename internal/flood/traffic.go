@@ -18,44 +18,51 @@ import (
 // engine", "Multi-message traffic plane") gives the full rationale.
 //
 // Where RunReference rescans every informed neighborhood each round, the
-// plane keeps, per message, the live cut — informed sender → uninformed
-// receiver edges — and updates it only on the events that change it: a
-// node crossing the cut (its one-off neighborhood scan is deferred to the
-// next freeze), a death (Hooks.OnDeath) and an edge creation or
-// regeneration (Hooks.OnEdge). Completion is O(1) per round: a message's
-// informedAlive against the shared preRoundAlive. Every round freezes
-// exactly the live cut of the pre-advance snapshot, so each message's
-// Result is bit-for-bit RunReference's on an identically seeded model
-// advanced to its injection step (TestEngineMatchesReference,
+// plane keeps, per message, the size of the live cut at every receiver —
+// the number of live edge incidences between an uninformed alive node and
+// the message's informed nodes — and updates it only on the events that
+// change it: a node crossing the cut (its one-off neighborhood scan is
+// deferred to the next freeze), a death (Hooks.OnDeath, which walks the
+// dead node's neighborhood once) and an edge creation or regeneration
+// (Hooks.OnEdge). Admission needs only whether some frozen sender
+// qualifies, and a count answers that: > 0 at the freeze, and still > 0
+// after this round's fresh edges are withdrawn under Discretized
+// semantics. Completion is O(1) per round: a message's informedAlive
+// against the shared preRoundAlive. Every round freezes exactly the live
+// cut of the pre-advance snapshot, so each message's Result is
+// bit-for-bit RunReference's on an identically seeded model advanced to
+// its injection step (TestEngineMatchesReference,
 // TestEngineCutMatchesRecompute, TestTrafficMatchesSingleMessageOracle).
 //
 // A message occupies a lane: a bit in the two packed per-slot bitsets
 // (laneBits: "informs the slot's node" and "tracks it as a receiver", 64
-// lanes per word under one shared per-slot generation) plus a private
-// record with its slot-indexed sender lists, counter and Result. Every
-// cross-lane operation is word-parallel — an edge event classifies
-// against all M cuts with one masked XOR per word, a node admitted by k
-// lanes is queued and scanned once, and the freeze and admission sweeps
-// visit each receiver once for all lanes. With one lane every word is a
-// single uint64; there is no separate one-message path.
+// lanes per word under one shared per-slot generation), a cell in every
+// row of the plane-wide count store (cutCounts, valid under tracked's
+// generation), plus a constant-size private record with its counter and
+// Result. Every cross-lane operation is word-parallel — an edge event
+// classifies against all M cuts with one masked XOR per word, a node
+// admitted by k lanes is queued and scanned once, and the freeze and
+// admission sweeps visit each receiver once for all lanes. With one lane
+// every word is a single uint64 and every count row a single int32;
+// there is no separate one-message path.
 //
 // Under TrafficOptions.Parallelism the cut is partitioned by arena slot
 // (slot s belongs to shard (s/shardBlock) mod par) and the frontier
 // drain, the freeze and the admission sweep fan out across the shards,
 // one barrier per pass for all lanes. Merges run in a scheduling-free
-// order, and Results are identical at every par: admission is an
-// existence test over a receiver's frozen senders and every Result field
-// is a count over admitted sets, so no internal order is observable —
+// order, and Results are identical at every par: admission reads a
+// receiver's count, which no order changes, and every Result field is a
+// count over admitted sets, so no internal order is observable —
 // which also makes same-Step Inject order unobservable
 // (TestTrafficInjectionOrderInvariance). Model advancement and every hook
 // stay serial.
 //
 // A message leaves the in-flight set on its own terms — completion
 // (unless RunToMax), die-out or its MaxRounds cap — and its lane turns
-// dormant, masked out of every event; Retire releases the lane for reuse
-// with an all-zero bit column and fresh sender lists, keeping memory
-// O(live messages) · O(slots) plus a constant-size record per message
-// (TestTrafficRetireReleasesAndReuses).
+// dormant, masked out of every event; Retire releases the lane for reuse,
+// and the next Inject to take it starts from an all-zero bit column and
+// count column, keeping memory O(peak live messages) · O(slots) plus a
+// constant-size record per message (TestTrafficRetireReleasesAndReuses).
 //
 // The plane owns the model between NewTraffic and Close: callers must not
 // advance the model themselves, and observer lifetimes must nest (Close
@@ -86,6 +93,20 @@ type Traffic struct {
 	informed laneBits // lanes that consider the slot's node informed
 	tracked  laneBits // lanes tracking the slot's node as a receiver
 
+	// cnt holds, for every tracked slot, one cut count per lane; a row is
+	// valid under tracked's generation for the slot (see claimRow). For a
+	// live lane and an uninformed alive node it is exact at every freeze,
+	// and nonzero only where the lane's tracking bit is set.
+	cnt cutCounts
+
+	// Fresh incidences of the running advance, recorded by edgeTo under
+	// Discretized semantics: fresh[k] was counted toward its receiver for
+	// the lanes in freshLanes[k*stride:(k+1)*stride]. Admission withdraws
+	// them, so it reads the frozen count minus dead senders (see
+	// applyFresh).
+	fresh      []freshEdge
+	freshLanes []uint64
+
 	// Shared per-round state: functions of the graph and the round alone,
 	// identical for every lane. preRoundAlive counts alive nodes born
 	// before the running round — the reference's required.
@@ -108,7 +129,7 @@ type Traffic struct {
 	stage     [][]laneCutEdge
 	chunkNext atomic.Int64
 
-	edgeCand []uint64 // edgeTo's scratch for the in-flight lanes informing the sender
+	hookLanes []uint64 // the hooks' scratch for a masked lane mask
 
 	// onStage, when non-nil, filters every discovered cut edge right
 	// before it is recorded for lane li (false = drop). Test-only: the
@@ -117,7 +138,7 @@ type Traffic struct {
 	onStage func(li int, recv, sender graph.Handle) bool
 
 	// onFreeze, when non-nil, observes the frozen cut (each shard's
-	// receivers[:nFrozen] with their frozen words and lengths) right
+	// receivers[:nFrozen] with their frozen words, and their counts) right
 	// before the model advances. Test-only: the cut-vs-recompute property
 	// test compares it with the cut recomputed from scratch.
 	onFreeze func()
@@ -186,18 +207,13 @@ type message struct {
 }
 
 // lane is one message's private flooding state: everything that is not
-// packed into the plane's shared bitsets. The informed/receiver
-// membership itself lives in Traffic.informed/Traffic.tracked under this
-// lane's bit index.
+// per slot. The informed/receiver membership lives in
+// Traffic.informed/Traffic.tracked under this lane's bit index, and its
+// cut counts in Traffic.cnt under the same index, so a lane is constant
+// size.
 type lane struct {
 	id    MessageID
 	round int // per-message rounds executed (relative to injection)
-
-	// senders[s] lists the informed senders toward the node in arena
-	// slot s; it is non-empty exactly while this lane's bit is set on s
-	// in Traffic.tracked (see fanOut). Only s's owner shard touches
-	// senders[s] during a parallel phase.
-	senders [][]graph.Handle
 
 	informedAlive int
 	res           Result
@@ -214,13 +230,11 @@ type trafficShard struct {
 	receivers []graph.Handle
 
 	// The frozen cut of the running round, flat in receiver order:
-	// receivers[i], i < nFrozen, carries candidates for the lanes set in
-	// frozenWords[i*stride:(i+1)*stride], and frozenLen lists — in
-	// (receiver, ascending lane) order — each frozen sender-list length.
-	// Receivers tracked during the advance are appended past nFrozen.
+	// receivers[i], i < nFrozen, has a positive count for the lanes set in
+	// frozenWords[i*stride:(i+1)*stride]. Receivers tracked during the
+	// advance are appended past nFrozen.
 	nFrozen     int
 	frozenWords []uint64
-	frozenLen   []int32
 
 	// Admission-sweep output, applied at the serial merge: admRecv[j]
 	// was admitted by the lanes set in admWords[j*stride:(j+1)*stride].
@@ -234,6 +248,12 @@ type trafficShard struct {
 type laneCutEdge struct {
 	recv graph.Handle
 	scan int32
+}
+
+// freshEdge is one edge incidence counted during the running advance: an
+// edge from sender toward recv (see Traffic.fresh).
+type freshEdge struct {
+	recv, sender graph.Handle
 }
 
 // NewTraffic opens a multi-message traffic plane over m. It installs the
@@ -300,11 +320,13 @@ func (t *Traffic) Inject(src graph.Handle) MessageID {
 	if n := len(t.freeLanes); n > 0 {
 		li = t.freeLanes[n-1]
 		t.freeLanes = t.freeLanes[:n-1]
-		// A reused lane index must start from an all-zero bit column:
-		// while the lane was free its stale bits were masked out of every
-		// read by liveMask, but re-granting the index makes them live.
+		// A reused lane index must start from an all-zero bit and count
+		// column: while the lane was free its stale state was masked out
+		// of every read by liveMask, but re-granting the index makes it
+		// live.
 		t.informed.clearLane(li)
 		t.tracked.clearLane(li)
+		t.cnt.clearLane(li)
 		t.clearScanLane(li)
 	} else {
 		li = len(t.lanes)
@@ -312,9 +334,8 @@ func (t *Traffic) Inject(src graph.Handle) MessageID {
 		if need := (len(t.lanes) + 63) / 64; need > t.stride {
 			t.reshape(need)
 		}
+		t.cnt.widen(len(t.lanes))
 	}
-	// A reused lane slot gets freshly allocated sender lists: retirement
-	// released the old arrays.
 	ln := &lane{id: id}
 	t.lanes[li] = ln
 
@@ -383,9 +404,9 @@ func (t *Traffic) Result(id MessageID) Result {
 	return msg.res
 }
 
-// Retire releases a done message's lane — its sender lists and its bit
-// column in the packed membership state — for reuse by later injections;
-// the Result remains queryable. It panics on a MessageID the plane never
+// Retire releases a done message's lane — its bit columns in the packed
+// membership state and its column of cut counts — for reuse by later
+// injections; the Result remains queryable. It panics on a MessageID the plane never
 // issued, on a closed plane, and unless the message is MessageDone:
 // in-flight messages run to their own finish, and retiring twice is a
 // bug.
@@ -426,8 +447,14 @@ func (t *Traffic) Step() {
 
 	// Admission over the frozen candidates; every shard sweeps its own
 	// frozen receivers across all lanes at once, crossings apply at the
-	// serial merge in (shard, receiver, ascending lane) order.
+	// serial merge in (shard, receiver, ascending lane) order. The
+	// advance's fresh incidences are out of the counts during the sweep
+	// and back in for the lanes that did not admit.
+	t.applyFresh(-1)
 	t.forEachShard(func(w int) { t.admitShard(w) })
+	t.applyFresh(+1)
+	t.fresh = t.fresh[:0]
+	t.freshLanes = t.freshLanes[:0]
 	alive := g.NumAlive()
 	for w := range t.shards {
 		sh := &t.shards[w]
@@ -565,25 +592,81 @@ func (t *Traffic) reshape(stride int) {
 	t.stride = stride
 }
 
-func (ln *lane) growTo(n int) {
-	if n <= len(ln.senders) {
-		return
-	}
-	ns := make([][]graph.Handle, n*2)
-	copy(ns, ln.senders)
-	ln.senders = ns
+// cutCounts is the plane's count store: one int32 cell per (arena slot,
+// lane), slot-major in rows of 1<<shift cells, where 1<<shift is the
+// smallest power of two at least the allocated lane count — 4 bytes per
+// slot at one lane. The store keeps no validity of its own: a row counts
+// only while Traffic.tracked holds the slot for its node, and a fresh
+// claim zeroes it (claimRow).
+type cutCounts struct {
+	cells []int32
+	shift uint
 }
 
-// track sets lane li's tracking bit on x's slot, listing x in its owner
-// shard's receivers when the slot is freshly claimed for x. Owner-shard
-// context (see fanOut).
-func (t *Traffic) track(li int, x graph.Handle) {
-	w, fresh := t.tracked.claim(x)
+// row returns slot's cells, one per lane index.
+func (c *cutCounts) row(slot uint32) []int32 {
+	s := int(slot) << c.shift
+	return c.cells[s : s+1<<c.shift]
+}
+
+// grow spans at least n slots; new rows are zero.
+func (c *cutCounts) grow(n int) {
+	if need := n << c.shift; need > len(c.cells) {
+		nc := make([]int32, need)
+		copy(nc, c.cells)
+		c.cells = nc
+	}
+}
+
+// widen doubles the row width until it holds lanes cells, keeping every
+// row's cells. Serial context only (Inject).
+func (c *cutCounts) widen(lanes int) {
+	shift := c.shift
+	for 1<<shift < lanes {
+		shift++
+	}
+	if shift == c.shift {
+		return
+	}
+	slots := len(c.cells) >> c.shift
+	nc := make([]int32, slots<<shift)
+	for s := 0; s < slots; s++ {
+		copy(nc[s<<shift:], c.cells[s<<c.shift:(s+1)<<c.shift])
+	}
+	c.cells, c.shift = nc, shift
+}
+
+// clearLane zeroes lane li's cell in every row (lane index reuse; see
+// Inject). O(slots).
+func (c *cutCounts) clearLane(li int) {
+	for i := li; i < len(c.cells); i += 1 << c.shift {
+		c.cells[i] = 0
+	}
+}
+
+// footprintBytes returns the store's size: 4 bytes per cell.
+func (c *cutCounts) footprintBytes() int { return len(c.cells) * 4 }
+
+// growTracked spans n slots in the tracked bitset and the count store,
+// which grow together. Serial context only.
+func (t *Traffic) growTracked(n int) {
+	t.tracked.grow(n)
+	t.cnt.grow(t.tracked.slots())
+}
+
+// claimRow claims x's tracked slot and returns its tracking words and
+// its count row. A fresh claim zeroes the row — whatever it holds belongs
+// to an earlier node or an earlier tracking spell — and lists x in its
+// owner shard's receivers. Owner-shard context (see fanOut).
+func (t *Traffic) claimRow(x graph.Handle) ([]uint64, []int32) {
+	tw, fresh := t.tracked.claim(x)
+	row := t.cnt.row(x.Slot)
 	if fresh {
+		clear(row)
 		sh := &t.shards[t.owner(x.Slot)]
 		sh.receivers = append(sh.receivers, x)
 	}
-	w[li>>6] |= 1 << (li & 63)
+	return tw, row
 }
 
 // cross moves v to the informed side of every lane set in lanes (a
@@ -663,10 +746,11 @@ func (t *Traffic) clearScanLane(li int) {
 
 // noteDeath maintains the shared pre-round counter, decrements the
 // informed counter of exactly the in-flight lanes whose bit is set on
-// the dead slot, empties the sender lists of the in-flight lanes
-// tracking it, and drops the slot's receiver tracking for all lanes with
-// one store. Sender-side entries naming the dead node stay in
-// other receivers' lists until the next freeze compacts them.
+// the dead slot, withdraws the dead node's incidences from its neighbors'
+// counts for those lanes, and drops the slot's receiver tracking for all
+// lanes with one store. The node's edges are still in the graph here
+// (core.Hooks), and every incidence was counted: a node is scanned at the
+// freeze after it crosses, before it can die.
 func (t *Traffic) noteDeath(h graph.Handle) {
 	if t.g.BirthSeq(h) < t.roundStartSeq {
 		t.preRoundAlive--
@@ -675,23 +759,35 @@ func (t *Traffic) noteDeath(h graph.Handle) {
 		return
 	}
 	if iw := t.informed.wordsOf(h); iw != nil {
+		lanes := t.hookLanes[:0]
+		informs := false
 		for i, w := range iw {
 			w &= t.liveMask[i]
+			lanes = append(lanes, w)
+			informs = informs || w != 0
 			for ; w != 0; w &= w - 1 {
 				t.lanes[i<<6|bits.TrailingZeros64(w)].informedAlive--
 			}
 		}
-	}
-	if tw := t.tracked.wordsOf(h); tw != nil {
-		for i, w := range tw {
-			w &= t.liveMask[i]
-			for ; w != 0; w &= w - 1 {
-				senders := t.lanes[i<<6|bits.TrailingZeros64(w)].senders
-				senders[h.Slot] = senders[h.Slot][:0]
-			}
+		t.hookLanes = lanes
+		if informs {
+			// Each visit is one incidence, withdrawn from the neighbor's
+			// count in the lanes that track it; a lane that does not track
+			// a neighbor informs it, so the neighbor has no count there.
+			t.g.Neighbors(h, func(x graph.Handle) bool {
+				if tw := t.tracked.wordsOf(x); tw != nil {
+					row := t.cnt.row(x.Slot)
+					for i, m := range lanes {
+						for m &= tw[i]; m != 0; m &= m - 1 {
+							row[i<<6|bits.TrailingZeros64(m)]--
+						}
+					}
+				}
+				return true
+			})
 		}
-		t.tracked.clearSlot(h)
 	}
+	t.tracked.clearSlot(h)
 }
 
 // noteEdge classifies a fresh request edge against every in-flight
@@ -699,9 +795,10 @@ func (t *Traffic) noteDeath(h graph.Handle) {
 // lanes for which the edge straddles the cut — a single event can be a
 // candidate for some messages and internal or irrelevant for others —
 // and each direction fans out over its set bits. Edges made during a
-// round join the cut for the next round: they are appended after the
-// freeze, so the running round's frozen candidates are untouched,
-// matching the reference's pre-advance capture.
+// round join the cut for the next round, matching the reference's
+// pre-advance capture: the freeze has already fixed which lanes each
+// receiver is frozen for, and under Discretized semantics admission
+// withdraws the fresh incidences from the counts it reads (applyFresh).
 func (t *Traffic) noteEdge(u, v graph.Handle) {
 	if len(t.inFlight) == 0 {
 		return
@@ -712,27 +809,62 @@ func (t *Traffic) noteEdge(u, v graph.Handle) {
 	t.edgeTo(u, v, vw, uw)
 }
 
-// edgeTo fans a churn edge between sender s and receiver x out to the
+// edgeTo counts a churn edge between sender s and receiver x in the
 // in-flight lanes that inform s (sw) but not x (xw); nil words inform no
-// lane. Serial hook context: births during the advance may outgrow the
-// arrays the last drain spanned, so it grows them first.
+// lane. Under Discretized semantics it also records the incidence as
+// fresh, for admission to withdraw. Serial hook context: births during the
+// advance may outgrow the arrays the last drain spanned, so it grows them
+// first.
 func (t *Traffic) edgeTo(x, s graph.Handle, sw, xw []uint64) {
 	if sw == nil {
 		return
 	}
-	live := t.edgeCand[:0]
+	lanes := t.hookLanes[:0]
+	cut := false
 	for i, w := range sw {
-		live = append(live, w&t.liveMask[i])
+		w &= t.liveMask[i]
+		if xw != nil {
+			w &^= xw[i]
+		}
+		lanes = append(lanes, w)
+		cut = cut || w != 0
 	}
-	t.edgeCand = live
-	n := int(x.Slot) + 1
-	t.tracked.grow(n)
-	for i, w := range live {
-		for ; w != 0; w &= w - 1 {
-			t.lanes[i<<6|bits.TrailingZeros64(w)].growTo(n)
+	t.hookLanes = lanes
+	if !cut {
+		return
+	}
+	t.growTracked(int(x.Slot) + 1)
+	t.fanOut(lanes, nil, x, s)
+	if t.opts.Mode == Discretized {
+		t.fresh = append(t.fresh, freshEdge{recv: x, sender: s})
+		t.freshLanes = append(t.freshLanes, lanes...)
+	}
+}
+
+// applyFresh adds delta to the counts of this advance's fresh incidences
+// whose sender is still alive, in the lanes that still track the
+// receiver. A dead sender's incidences already left the counts at its
+// death (noteDeath), and a dead receiver's row is invalid. Run with -1
+// before the admission sweep, the counts hold exactly the frozen
+// incidences whose sender survived — the Discretized admission test — and
+// with +1 after it, the lanes that did not admit get theirs back. Serial
+// context; a no-op under Asynchronous semantics, which records none.
+func (t *Traffic) applyFresh(delta int32) {
+	for k, e := range t.fresh {
+		if !t.g.IsAlive(e.sender) {
+			continue
+		}
+		tw := t.tracked.wordsOf(e.recv)
+		if tw == nil {
+			continue
+		}
+		row := t.cnt.row(e.recv.Slot)
+		for i, m := range t.freshLanes[k*t.stride : (k+1)*t.stride] {
+			for m &= tw[i]; m != 0; m &= m - 1 {
+				row[i<<6|bits.TrailingZeros64(m)] += delta
+			}
 		}
 	}
-	t.fanOut(live, xw, x, s)
 }
 
 // --- the batched freeze ---
@@ -763,7 +895,7 @@ func (t *Traffic) freeze() {
 // callback's common path stays short and staging stays proportional to
 // the cut (DESIGN.md, "The scan filter"). A neighbor visited twice in one
 // scan — a parallel edge, or the out+in visit of a mutual request — is
-// appended twice: rare, and harmless to admission's existence test.
+// counted twice, once per incidence, as the death walk will withdraw it.
 func (t *Traffic) drainFrontiers() {
 	if len(t.scanNodes) == 0 {
 		return
@@ -780,7 +912,7 @@ func (t *Traffic) drainFrontiers() {
 	}
 	// Fan-out never reallocates: every handle the scans reach lives in
 	// the current snapshot, so spanning the arena up front suffices.
-	t.growPlane(t.g.NumSlots())
+	t.growTracked(t.g.NumSlots())
 	if t.par == 1 {
 		for k, v := range t.scanNodes {
 			lw := t.scanLanes[k*t.stride : (k+1)*t.stride]
@@ -810,43 +942,30 @@ func anyBit(w []uint64) bool {
 	return false
 }
 
-// fanOut records the cut edge (v -> x) for every lane in lanes that does
-// not hold x in xw (x's informed words; nil holds none): v joins each
-// such lane's sender list toward x. The lane index comes from lanes, not
-// from xw, so the list's address does not wait on x's informed words.
-// Owner-shard context — only x's owner shard calls it during a parallel
-// phase — and the slot-indexed arrays must already span x (growth is
-// serial: growPlane, edgeTo).
-//
-// A live lane's sender list toward a slot is non-empty exactly while the
-// lane's tracking bit is set there — every pass that clears a bit empties
-// the list (the admission sweep, noteDeath, the freeze) — so only the
-// first sender touches the packed state (track).
+// fanOut counts one incidence of the cut edge (v -> x) for every lane in
+// lanes that does not hold x in xw (x's informed words; nil holds none),
+// setting the lane's tracking bit on x. x's slot is claimed once, at the
+// first counted lane. Owner-shard context — only x's owner shard calls it
+// during a parallel phase — and the slot-indexed arrays must already span
+// x (growth is serial: growTracked).
 func (t *Traffic) fanOut(lanes, xw []uint64, x, v graph.Handle) {
+	var tw []uint64
+	var row []int32
 	for i, w := range lanes {
+		if xw != nil {
+			w &^= xw[i]
+		}
 		for ; w != 0; w &= w - 1 {
-			if xw != nil && xw[i]&(w&-w) != 0 {
-				continue
-			}
 			li := i<<6 | bits.TrailingZeros64(w)
 			if t.onStage != nil && !t.onStage(li, x, v) {
 				continue
 			}
-			lst := &t.lanes[li].senders[x.Slot]
-			if len(*lst) == 0 {
-				t.track(li, x)
+			if row == nil {
+				tw, row = t.claimRow(x)
 			}
-			*lst = append(*lst, v)
+			tw[i] |= w & -w
+			row[li]++
 		}
-	}
-}
-
-// growPlane spans every slot-indexed structure a fan-out touches, so
-// fan-out inside a shard sweep never reallocates shared arrays.
-func (t *Traffic) growPlane(nSlots int) {
-	t.tracked.grow(nSlots)
-	for _, li := range t.inFlight {
-		t.lanes[li].growTo(nSlots)
 	}
 }
 
@@ -910,28 +1029,24 @@ func (t *Traffic) drainFrontiersSharded() {
 }
 
 // compactShard is the freeze pass over one shard's shared receivers,
-// batched across every lane: each receiver is visited once and its
-// per-lane candidate lists compacted by iterating only the set bits of
-// its masked tracking word. Stale receivers are dropped, dead senders
-// are compacted out of the surviving lists, and a lane whose every
-// sender died stops tracking the receiver; a receiver no lane still
-// tracks is dropped and its slot released (clearSlot), so a later edge
-// re-enters it once. The frozen cut is recorded flat in (receiver,
-// ascending lane) order for the admission sweep; the recorded lengths
-// exclude edges created during the upcoming advance. Tracked lanes never
-// inform the receiver (see cross), so the pass reads no informed state.
-// Every write is to shard-owned slots, so shards compact concurrently.
+// batched across every lane: each receiver is visited once and freezes
+// the lanes of its masked tracking words whose count is positive. Stale
+// receivers are dropped, and so are dormant lanes' bits and the bits of
+// lanes whose count fell to zero as senders died; a receiver no lane
+// still tracks is dropped and its slot released (clearSlot), so a later
+// edge re-enters it once. The frozen lanes are recorded in receiver order
+// for the admission sweep. Tracked lanes never inform the receiver (see
+// cross), so the pass reads no informed state. Every write is to
+// shard-owned slots, so shards compact concurrently.
 func (t *Traffic) compactShard(w int) {
 	sh := &t.shards[w]
-	g := t.g
 	st := t.stride
 	// First gather every receiver's live tracking words (zero for a stale
 	// entry): the loads are independent and overlap, and the pass below
-	// then takes its lanes from this sequential copy, so its sender-list
-	// loads do not wait on them. Dormant lanes' bits drop here. A death
-	// with lanes in flight releases the node's slot, so a stale entry
-	// reads nil; a node that died while none were in flight keeps only
-	// dormant lanes' bits.
+	// then takes its lanes from this sequential copy, so its count loads
+	// do not wait on them. A death with lanes in flight releases the
+	// node's slot, so a stale entry reads nil; a node that died while none
+	// were in flight keeps only dormant lanes' bits.
 	sh.frozenWords = sh.frozenWords[:0]
 	for _, v := range sh.receivers {
 		tw := t.tracked.wordsOf(v)
@@ -943,26 +1058,15 @@ func (t *Traffic) compactShard(w int) {
 			sh.frozenWords = append(sh.frozenWords, live)
 		}
 	}
-	sh.frozenLen = sh.frozenLen[:0]
 	n := 0
 	for r, v := range sh.receivers {
+		row := t.cnt.row(v.Slot)
 		anyFrozen := false
 		for i := 0; i < st; i++ {
 			var frozen uint64
 			for m := sh.frozenWords[r*st+i]; m != 0; m &= m - 1 {
-				senders := t.lanes[i<<6|bits.TrailingZeros64(m)].senders
-				lst := senders[v.Slot]
-				k := 0
-				for _, s := range lst {
-					if g.IsAlive(s) {
-						lst[k] = s
-						k++
-					}
-				}
-				senders[v.Slot] = lst[:k]
-				if k > 0 {
+				if row[i<<6|bits.TrailingZeros64(m)] > 0 {
 					frozen |= m & -m
-					sh.frozenLen = append(sh.frozenLen, int32(k))
 				}
 			}
 			sh.frozenWords[n*st+i] = frozen // n <= r: word r*st+i is read
@@ -970,7 +1074,7 @@ func (t *Traffic) compactShard(w int) {
 		}
 		if !anyFrozen {
 			t.tracked.clearSlot(v) // a no-op for a stale entry
-			continue               // no lane holds live candidates: entry dropped
+			continue               // no lane holds a live count: entry dropped
 		}
 		// Some live lane tracks v, so its slot is current: store the
 		// frozen lanes as its tracking words.
@@ -984,54 +1088,43 @@ func (t *Traffic) compactShard(w int) {
 }
 
 // admitShard runs the admission test over one shard's frozen receivers,
-// batched across lanes: per receiver the liveness check is paid once,
-// and each frozen lane's test — some frozen sender qualifies (any under
-// Asynchronous semantics, a still-alive one under Discretized) — reads
-// exactly the freeze-time prefix of the lane's sender list, so edges
-// created during the advance are excluded. Nothing informs a node
-// between the freeze and this sweep, so a frozen lane needs no informed
-// check. The outcome per receiver is an existence test, independent of
-// every iteration order; the admitted lanes are staged per shard and
-// applied at the serial merge.
+// batched across lanes: per receiver the liveness check is paid once, and
+// a frozen lane admits when some frozen sender qualifies — any under
+// Asynchronous semantics, a still-alive one under Discretized, which is a
+// positive count once Step has withdrawn the advance's fresh incidences
+// (applyFresh). Nothing informs a node between the freeze and this sweep,
+// so a frozen lane needs no informed check. The outcome per receiver is
+// independent of every iteration order; the admitted lanes are staged per
+// shard and applied at the serial merge.
 //
-// An admitting lane stops tracking the receiver here, in the owner
-// shard: its list is emptied and its bit cleared, so the serial cross
-// that follows only marks the node informed. The sweep also prunes the
+// An admitting lane stops tracking the receiver here, in the owner shard:
+// its count is zeroed and its bit cleared, so the serial cross that
+// follows only marks the node informed. The sweep also prunes the
 // receiver list — a receiver that died, or that every tracking lane
-// admitted, is dropped now, with its slot released, rather than visited
-// by the next freeze — and ends the frozen cut.
+// admitted, is dropped now, with its slot released, rather than visited by
+// the next freeze — and ends the frozen cut.
 func (t *Traffic) admitShard(w int) {
 	sh := &t.shards[w]
 	g := t.g
 	async := t.opts.Mode == Asynchronous
 	sh.admRecv = sh.admRecv[:0]
 	sh.admWords = sh.admWords[:0]
-	cur, n := 0, 0
+	n := 0
 	for fi, v := range sh.receivers[:sh.nFrozen] {
-		fw := sh.frozenWords[fi*t.stride : (fi+1)*t.stride]
 		if !g.IsAlive(v) {
-			// Died during the advance (its tracking went with it): drop
-			// the entry, consuming its frozen lengths (one per set bit).
-			for _, x := range fw {
-				cur += bits.OnesCount64(x)
-			}
-			continue
+			continue // died during the advance (its tracking went with it)
 		}
+		fw := sh.frozenWords[fi*t.stride : (fi+1)*t.stride]
+		row := t.cnt.row(v.Slot)
 		wordBase := len(sh.admWords)
 		var tw []uint64 // v's tracking words, fetched at the first admission
 		for i, m := range fw {
 			var admitted uint64
 			for ; m != 0; m &= m - 1 {
-				senders := t.lanes[i<<6|bits.TrailingZeros64(m)].senders
-				lst := senders[v.Slot]
-				flen := int(sh.frozenLen[cur])
-				cur++
-				for _, s := range lst[:flen] {
-					if async || g.IsAlive(s) {
-						admitted |= m & -m
-						senders[v.Slot] = lst[:0]
-						break
-					}
+				li := i<<6 | bits.TrailingZeros64(m)
+				if async || row[li] > 0 {
+					admitted |= m & -m
+					row[li] = 0
 				}
 			}
 			sh.admWords = append(sh.admWords, admitted)
@@ -1061,22 +1154,27 @@ func (t *Traffic) admitShard(w int) {
 	sh.nFrozen = 0
 }
 
-// laneFootprint reports the allocated lane count and the summed per-slot
-// sender-list headers across allocated lanes — the quantities the
+// laneFootprint reports the allocated lane count and the number of
+// nonzero count cells across allocated lanes — the quantities the
 // retirement property test tracks to pin memory at O(live messages), not
 // O(all ever injected).
 func (t *Traffic) laneFootprint() (lanes, slotState int) {
-	for _, ln := range t.lanes {
+	width := 1 << t.cnt.shift
+	for li, ln := range t.lanes {
 		if ln == nil {
 			continue
 		}
 		lanes++
-		slotState += len(ln.senders)
+		for i := li; i < len(t.cnt.cells); i += width {
+			if t.cnt.cells[i] != 0 {
+				slotState++
+			}
+		}
 	}
 	return lanes, slotState
 }
 
-// TrafficMemStats describes a plane's packed informed-state layout; see
+// TrafficMemStats describes a plane's per-slot memory layout; see
 // MemStats.
 type TrafficMemStats struct {
 	// Slots is the arena-slot span of the packed state (grown
@@ -1096,18 +1194,24 @@ type TrafficMemStats struct {
 	// pre-packing layout of one graph.Marks per lane: 12 bytes (an
 	// 8-byte epoch plus a 4-byte generation) per slot per lane.
 	MarksBaselineBytes int
+	// CutCountBytes is the cut-count store's footprint: one 4-byte count
+	// per slot per lane, in rows of the smallest power of two at least
+	// Lanes, over the tracked bitset's slot span.
+	CutCountBytes int
 }
 
-// MemStats reports the plane's informed-state memory layout — the
-// numbers behind the packed-bitset design: PackedInformedBytes/Lanes
-// versus MarksBaselineBytes/Lanes is the per-lane saving (≈ 93× at
-// M = 1024, since an epoch+gen pair per slot per lane collapses to one
-// bit plus a 1/M share of the shared per-slot generation).
+// MemStats reports the plane's per-slot memory layout — the numbers
+// behind the packed-bitset design: PackedInformedBytes/Lanes versus
+// MarksBaselineBytes/Lanes is the per-lane saving (≈ 93× at M = 1024,
+// since an epoch+gen pair per slot per lane collapses to one bit plus a
+// 1/M share of the shared per-slot generation) — and the cut-count
+// store's size.
 func (t *Traffic) MemStats() TrafficMemStats {
 	st := TrafficMemStats{
-		Slots:        t.informed.slots(),
-		Lanes:        len(t.lanes),
-		WordsPerSlot: t.stride,
+		Slots:         t.informed.slots(),
+		Lanes:         len(t.lanes),
+		WordsPerSlot:  t.stride,
+		CutCountBytes: t.cnt.footprintBytes(),
 	}
 	st.PackedInformedBytes = t.informed.footprintBytes()
 	st.MarksBaselineBytes = st.Slots * 12 * st.Lanes

@@ -227,9 +227,11 @@ func TestTrafficNegativeControl(t *testing.T) {
 
 // TestTrafficRetireReleasesAndReuses is the memory property test: retiring
 // done messages mid-run must release their lanes' per-slot state (tracked
-// via the laneFootprint test hook), keeping the plane at O(live messages)
-// rather than O(all ever injected) — and a late injection reusing a retired
-// lane slot must match the reference flooding from that model state.
+// via the laneFootprint test hook: the allocated lanes and their nonzero
+// cut counts), keeping the plane at O(live messages) rather than O(all
+// ever injected) — and a late injection reusing a retired lane slot must
+// start from an all-zero count column, leave the count store's width
+// alone, and match the reference flooding from that model state.
 func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 	t.Parallel()
 	opts := TrafficOptions{MaxRounds: 30, KeepTrajectory: true}
@@ -252,6 +254,10 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 		var ids []MessageID
 		for i := 0; i < first; i++ {
 			ids = append(ids, tr.Inject(nthAlive(m.Graph(), i)))
+		}
+		width0 := 1 << tr.cnt.shift
+		if width0 < first || width0 >= 2*first {
+			t.Fatalf("seed %d: count rows are %d cells wide for %d lanes", seed, width0, first)
 		}
 		lanes0, slot0 := tr.laneFootprint()
 		if lanes0 != first || slot0 == 0 {
@@ -285,12 +291,24 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 		// reference flooding from the same model state.
 		stepsSoFar := tr.Steps()
 		src := nthAlive(m.Graph(), 0)
+		// A stale count in the column the late injection will reuse keeps
+		// the all-zero check below from passing vacuously.
+		tr.cnt.row(0)[tr.freeLanes[len(tr.freeLanes)-1]] = 7
 		late := tr.Inject(src)
 		if got, want := tr.Injected(), first+1; got != want {
 			t.Fatalf("seed %d: Injected() = %d, want %d (IDs are never reused)", seed, got, want)
 		}
 		if lanesLate, _ := tr.laneFootprint(); lanesLate != 1 {
 			t.Fatalf("seed %d: late injection allocated %d lanes, want 1 reused slot", seed, lanesLate)
+		}
+		if width := 1 << tr.cnt.shift; width != width0 {
+			t.Fatalf("seed %d: reuse widened the count rows from %d to %d cells", seed, width0, width)
+		}
+		li := tr.msgs[late].laneIdx
+		for i := li; i < len(tr.cnt.cells); i += width0 {
+			if c := tr.cnt.cells[i]; c != 0 {
+				t.Fatalf("seed %d: reused lane %d starts with count %d in slot %d", seed, li, c, i/width0)
+			}
 		}
 		for tr.Live() > 0 {
 			tr.Step()
@@ -314,6 +332,54 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 			}()
 			tr.Retire(ids[0])
 		}()
+	}
+}
+
+// TestCutCountsFootprint sanity-checks the count-store accounting MemStats
+// reports as CutCountBytes: rows of the smallest power of two at least the
+// lane count, 4 bytes a cell, so one lane costs 4 bytes per slot and 64
+// lanes 256. Widening keeps every cell, and clearing a lane zeroes only
+// its column.
+func TestCutCountsFootprint(t *testing.T) {
+	t.Parallel()
+	var c cutCounts
+	c.grow(100)
+	if got, want := c.footprintBytes(), 100*4; got != want {
+		t.Fatalf("one lane: footprintBytes = %d, want %d", got, want)
+	}
+	c.row(7)[0] = 3
+	for _, tc := range []struct{ lanes, width int }{{2, 2}, {3, 4}, {64, 64}, {65, 128}, {9, 128}} {
+		c.widen(tc.lanes)
+		if got := 1 << c.shift; got != tc.width {
+			t.Fatalf("widen(%d): rows of %d cells, want %d", tc.lanes, got, tc.width)
+		}
+		if got, want := c.footprintBytes(), 100*tc.width*4; got != want {
+			t.Fatalf("widen(%d): footprintBytes = %d, want %d", tc.lanes, got, want)
+		}
+		if got := c.row(7)[0]; got != 3 {
+			t.Fatalf("widen(%d) lost a cell: %d, want 3", tc.lanes, got)
+		}
+	}
+	c.row(7)[64] = 5
+	c.clearLane(0)
+	if a, b := c.row(7)[0], c.row(7)[64]; a != 0 || b != 5 {
+		t.Fatalf("clearLane(0) left cells %d and %d, want 0 and 5", a, b)
+	}
+
+	// A running plane reports the store over its tracked slot span.
+	for _, messages := range []int{1, 64} {
+		m := core.New(core.PDGR, 300, 5, rng.New(2))
+		core.WarmUp(m)
+		tr := NewTraffic(m, TrafficOptions{MaxRounds: 5})
+		for i := 0; i < messages; i++ {
+			tr.Inject(nthAlive(m.Graph(), i))
+		}
+		tr.Step()
+		st := tr.MemStats()
+		if want := tr.tracked.slots() * messages * 4; st.CutCountBytes != want || want == 0 {
+			t.Fatalf("M=%d: CutCountBytes = %d, want %d", messages, st.CutCountBytes, want)
+		}
+		tr.Close()
 	}
 }
 
