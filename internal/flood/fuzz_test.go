@@ -51,3 +51,27 @@ func FuzzTrafficMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// FuzzTrafficBetweenStepChurn is the coverage-guided form of
+// TestTrafficBetweenStepChurn: the fuzzer picks the seed, n ≤ 300, d,
+// M ≤ 130, the mode, the worker count W and how many churn operations
+// land inside and between Steps, and checkBetweenStepChurn checks every
+// freeze against the recomputed cut and every Step's admissions against
+// the frozen edges. Its committed corpus
+// (testdata/fuzz/FuzzTrafficBetweenStepChurn) replays under a plain go
+// test.
+func FuzzTrafficBetweenStepChurn(f *testing.F) {
+	f.Add(uint64(1), uint16(60), uint8(2), uint8(3), uint8(0), uint8(0), uint8(1), uint8(6))
+	f.Fuzz(func(t *testing.T, seed uint64, n uint16, d, messages, mode, w, perRound, perGap uint8) {
+		checkBetweenStepChurn(t, liveChurnConfig{
+			seed:     seed,
+			n:        8 + int(n)%293, // 8..300
+			d:        1 + int(d)%8,
+			messages: 1 + int(messages)%130,
+			mode:     Mode(mode % 2),
+			par:      int(w) % 5,
+			perRound: int(perRound) % 6,
+			perGap:   int(perGap) % 24,
+		})
+	})
+}

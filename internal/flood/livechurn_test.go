@@ -1,0 +1,254 @@
+package flood
+
+import (
+	"fmt"
+	"testing"
+
+	"github.com/dyngraph/churnnet/internal/core"
+	"github.com/dyngraph/churnnet/internal/graph"
+	"github.com/dyngraph/churnnet/internal/rng"
+)
+
+// churnTestModel is a command-driven churn model in the shape of a live
+// server's: join (d uniform requests), leave (orphaned requests redial)
+// and crash (orphaned requests dangle) may run at any time, not only
+// inside AdvanceRound, and AdvanceRound runs a few of the same operations
+// so churn also lands inside Steps. Every placed or redirected edge fires
+// OnEdge and every departure fires OnDeath before the node is removed
+// (core.EdgeEventSource). The core models confine all churn to
+// AdvanceRound; this one is how the tests reach the plane's
+// between-Step contract.
+type churnTestModel struct {
+	g        *graph.Graph
+	r        *rng.RNG
+	n, d     int
+	perRound int // operations inside each AdvanceRound
+	round    int
+	last     graph.Handle
+	hooks    core.Hooks
+	buf      []graph.InEdge
+}
+
+// newChurnTestModel grows n nodes by joins, each requesting d earlier
+// nodes, with no hooks installed.
+func newChurnTestModel(n, d, perRound int, seed uint64) *churnTestModel {
+	m := &churnTestModel{g: graph.New(n, d), r: rng.New(seed), n: n, d: d, perRound: perRound}
+	for i := 0; i < n; i++ {
+		m.join()
+	}
+	return m
+}
+
+func (m *churnTestModel) Kind() core.Kind        { return core.Live }
+func (m *churnTestModel) Graph() *graph.Graph    { return m.g }
+func (m *churnTestModel) N() int                 { return m.n }
+func (m *churnTestModel) D() int                 { return m.d }
+func (m *churnTestModel) Now() float64           { return float64(m.round) }
+func (m *churnTestModel) LastBorn() graph.Handle { return m.last }
+func (m *churnTestModel) SetHooks(h core.Hooks)  { m.hooks = h }
+func (m *churnTestModel) Hooks() core.Hooks      { return m.hooks }
+func (m *churnTestModel) EmitsEdgeEvents() bool  { return true }
+
+func (m *churnTestModel) AdvanceRound() {
+	m.round++
+	m.churn(m.perRound)
+}
+
+// churn runs ops random operations: a join half the time (always while
+// fewer than two nodes are alive), otherwise a leave or a crash of a
+// uniformly random node.
+func (m *churnTestModel) churn(ops int) {
+	for i := 0; i < ops; i++ {
+		if m.g.NumAlive() < 2 || m.r.Bool() {
+			m.join()
+		} else {
+			m.depart(m.g.RandomAlive(m.r), m.r.Bool())
+		}
+	}
+}
+
+func (m *churnTestModel) join() graph.Handle {
+	h := m.g.AddNode(float64(m.round))
+	m.last = h
+	for i := 0; i < m.d; i++ {
+		tgt := m.g.RandomAliveExcept(m.r, h)
+		if tgt.IsNil() {
+			break
+		}
+		m.g.AddOutEdge(h, tgt)
+		if m.hooks.OnEdge != nil {
+			m.hooks.OnEdge(h, tgt)
+		}
+	}
+	if m.hooks.OnBirth != nil {
+		m.hooks.OnBirth(h)
+	}
+	return h
+}
+
+func (m *churnTestModel) depart(h graph.Handle, redial bool) {
+	if m.hooks.OnDeath != nil {
+		m.hooks.OnDeath(h)
+	}
+	m.buf = m.g.RemoveNode(h, m.buf[:0])
+	if !redial {
+		return
+	}
+	for _, e := range m.buf {
+		tgt := m.g.RandomAliveExcept(m.r, e.Src)
+		if tgt.IsNil() {
+			continue
+		}
+		m.g.RedirectOutEdge(e.Src, e.Slot, tgt)
+		if m.hooks.OnEdge != nil {
+			m.hooks.OnEdge(e.Src, tgt)
+		}
+	}
+}
+
+// liveChurnConfig is one between-Step churn scenario; see
+// checkBetweenStepChurn.
+type liveChurnConfig struct {
+	seed             uint64
+	n, d             int
+	messages         int
+	mode             Mode
+	par              int
+	perRound, perGap int // churn operations inside / between Steps
+}
+
+func (c liveChurnConfig) String() string {
+	return fmt.Sprintf("seed %d n=%d d=%d M=%d %v W=%d churn %d/%d",
+		c.seed, c.n, c.d, c.messages, c.mode, c.par, c.perRound, c.perGap)
+}
+
+// checkBetweenStepChurn drives a plane over a churnTestModel with churn,
+// injections and retirements between Steps, and checks every Step against
+// a reference kept here: at each freeze the plane's counts must equal the
+// recomputed cut (checkFrozenCut), and the reference records each
+// in-flight message's frozen (receiver, sender) pairs; after the Step a
+// message must inform exactly its earlier informed set plus the frozen
+// receivers that survived with a sender the mode accepts (any under
+// Asynchronous, a surviving one under Discretized), among the alive
+// nodes, and its EverInformed and FinalInformed must agree.
+func checkBetweenStepChurn(t *testing.T, c liveChurnConfig) {
+	t.Helper()
+	m := newChurnTestModel(c.n, c.d, c.perRound, c.seed)
+	g := m.g
+	tr := NewTraffic(m, TrafficOptions{Mode: c.mode, MaxRounds: 12, Parallelism: c.par})
+	defer tr.Close()
+	drv := rng.New(c.seed ^ 0x9e3779b97f4a7c15)
+
+	type pair struct{ recv, sender graph.Handle }
+	ever := map[MessageID]map[graph.Handle]bool{}
+	frozen := map[MessageID][]pair{}
+	step := 0
+	tr.onFreeze = func() {
+		at := fmt.Sprintf("%v: step %d", c, step)
+		checkFrozenCut(t, tr, at)
+		for _, li := range tr.inFlight {
+			id := tr.lanes[li].id
+			var ps []pair
+			for u := range ever[id] {
+				if !g.IsAlive(u) {
+					continue
+				}
+				g.Neighbors(u, func(x graph.Handle) bool {
+					if !ever[id][x] {
+						ps = append(ps, pair{x, u})
+					}
+					return true
+				})
+			}
+			frozen[id] = ps
+		}
+	}
+
+	injected := 0
+	inject := func() {
+		src := g.RandomAlive(drv)
+		ever[tr.Inject(src)] = map[graph.Handle]bool{src: true}
+		injected++
+	}
+	// Half the messages start as a burst, so more than 64 lanes are in
+	// flight at once when M is large.
+	for injected < c.messages/2 {
+		inject()
+	}
+	for step = 0; step < 40; step++ {
+		// Between Steps: churn, inject and retire in a random interleaving.
+		for op := 0; op < c.perGap; op++ {
+			switch {
+			case injected < c.messages && drv.Intn(3) == 0:
+				inject()
+			case drv.Intn(8) == 0:
+				for id := MessageID(0); int(id) < tr.Injected(); id++ {
+					if tr.Status(id) == MessageDone {
+						tr.Retire(id)
+						delete(ever, id)
+						break
+					}
+				}
+			default:
+				m.churn(1)
+			}
+		}
+		if tr.Live() == 0 {
+			if injected == c.messages {
+				return
+			}
+			continue
+		}
+		for id := range frozen {
+			delete(frozen, id)
+		}
+		tr.Step()
+		for id, ps := range frozen {
+			for _, p := range ps {
+				if g.IsAlive(p.recv) && (c.mode == Asynchronous || g.IsAlive(p.sender)) {
+					ever[id][p.recv] = true
+				}
+			}
+			li := tr.msgs[id].laneIdx
+			informedAlive := 0
+			g.ForEachAlive(func(v graph.Handle) bool {
+				if want := ever[id][v]; tr.informed.has(v, li) != want {
+					t.Fatalf("%v: step %d: message %d informs %v = %v, reference %v", c, step, id, v, !want, want)
+				}
+				if ever[id][v] {
+					informedAlive++
+				}
+				return true
+			})
+			res := tr.Result(id)
+			if res.EverInformed != len(ever[id]) || res.FinalInformed != informedAlive {
+				t.Fatalf("%v: step %d: message %d EverInformed/FinalInformed %d/%d, reference %d/%d",
+					c, step, id, res.EverInformed, res.FinalInformed, len(ever[id]), informedAlive)
+			}
+		}
+	}
+}
+
+// TestTrafficBetweenStepChurn checks the plane when churn and injections
+// arrive between Steps, as a live server's commands do: a node admitted
+// or injected that leaves before the next Step, an edge made toward it,
+// and an edge made toward an informed node between Steps (which belongs
+// to the next freeze's snapshot, so it admits in that Step under
+// Discretized semantics). Two and 130 messages (both 64-lane word seams)
+// at several worker counts.
+func TestTrafficBetweenStepChurn(t *testing.T) {
+	t.Parallel()
+	for seed := uint64(0); seed < 6; seed++ {
+		for _, mode := range []Mode{Discretized, Asynchronous} {
+			for _, messages := range []int{2, 130} {
+				for _, par := range []int{1, 3} {
+					checkBetweenStepChurn(t, liveChurnConfig{
+						seed: seed, n: 60 + int(seed)*15, d: 1 + int(seed%4),
+						messages: messages, mode: mode, par: par,
+						perRound: int(seed % 3), perGap: 4 + int(seed%3)*6,
+					})
+				}
+			}
+		}
+	}
+}

@@ -21,13 +21,13 @@ import (
 // plane keeps, per message, the size of the live cut at every receiver —
 // the number of live edge incidences between an uninformed alive node and
 // the message's informed nodes — and updates it only on the events that
-// change it: a node crossing the cut (its one-off neighborhood scan is
-// deferred to the next freeze), a death (Hooks.OnDeath, which walks the
-// dead node's neighborhood once) and an edge creation or regeneration
-// (Hooks.OnEdge). Admission needs only whether some frozen sender
-// qualifies, and a count answers that: > 0 at the freeze, and still > 0
-// after this round's fresh edges are withdrawn under Discretized
-// semantics. Completion is O(1) per round: a message's informedAlive
+// change it: a node crossing the cut (one neighborhood scan, batched per
+// Step or Inject and run before that call returns), a death
+// (Hooks.OnDeath, which walks the dead node's neighborhood once) and an
+// edge creation or regeneration (Hooks.OnEdge). Admission needs only
+// whether some frozen sender qualifies, and a count answers that: > 0 at
+// the freeze, and still > 0 after this round's fresh edges are withdrawn
+// under Discretized semantics. Completion is O(1) per round: a message's informedAlive
 // against the shared preRoundAlive. Every round freezes exactly the live
 // cut of the pre-advance snapshot, so each message's Result is
 // bit-for-bit RunReference's on an identically seeded model advanced to
@@ -101,9 +101,11 @@ type Traffic struct {
 
 	// Fresh incidences of the running advance, recorded by edgeTo under
 	// Discretized semantics: fresh[k] was counted toward its receiver for
-	// the lanes in freshLanes[k*stride:(k+1)*stride]. Admission withdraws
-	// them, so it reads the frozen count minus dead senders (see
-	// applyFresh).
+	// the lanes in freshLanes[k*stride:(k+1)*stride]. Step drops the
+	// records right after the freeze — an incidence made between Steps is
+	// in the frozen snapshot — so at admission they are exactly the
+	// advance's, which admission withdraws to read the frozen count minus
+	// dead senders (see applyFresh).
 	fresh      []freshEdge
 	freshLanes []uint64
 
@@ -113,13 +115,14 @@ type Traffic struct {
 	preRoundAlive int
 	roundStartSeq uint64
 
-	// Pending frontier: scanNodes holds the nodes to scan at the next
-	// freeze, scanLanes[k*stride:(k+1)*stride] the packed lanes that
-	// queued scanNodes[k] (see cross). Every pending handle is alive until
-	// the next freeze: no event intervenes between a crossing and it.
+	// Pending frontier: scanNodes holds the nodes that crossed in the
+	// running Step or Inject, scanLanes[k*stride:(k+1)*stride] the packed
+	// lanes that queued scanNodes[k] (see cross). drainFrontiers scans and
+	// empties it before the call returns, so no hook — churn between
+	// Steps included — ever sees an informed node whose incidences are
+	// not yet counted, and every pending handle is alive at its scan.
 	scanNodes []graph.Handle
 	scanLanes []uint64
-	nAdmitted int // scanNodes[:nAdmitted] came from the last admission sweep, the rest from Inject
 
 	shards []trafficShard
 
@@ -299,8 +302,9 @@ func (t *Traffic) Close() {
 }
 
 // Inject admits a new message sourced at src (Nil selects the model's
-// most recently born node, the single-run convention) and returns its
-// MessageID. The message's first flooding round is the next Step; its
+// most recently born node, the single-run convention), counts the
+// source's incidences into its cut, and returns its MessageID. The
+// message's first flooding round is the next Step; its
 // Result is bit-for-bit what RunReference from the same source and model
 // state would produce. It panics if the source is not alive or the plane
 // is closed.
@@ -327,7 +331,6 @@ func (t *Traffic) Inject(src graph.Handle) MessageID {
 		t.informed.clearLane(li)
 		t.tracked.clearLane(li)
 		t.cnt.clearLane(li)
-		t.clearScanLane(li)
 	} else {
 		li = len(t.lanes)
 		t.lanes = append(t.lanes, nil)
@@ -358,6 +361,7 @@ func (t *Traffic) Inject(src graph.Handle) MessageID {
 	lanes := make([]uint64, t.stride)
 	lanes[li>>6] = 1 << (li & 63)
 	t.cross(src, lanes)
+	t.drainFrontiers()
 
 	t.inFlight = append(t.inFlight, li)
 	t.msgs = append(t.msgs, message{laneIdx: li, status: MessageInFlight, step: t.steps})
@@ -427,8 +431,9 @@ func (t *Traffic) Retire(id MessageID) {
 // Step advances the plane one transmission unit: freeze every in-flight
 // lane's cut, advance the model one round (churn events update all lanes
 // through the shared hook chain), then run every lane's admission and
-// round accounting. Messages that finish this round leave the in-flight
-// set with their Result final.
+// round accounting, and scan the admitted nodes' neighborhoods for the
+// lanes still in flight. Messages that finish this round leave the
+// in-flight set with their Result final.
 func (t *Traffic) Step() {
 	if t.closed {
 		panic("flood: Step on a closed Traffic plane")
@@ -437,6 +442,8 @@ func (t *Traffic) Step() {
 	g := t.g
 
 	t.freeze()
+	t.fresh = t.fresh[:0]
+	t.freshLanes = t.freshLanes[:0]
 	t.roundStartSeq = g.NextBirthSeq()
 	t.preRoundAlive = g.NumAlive()
 	if t.onFreeze != nil {
@@ -453,8 +460,6 @@ func (t *Traffic) Step() {
 	t.applyFresh(-1)
 	t.forEachShard(func(w int) { t.admitShard(w) })
 	t.applyFresh(+1)
-	t.fresh = t.fresh[:0]
-	t.freshLanes = t.freshLanes[:0]
 	alive := g.NumAlive()
 	for w := range t.shards {
 		sh := &t.shards[w]
@@ -462,7 +467,6 @@ func (t *Traffic) Step() {
 			t.cross(v, sh.admWords[j*t.stride:(j+1)*t.stride])
 		}
 	}
-	t.nAdmitted = len(t.scanNodes)
 	keep := t.inFlight[:0]
 	for _, li := range t.inFlight {
 		ln := t.lanes[li]
@@ -476,6 +480,7 @@ func (t *Traffic) Step() {
 		}
 	}
 	t.inFlight = keep
+	t.drainFrontiers()
 }
 
 // roundAccounting does one lane's per-round bookkeeping from the counters
@@ -572,23 +577,15 @@ func (t *Traffic) clearLive(li int) { t.liveMask[li>>6] &^= 1 << (li & 63) }
 
 // reshape widens the packed state to a new words-per-slot stride when
 // the allocated lane count crosses a 64-lane word boundary. Serial
-// context only (Inject); frozen/admission words are ephemeral within one
-// Step and need no migration, the pending scan masks do.
+// context only (Inject, before its crossing): frozen/admission words are
+// ephemeral within one Step and no scan is pending, so nothing else needs
+// migration.
 func (t *Traffic) reshape(stride int) {
 	t.informed.reshape(stride)
 	t.tracked.reshape(stride)
 	lm := make([]uint64, stride)
 	copy(lm, t.liveMask)
 	t.liveMask = lm
-	if n := len(t.scanNodes); n > 0 {
-		ns := make([]uint64, n*stride)
-		for k := 0; k < n; k++ {
-			copy(ns[k*stride:], t.scanLanes[k*t.stride:(k+1)*t.stride])
-		}
-		t.scanLanes = ns
-	} else {
-		t.scanLanes = t.scanLanes[:0]
-	}
 	t.stride = stride
 }
 
@@ -671,13 +668,13 @@ func (t *Traffic) claimRow(x graph.Handle) ([]uint64, []int32) {
 
 // cross moves v to the informed side of every lane set in lanes (a
 // stride-word mask), counting it in each lane, and queues v's
-// neighborhood scan for the next freeze with those lanes. Serial context
-// only. No lane in lanes tracks v — the admission sweep dropped the
-// admitting lanes' tracking, and a fresh lane tracks nothing — which
-// keeps the invariant later passes rely on: a lane never tracks a node
-// it informs. The sweep admits a node for all its lanes at once, so it is
-// queued once per round; only Inject can repeat a queued node, and the
-// drain folds such repeats first (foldInjected).
+// neighborhood scan with those lanes for the drain that ends the calling
+// Step or Inject. Serial context only. No lane in lanes tracks v — the
+// admission sweep dropped the admitting lanes' tracking, and a fresh lane
+// tracks nothing — which keeps the invariant later passes rely on: a lane
+// never tracks a node it informs. The sweep admits a node for all its
+// lanes at once and Inject queues one node, so no drain scans a node
+// twice.
 func (t *Traffic) cross(v graph.Handle, lanes []uint64) {
 	t.informed.grow(int(v.Slot) + 1)
 	iw, _ := t.informed.claim(v)
@@ -693,64 +690,13 @@ func (t *Traffic) cross(v graph.Handle, lanes []uint64) {
 	t.scanNodes = append(t.scanNodes, v)
 }
 
-// clearScans drops every pending scan entry. Called after a drain, and
-// on a Step with no in-flight lanes — a scan must see the snapshot of its
-// crossing, so pending entries never survive an AdvanceRound.
-func (t *Traffic) clearScans() {
-	t.scanNodes = t.scanNodes[:0]
-	t.scanLanes = t.scanLanes[:0]
-	t.nAdmitted = 0
-}
-
-// foldInjected merges every pending entry queued by Inject into the
-// entry already queued for the same node, so each node is scanned once
-// per drain — under sharding, twice could mean two workers compacting
-// one node's in-list at once. Admission entries are distinct (a receiver
-// is admitted once per sweep), so only the Inject entries at the tail
-// need a lookup; the emptied ones are skipped by the scan.
-func (t *Traffic) foldInjected() {
-	if t.nAdmitted == len(t.scanNodes) {
-		return
-	}
-	first := make(map[graph.Handle]int, len(t.scanNodes)-t.nAdmitted)
-	fold := func(into, k int) {
-		dst := t.scanLanes[into*t.stride : (into+1)*t.stride]
-		src := t.scanLanes[k*t.stride : (k+1)*t.stride]
-		for i := range src {
-			dst[i] |= src[i]
-			src[i] = 0
-		}
-	}
-	for k := t.nAdmitted; k < len(t.scanNodes); k++ {
-		if into, ok := first[t.scanNodes[k]]; ok {
-			fold(into, k)
-		} else {
-			first[t.scanNodes[k]] = k
-		}
-	}
-	for k := 0; k < t.nAdmitted; k++ {
-		if j, ok := first[t.scanNodes[k]]; ok {
-			fold(k, j)
-		}
-	}
-}
-
-// clearScanLane clears lane li's bit from every pending scan mask (lane
-// index reuse; see Inject).
-func (t *Traffic) clearScanLane(li int) {
-	wi, mask := li>>6, uint64(1)<<(li&63)
-	for k := range t.scanNodes {
-		t.scanLanes[k*t.stride+wi] &^= mask
-	}
-}
-
 // noteDeath maintains the shared pre-round counter, decrements the
 // informed counter of exactly the in-flight lanes whose bit is set on
 // the dead slot, withdraws the dead node's incidences from its neighbors'
 // counts for those lanes, and drops the slot's receiver tracking for all
 // lanes with one store. The node's edges are still in the graph here
-// (core.Hooks), and every incidence was counted: a node is scanned at the
-// freeze after it crosses, before it can die.
+// (core.Hooks), and every incidence was counted: a node is scanned before
+// the Step or Inject that made it cross returns, so before it can die.
 func (t *Traffic) noteDeath(h graph.Handle) {
 	if t.g.BirthSeq(h) < t.roundStartSeq {
 		t.preRoundAlive--
@@ -799,6 +745,8 @@ func (t *Traffic) noteDeath(h graph.Handle) {
 // pre-advance capture: the freeze has already fixed which lanes each
 // receiver is frozen for, and under Discretized semantics admission
 // withdraws the fresh incidences from the counts it reads (applyFresh).
+// Edges made between Steps are part of the next freeze's snapshot and
+// count there like any other.
 func (t *Traffic) noteEdge(u, v graph.Handle) {
 	if len(t.inFlight) == 0 {
 		return
@@ -869,25 +817,22 @@ func (t *Traffic) applyFresh(delta int32) {
 
 // --- the batched freeze ---
 
-// freeze drains the combined pending frontier and compacts the shared
-// receiver lists into the live cut of the current snapshot, one worker
-// sweep across all messages per pass.
+// freeze compacts the shared receiver lists into the live cut of the
+// current snapshot, one worker sweep across all messages. The counts are
+// exact already: every crossing was scanned before the Step or Inject
+// that made it returned, and every event since updated them.
 func (t *Traffic) freeze() {
-	if len(t.inFlight) == 0 {
-		// Pending scans of lanes that finished last round must not
-		// survive the upcoming advance (see clearScans).
-		t.clearScans()
-		return
+	if len(t.inFlight) > 0 {
+		t.forEachShard(func(w int) { t.compactShard(w) })
 	}
-	t.drainFrontiers()
-	t.forEachShard(func(w int) { t.compactShard(w) })
 }
 
 // drainFrontiers performs the one-off neighborhood scans of every node
-// that crossed any lane's cut since the last freeze. Each queued node is
-// scanned once for all the lanes that queued it — deduplicating the work
-// M separate runs would repeat, and confining graph.Neighbors' in-list
-// compaction side effect to a single scanner.
+// that crossed any lane's cut in the running Step or Inject, and empties
+// the pending list. Each queued node is scanned once for all the lanes
+// that queued it — deduplicating the work M separate runs would repeat,
+// and confining graph.Neighbors' in-list compaction side effect to a
+// single scanner.
 //
 // The scan filters before it fans out or stages: a neighbor every
 // queueing lane already informs is skipped with one load and a compare,
@@ -900,10 +845,9 @@ func (t *Traffic) drainFrontiers() {
 	if len(t.scanNodes) == 0 {
 		return
 	}
-	t.foldInjected()
 	// Mask every pending entry down to its in-flight lanes once, so the
-	// passes below read scanLanes as-is: lanes that finished since
-	// queueing drop out, and an all-zero entry is skipped.
+	// passes below read scanLanes as-is: lanes that finished this Step
+	// drop out, and an all-zero entry is skipped.
 	for k := range t.scanNodes {
 		lw := t.scanLanes[k*t.stride : (k+1)*t.stride]
 		for i := range lw {
@@ -929,7 +873,8 @@ func (t *Traffic) drainFrontiers() {
 	} else {
 		t.drainFrontiersSharded()
 	}
-	t.clearScans()
+	t.scanNodes = t.scanNodes[:0]
+	t.scanLanes = t.scanLanes[:0]
 }
 
 // anyBit reports whether any word of w is nonzero.

@@ -230,8 +230,10 @@ func TestTrafficNegativeControl(t *testing.T) {
 // via the laneFootprint test hook: the allocated lanes and their nonzero
 // cut counts), keeping the plane at O(live messages) rather than O(all
 // ever injected) — and a late injection reusing a retired lane slot must
-// start from an all-zero count column, leave the count store's width
-// alone, and match the reference flooding from that model state.
+// start from an all-zero count column (right after Inject the column holds
+// exactly the source's incidence multiplicities, which Inject counts),
+// leave the count store's width alone, and match the reference flooding
+// from that model state.
 func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 	t.Parallel()
 	opts := TrafficOptions{MaxRounds: 30, KeepTrajectory: true}
@@ -259,11 +261,10 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 		if width0 < first || width0 >= 2*first {
 			t.Fatalf("seed %d: count rows are %d cells wide for %d lanes", seed, width0, first)
 		}
-		lanes0, slot0 := tr.laneFootprint()
-		if lanes0 != first || slot0 == 0 {
-			// Slot state appears at the first freeze at the latest; the
-			// source crossing already tracks the lane arrays via cross.
-			t.Logf("seed %d: pre-step footprint lanes=%d slotState=%d", seed, lanes0, slot0)
+		// Inject counts every source's incidences, so slot state is there
+		// before the first Step.
+		if lanes0, slot0 := tr.laneFootprint(); lanes0 != first || slot0 == 0 {
+			t.Fatalf("seed %d: pre-step footprint lanes=%d slotState=%d", seed, lanes0, slot0)
 		}
 		for tr.Live() > 0 {
 			tr.Step()
@@ -291,9 +292,11 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 		// reference flooding from the same model state.
 		stepsSoFar := tr.Steps()
 		src := nthAlive(m.Graph(), 0)
-		// A stale count in the column the late injection will reuse keeps
-		// the all-zero check below from passing vacuously.
-		tr.cnt.row(0)[tr.freeLanes[len(tr.freeLanes)-1]] = 7
+		// Stale counts in the column the late injection will reuse keep
+		// the check below from passing vacuously.
+		for i := tr.freeLanes[len(tr.freeLanes)-1]; i < len(tr.cnt.cells); i += width0 {
+			tr.cnt.cells[i] = 7
+		}
 		late := tr.Inject(src)
 		if got, want := tr.Injected(), first+1; got != want {
 			t.Fatalf("seed %d: Injected() = %d, want %d (IDs are never reused)", seed, got, want)
@@ -305,9 +308,15 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 			t.Fatalf("seed %d: reuse widened the count rows from %d to %d cells", seed, width0, width)
 		}
 		li := tr.msgs[late].laneIdx
+		srcCut := map[int]int32{} // slot -> incidences with src
+		m.Graph().Neighbors(src, func(x graph.Handle) bool {
+			srcCut[int(x.Slot)]++
+			return true
+		})
 		for i := li; i < len(tr.cnt.cells); i += width0 {
-			if c := tr.cnt.cells[i]; c != 0 {
-				t.Fatalf("seed %d: reused lane %d starts with count %d in slot %d", seed, li, c, i/width0)
+			if c, want := tr.cnt.cells[i], srcCut[i/width0]; c != want {
+				t.Fatalf("seed %d: reused lane %d holds count %d in slot %d after Inject, want the source's %d incidences",
+					seed, li, c, i/width0, want)
 			}
 		}
 		for tr.Live() > 0 {
@@ -806,11 +815,13 @@ func TestTrafficMessageIDValidation(t *testing.T) {
 	mustPanicContaining(t, "flood: Inject on a closed Traffic plane", func() { tr.Inject(graph.Nil) })
 }
 
-// TestTrafficRepeatedSources pins the fold of repeated pending scans: a
-// source injected twice before a Step, and a source injected at a node
-// the last admission sweep just queued, leave one live scan entry per
-// node (two workers scanning one node would race on its in-list), and
-// every message still matches its reference replay at every worker count.
+// TestTrafficRepeatedSources pins repeated sources: a source injected
+// twice before a Step, and a source injected at a node the last admission
+// sweep just informed, each get their own scan, run before the call that
+// queued it returns — no scan is ever left pending for a later call to
+// merge or repeat (two workers scanning one node would race on its
+// in-list) — and every message still matches its reference replay at
+// every worker count.
 func TestTrafficRepeatedSources(t *testing.T) {
 	t.Parallel()
 	opts := TrafficOptions{MaxRounds: 20, KeepTrajectory: true}
@@ -825,29 +836,31 @@ func TestTrafficRepeatedSources(t *testing.T) {
 			popts := opts
 			popts.Parallelism = par
 			tr := NewTraffic(m, popts)
-			src := nthAlive(m.Graph(), 0)
-			inj := []trafficInjection{
-				{id: tr.Inject(src), src: src},
-				{id: tr.Inject(src), src: src},
+			pending := func(at string) {
+				if len(tr.scanNodes) != 0 || len(tr.scanLanes) != 0 {
+					t.Fatalf("seed %d par %d: %d scans pending after %s", seed, par, len(tr.scanNodes), at)
+				}
 			}
+			src := nthAlive(m.Graph(), 0)
+			inj := []trafficInjection{{id: tr.Inject(src), src: src}}
+			pending("the first Inject")
+			inj = append(inj, trafficInjection{id: tr.Inject(src), src: src})
+			pending("the repeated Inject")
 			tr.Step()
-			if len(tr.scanNodes) == 0 {
+			pending("Step")
+			late := graph.Nil // a node the sweep just informed
+			m.Graph().ForEachAlive(func(v graph.Handle) bool {
+				if v != src && tr.informed.has(v, 0) {
+					late = v
+					return false
+				}
+				return true
+			})
+			if late.IsNil() {
 				t.Fatalf("seed %d: the first round admitted nobody", seed)
 			}
-			late := tr.scanNodes[len(tr.scanNodes)-1] // queued by the sweep
 			inj = append(inj, trafficInjection{id: tr.Inject(late), step: 1, src: late})
-
-			tr.foldInjected()
-			seen := map[graph.Handle]bool{}
-			for k, v := range tr.scanNodes {
-				if !anyBit(tr.scanLanes[k*tr.stride : (k+1)*tr.stride]) {
-					continue
-				}
-				if seen[v] {
-					t.Fatalf("seed %d par %d: node %v has two live scan entries", seed, par, v)
-				}
-				seen[v] = true
-			}
+			pending("an Inject at a just-informed node")
 
 			for tr.Live() > 0 {
 				tr.Step()
