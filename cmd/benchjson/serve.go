@@ -58,7 +58,7 @@ func measureServe(c spec, seed uint64, reps int) []row {
 		fatal("serve inject: %v", aerr)
 	}
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if _, merr := s.Current().MsgStatus(int(msg)); merr == nil {
+		if _, merr := s.Current().MsgStatus(uint64(msg)); merr == nil {
 			break
 		}
 		if time.Now().After(deadline) {

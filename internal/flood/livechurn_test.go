@@ -2,6 +2,7 @@ package flood
 
 import (
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"github.com/dyngraph/churnnet/internal/core"
@@ -130,7 +131,9 @@ func (c liveChurnConfig) String() string {
 // message must inform exactly its earlier informed set plus the frozen
 // receivers that survived with a sender the mode accepts (any under
 // Asynchronous, a surviving one under Discretized), among the alive
-// nodes, and its EverInformed and FinalInformed must agree.
+// nodes, and its EverInformed and FinalInformed must agree. After every
+// Step and every operation between Steps, the chained incremental capture
+// must answer like a fresh full one (checkViewChain).
 func checkBetweenStepChurn(t *testing.T, c liveChurnConfig) {
 	t.Helper()
 	m := newChurnTestModel(c.n, c.d, c.perRound, c.seed)
@@ -164,6 +167,12 @@ func checkBetweenStepChurn(t *testing.T, c liveChurnConfig) {
 		}
 	}
 
+	var view *TrafficView
+	captured := func(op string) {
+		view = tr.CaptureView(view)
+		checkViewChain(t, tr, view, fmt.Sprintf("%v: step %d: after %s", c, step, op))
+	}
+
 	injected := 0
 	inject := func() {
 		src := g.RandomAlive(drv)
@@ -181,6 +190,7 @@ func checkBetweenStepChurn(t *testing.T, c liveChurnConfig) {
 			switch {
 			case injected < c.messages && drv.Intn(3) == 0:
 				inject()
+				captured("inject")
 			case drv.Intn(8) == 0:
 				for id := MessageID(0); int(id) < tr.Injected(); id++ {
 					if tr.Status(id) == MessageDone {
@@ -189,8 +199,10 @@ func checkBetweenStepChurn(t *testing.T, c liveChurnConfig) {
 						break
 					}
 				}
+				captured("retire")
 			default:
 				m.churn(1)
+				captured("churn")
 			}
 		}
 		if tr.Live() == 0 {
@@ -203,6 +215,7 @@ func checkBetweenStepChurn(t *testing.T, c liveChurnConfig) {
 			delete(frozen, id)
 		}
 		tr.Step()
+		captured("Step")
 		for id, ps := range frozen {
 			for _, p := range ps {
 				if g.IsAlive(p.recv) && (c.mode == Asynchronous || g.IsAlive(p.sender)) {
@@ -249,6 +262,56 @@ func TestTrafficBetweenStepChurn(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+	// A network spanning several view pages, so an incremental capture
+	// shares the pages nothing changed on and a missed change shows.
+	checkBetweenStepChurn(t, liveChurnConfig{
+		seed: 0, n: 2*viewPageSlots + 500, d: 2, messages: 70,
+		mode: Discretized, par: 2, perRound: 2, perGap: 6,
+	})
+}
+
+// checkViewChain checks an incremental capture against a fresh full one
+// taken at the same instant: the same in-flight messages, and the same
+// Informed answer for each of them (the lane words masked to the
+// in-flight lanes agree) at every alive node and at every node the
+// informed bitset still holds words for, where a dead one must read
+// uninformed.
+func checkViewChain(t *testing.T, tr *Traffic, v *TrafficView, at string) {
+	t.Helper()
+	full := tr.buildView(nil)
+	if fmt.Sprint(v.ids) != fmt.Sprint(full.ids) {
+		t.Fatalf("%s: incremental view in flight %v, full %v", at, v.ids, full.ids)
+	}
+	live := make([]uint64, full.stride)
+	for _, li := range full.laneOf {
+		live[li>>6] |= 1 << (li & 63)
+	}
+	check := func(h graph.Handle) {
+		a, b := v.wordsOf(h), full.wordsOf(h)
+		for i, m := range live {
+			var x uint64
+			if a != nil {
+				x = a[i]
+			}
+			if b != nil {
+				x ^= b[i]
+			}
+			if x&m != 0 {
+				li := i<<6 | bits.TrailingZeros64(x&m)
+				t.Fatalf("%s: lane %d at %v (alive %v): incremental view informed %v, full %v",
+					at, li, h, tr.g.IsAlive(h), a != nil && a[i]&(1<<(li&63)) != 0, b != nil && b[i]&(1<<(li&63)) != 0)
+			}
+		}
+	}
+	tr.g.ForEachAlive(func(h graph.Handle) bool {
+		check(h)
+		return true
+	})
+	for s, gen := range tr.informed.gen {
+		if gen != 0 {
+			check(graph.Handle{Slot: uint32(s), Gen: gen})
 		}
 	}
 }

@@ -93,6 +93,12 @@ type Traffic struct {
 	informed laneBits // lanes that consider the slot's node informed
 	tracked  laneBits // lanes tracking the slot's node as a receiver
 
+	// viewDirty records the TrafficView pages informed changed on since
+	// the last CaptureView (see view.go); viewPagesCopied counts the pages
+	// CaptureView copied, for the tests that pin a capture at O(dirty).
+	viewDirty       viewDirty
+	viewPagesCopied int
+
 	// cnt holds, for every tracked slot, one cut count per lane; a row is
 	// valid under tracked's generation for the slot (see claimRow). For a
 	// live lane and an uninformed alive node it is exact at every freeze,
@@ -327,8 +333,9 @@ func (t *Traffic) Inject(src graph.Handle) MessageID {
 		// A reused lane index must start from an all-zero bit and count
 		// column: while the lane was free its stale state was masked out
 		// of every read by liveMask, but re-granting the index makes it
-		// live.
+		// live. Clearing the column changes every view page.
 		t.informed.clearLane(li)
+		t.viewDirty.all = true
 		t.tracked.clearLane(li)
 		t.cnt.clearLane(li)
 	} else {
@@ -579,9 +586,10 @@ func (t *Traffic) clearLive(li int) { t.liveMask[li>>6] &^= 1 << (li & 63) }
 // the allocated lane count crosses a 64-lane word boundary. Serial
 // context only (Inject, before its crossing): frozen/admission words are
 // ephemeral within one Step and no scan is pending, so nothing else needs
-// migration.
+// migration. Every view page changes layout.
 func (t *Traffic) reshape(stride int) {
 	t.informed.reshape(stride)
+	t.viewDirty.all = true
 	t.tracked.reshape(stride)
 	lm := make([]uint64, stride)
 	copy(lm, t.liveMask)
@@ -678,6 +686,7 @@ func (t *Traffic) claimRow(x graph.Handle) ([]uint64, []int32) {
 func (t *Traffic) cross(v graph.Handle, lanes []uint64) {
 	t.informed.grow(int(v.Slot) + 1)
 	iw, _ := t.informed.claim(v)
+	t.viewDirty.mark(v.Slot)
 	for i, m := range lanes {
 		iw[i] |= m
 		t.scanLanes = append(t.scanLanes, m)
@@ -705,6 +714,7 @@ func (t *Traffic) noteDeath(h graph.Handle) {
 		return
 	}
 	if iw := t.informed.wordsOf(h); iw != nil {
+		t.viewDirty.mark(h.Slot) // the next view drops the dead node
 		lanes := t.hookLanes[:0]
 		informs := false
 		for i, w := range iw {
@@ -1143,6 +1153,10 @@ type TrafficMemStats struct {
 	// per slot per lane, in rows of the smallest power of two at least
 	// Lanes, over the tracked bitset's slot span.
 	CutCountBytes int
+	// ViewPagesCopied is the number of TrafficView pages CaptureView has
+	// copied over the plane's life; every other page a capture holds is
+	// shared with the view before it.
+	ViewPagesCopied int
 }
 
 // MemStats reports the plane's per-slot memory layout — the numbers
@@ -1153,10 +1167,11 @@ type TrafficMemStats struct {
 // store's size.
 func (t *Traffic) MemStats() TrafficMemStats {
 	st := TrafficMemStats{
-		Slots:         t.informed.slots(),
-		Lanes:         len(t.lanes),
-		WordsPerSlot:  t.stride,
-		CutCountBytes: t.cnt.footprintBytes(),
+		Slots:           t.informed.slots(),
+		Lanes:           len(t.lanes),
+		WordsPerSlot:    t.stride,
+		CutCountBytes:   t.cnt.footprintBytes(),
+		ViewPagesCopied: t.viewPagesCopied,
 	}
 	st.PackedInformedBytes = t.informed.footprintBytes()
 	st.MarksBaselineBytes = st.Slots * 12 * st.Lanes

@@ -5,9 +5,10 @@ import (
 )
 
 // Read-side accessors for serving layers (internal/serve): per-node and
-// per-message informed state queried between Steps, and a copyable view
-// of the packed informed bitsets so a publisher can answer probes from an
-// immutable snapshot without touching the plane again.
+// per-message informed state queried between Steps, and an immutable,
+// incrementally captured view of the packed informed bitsets so a
+// publisher can answer probes from a snapshot without touching the plane
+// again.
 
 // InformedAlive returns the number of currently-alive informed nodes of
 // message id: the live counter for an in-flight message, the final count
@@ -35,65 +36,125 @@ func (t *Traffic) Informed(id MessageID, h graph.Handle) bool {
 	return t.g.IsAlive(h) && t.informed.has(h, msg.laneIdx)
 }
 
+// viewPageShift sets the TrafficView page: 1<<viewPageShift consecutive
+// arena slots, a whole number of shardBlocks, so a page never splits an
+// ownership block.
+const (
+	viewPageShift = 12
+	viewPageSlots = 1 << viewPageShift
+)
+
+// viewPage is one immutable page of a TrafficView: the informed words and
+// generations of viewPageSlots consecutive slots, as the plane held them
+// when the page was captured, with the slots of dead nodes left empty.
+type viewPage struct {
+	gens  [viewPageSlots]uint32 // 0 = no alive node at capture
+	words []uint64              // viewPageSlots*stride, slot-major, raw lane bits
+}
+
+// viewDirty is the plane's record of which view pages the informed bitset
+// has changed on since the last CaptureView. Every write to the bitset is
+// serial (cross, noteDeath, Inject's lane reuse and reshape), so no
+// sharded pass marks anything.
+type viewDirty struct {
+	bits []uint64 // one bit per page
+	all  bool     // every page (lane reuse, stride change)
+	last *TrafficView
+}
+
+// mark records that slot's page changed.
+func (d *viewDirty) mark(slot uint32) {
+	p := int(slot >> viewPageShift)
+	if w := p >> 6; w >= len(d.bits) {
+		d.bits = append(d.bits, make([]uint64, w+1-len(d.bits))...)
+	}
+	d.bits[p>>6] |= 1 << (p & 63)
+}
+
+// has reports whether page p changed.
+func (d *viewDirty) has(p int) bool {
+	return d.all || p>>6 < len(d.bits) && d.bits[p>>6]&(1<<(p&63)) != 0
+}
+
 // TrafficView is an immutable copy of a plane's packed informed state for
 // the messages in flight at capture time. A serving layer captures one
 // view per published snapshot version and answers node/message probes
 // from it without synchronizing with the plane again; the view stays
 // internally consistent (it describes exactly the capture instant) even
 // as the plane advances.
+//
+// A view is a table of immutable pages. The words are stored raw, bits
+// of lanes no longer in flight included: laneOf admits only the lanes in
+// flight at capture, and a lane keeps its bits once it leaves flight, so
+// no read reaches a stale bit (a reused lane clears its column first,
+// which changes every page).
 type TrafficView struct {
 	stride int
-	words  []uint64 // slot-major informed bits, live lanes only
-	gens   []uint32 // per slot: generation the bits belong to (0 = none)
+	pages  []*viewPage
 	laneOf map[MessageID]int
 	ids    []MessageID // in-flight messages in admission order
 }
 
-// CaptureView copies the plane's informed state for every in-flight
-// message into a TrafficView, reusing reuse's storage when non-nil. Call
-// only between Steps, from the goroutine driving the plane.
-func (t *Traffic) CaptureView(reuse *TrafficView) *TrafficView {
-	v := reuse
-	if v == nil {
-		v = &TrafficView{}
+// CaptureView captures the plane's informed state for every in-flight
+// message. When prev is the view this plane captured last, only the pages
+// the informed bitset changed on since then are copied, and every other
+// page is shared with prev; prev stays valid and unchanged. Any other
+// prev, nil included, takes a full capture. Call only between Steps, from
+// the goroutine driving the plane.
+func (t *Traffic) CaptureView(prev *TrafficView) *TrafficView {
+	d := &t.viewDirty
+	if prev != d.last {
+		prev = nil
 	}
+	v := t.buildView(prev)
+	clear(d.bits)
+	d.all = false
+	d.last = v
+	return v
+}
+
+// buildView captures a view that shares with prev (nil shares nothing)
+// every page not marked dirty, leaving the dirty record as it is.
+func (t *Traffic) buildView(prev *TrafficView) *TrafficView {
 	slots := t.informed.slots()
-	v.stride = t.stride
-	if cap(v.words) < slots*t.stride {
-		v.words = make([]uint64, slots*t.stride)
+	v := &TrafficView{
+		stride: t.stride,
+		pages:  make([]*viewPage, (slots+viewPageSlots-1)>>viewPageShift),
+		laneOf: make(map[MessageID]int, len(t.inFlight)),
+		ids:    make([]MessageID, 0, len(t.inFlight)),
 	}
-	v.words = v.words[:slots*t.stride]
-	if cap(v.gens) < slots {
-		v.gens = make([]uint32, slots)
-	}
-	v.gens = v.gens[:slots]
-
-	for s := 0; s < slots; s++ {
-		gen := t.informed.gen[s]
-		h := graph.Handle{Slot: uint32(s), Gen: gen}
-		w := t.informed.wordsOf(h)
-		dst := v.words[s*t.stride : (s+1)*t.stride]
-		if w == nil || !t.g.IsAlive(h) {
-			v.gens[s] = 0
-			for i := range dst {
-				dst[i] = 0
-			}
-			continue
-		}
-		v.gens[s] = gen
-		for i := range dst {
-			dst[i] = w[i] & t.liveMask[i]
+	for p := range v.pages {
+		if prev != nil && p < len(prev.pages) && !t.viewDirty.has(p) {
+			v.pages[p] = prev.pages[p]
+		} else {
+			v.pages[p] = t.capturePage(p)
 		}
 	}
-
-	v.laneOf = make(map[MessageID]int, len(t.inFlight))
-	v.ids = v.ids[:0]
 	for _, li := range t.inFlight {
 		id := t.lanes[li].id
 		v.laneOf[id] = li
 		v.ids = append(v.ids, id)
 	}
 	return v
+}
+
+// capturePage copies page p of the informed bitset, keeping only the
+// slots whose node is alive.
+func (t *Traffic) capturePage(p int) *viewPage {
+	t.viewPagesCopied++
+	st := t.stride
+	pg := &viewPage{words: make([]uint64, viewPageSlots*st)}
+	lo := p << viewPageShift
+	hi := min(lo+viewPageSlots, t.informed.slots())
+	for s := lo; s < hi; s++ {
+		gen := t.informed.gen[s]
+		if !t.g.IsAlive(graph.Handle{Slot: uint32(s), Gen: gen}) {
+			continue
+		}
+		pg.gens[s-lo] = gen
+		copy(pg.words[(s-lo)*st:(s-lo+1)*st], t.informed.words[s*st:(s+1)*st])
+	}
+	return pg
 }
 
 // InFlight returns the captured in-flight MessageIDs in admission order.
@@ -106,12 +167,19 @@ func (v *TrafficView) InFlight() []MessageID { return v.ids }
 // capture time.
 func (v *TrafficView) Informed(id MessageID, h graph.Handle) bool {
 	li, ok := v.laneOf[id]
-	if !ok || h.IsNil() {
+	if !ok {
 		return false
 	}
-	s := int(h.Slot)
-	if s >= len(v.gens) || v.gens[s] != h.Gen {
-		return false
+	w := v.wordsOf(h)
+	return w != nil && w[li>>6]&(1<<(li&63)) != 0
+}
+
+// wordsOf returns h's captured lane words, or nil when h was not an alive
+// node with informed state at capture time.
+func (v *TrafficView) wordsOf(h graph.Handle) []uint64 {
+	p, o := int(h.Slot>>viewPageShift), int(h.Slot&(viewPageSlots-1))
+	if h.IsNil() || p >= len(v.pages) || v.pages[p].gens[o] != h.Gen {
+		return nil
 	}
-	return v.words[s*v.stride+li>>6]&(1<<(li&63)) != 0
+	return v.pages[p].words[o*v.stride : (o+1)*v.stride]
 }

@@ -128,10 +128,18 @@ func TestTrafficCaptureView(t *testing.T) {
 		t.Fatal("unknown message informed")
 	}
 
-	// Reuse: capturing again into the same view reflects the new state.
+	// An incremental capture on top of v answers the plane's state now,
+	// and v still answers its own capture instant.
 	v2 := tr.CaptureView(v)
-	if v2 != v {
-		t.Fatal("reuse allocated a new view")
+	for k := range before {
+		if tr.Status(k.id) == MessageInFlight && g.IsAlive(k.h) {
+			if got, want := v2.Informed(k.id, k.h), tr.Informed(k.id, k.h); got != want {
+				t.Fatalf("incremental view disagrees with live accessor at %v/%v: %v != %v", k.id, k.h, got, want)
+			}
+		}
+		if got, want := v.Informed(k.id, k.h), before[k]; got != want {
+			t.Fatalf("view changed after a later capture at %v/%v", k.id, k.h)
+		}
 	}
 }
 

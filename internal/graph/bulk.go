@@ -7,6 +7,15 @@ import (
 	"sync"
 )
 
+// inSlack is the spare capacity, in entries, that WireSnapshotEdges leaves
+// after every in-list it carves from the arena. A node's in-list grows by
+// one entry per request a later join or redial places on it; with no
+// slack the first such append copies the list out of the arena, leaving
+// its arena segment pinned and dead, so early churn on a 10⁶-node snapshot
+// roughly triples the in-list memory of every node it touches. Four
+// entries (48 bytes per node) absorb the first four.
+const inSlack = 4
+
 // autoWorkerSlotQuota is the minimum per-worker slot count the AutoWorkers
 // policy aims for: below it, goroutine spawn and barrier overhead on the
 // sharded passes outweighs the per-slot work they parallelize.
@@ -41,16 +50,18 @@ func AutoWorkers(n int) int {
 // The result is exactly what the corresponding AddOutEdge calls in owner
 // order would build — pinned by TestWireSnapshotEdgesMatchesAddOutEdge —
 // but the construction differs where it matters at scale: every out- and
-// in-list is carved at exact capacity from one shared arena each, and the
-// in-lists are filled by a counting sort over target slots. The per-edge
+// in-list is carved from one shared arena each, out-lists at exact
+// capacity and in-lists with inSlack spare entries, and the in-lists are
+// filled by a counting sort over target slots. The per-edge
 // path pays two aliveness checks and an amortized slice-growth append per
 // edge — ~5× the wall time of the counting sort at n = 10⁶ — which is why
 // this is the construction path of the stationary-snapshot samplers in
 // package core (see DESIGN.md).
 //
 // Later mutation stays safe: the arena sub-slices are capacity-clamped, so
-// a post-snapshot append to any node's in-list reallocates that node's
-// slice instead of spilling into its neighbor's segment.
+// a post-snapshot append to any node's in-list fills its own slack and
+// then reallocates that node's slice instead of spilling into its
+// neighbor's segment.
 //
 // It panics if the graph is not a fresh snapshot, the spec shape is
 // inconsistent, or any target is out of range or equal to its owner.
@@ -182,7 +193,7 @@ func (g *Graph) wireSharded(starts []int32, targets []uint32, workers int) {
 	}
 	runRanges(func(w int) {
 		for t := tb[w]; t < tb[w+1]; t++ {
-			run := inStart[t]
+			run := inStart[t] + int32(inSlack*t)
 			for ww := 0; ww < workers; ww++ {
 				idx := ww*nSlots + t
 				c := counts[idx]
@@ -196,7 +207,7 @@ func (g *Graph) wireSharded(starts []int32, targets []uint32, workers int) {
 	// Owner ranges ascend with worker index, so each target's segment ends
 	// up in global owner order — the layout AddOutEdge calls in owner order
 	// build.
-	inArena := make([]inRef, nEdges)
+	inArena := make([]inRef, nEdges+inSlack*nSlots)
 	runRanges(func(w int) {
 		cur := counts[w*nSlots : (w+1)*nSlots]
 		for s := ob[w]; s < ob[w+1]; s++ {
@@ -210,10 +221,8 @@ func (g *Graph) wireSharded(starts []int32, targets []uint32, workers int) {
 	})
 	runRanges(func(w int) {
 		for t := tb[w]; t < tb[w+1]; t++ {
-			a, b := inStart[t], inStart[t+1]
-			if a != b {
-				g.nodes[t].in = inArena[a:b:b]
-			}
+			a, b := int(inStart[t])+inSlack*t, int(inStart[t+1])+inSlack*t
+			g.nodes[t].in = inArena[a : b : b+inSlack]
 		}
 	})
 }

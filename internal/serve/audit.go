@@ -33,8 +33,8 @@ func VerifySnapshot(m *LiveModel, plane *flood.Traffic, snap *Snapshot) error {
 		return fmt.Errorf("snapshot tracks %d in-flight messages, plane has %d", len(inFlight), plane.Live())
 	}
 	aliveSeen := 0
-	for id := range snap.nodes {
-		rec := &snap.nodes[id]
+	for id := 0; id < snap.nodes.len(); id++ {
+		rec := snap.nodes.get(id)
 		if rec.state != nodeAlive {
 			if g.IsAlive(rec.h) {
 				return fmt.Errorf("node %d departed in snapshot, alive in model", id)
@@ -58,7 +58,7 @@ func VerifySnapshot(m *LiveModel, plane *flood.Traffic, snap *Snapshot) error {
 		return fmt.Errorf("snapshot lists %d alive nodes, totals say %d", aliveSeen, snap.Alive)
 	}
 	for i := 0; i < snap.NumMsgs(); i++ {
-		mv, err := snap.MsgStatus(i)
+		mv, err := snap.MsgStatus(uint64(i))
 		if err != nil {
 			return fmt.Errorf("msg %d: %s", i, err.Msg)
 		}

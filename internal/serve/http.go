@@ -209,7 +209,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	view, err := s.Current().MsgStatus(int(id))
+	view, err := s.Current().MsgStatus(id)
 	if err != nil {
 		writeErr(w, err)
 		return

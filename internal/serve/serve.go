@@ -102,8 +102,8 @@ const (
 	nodeCrashed
 )
 
-// nodeRec is the writer's per-external-ID node bookkeeping; snapshots
-// copy the slice wholesale.
+// nodeRec is the writer's per-external-ID node bookkeeping, held in
+// copy-on-write pages that snapshots share (see paged).
 type nodeRec struct {
 	h     graph.Handle // generation-checked; meaningless after departure
 	birth float64
@@ -155,8 +155,11 @@ type Server struct {
 
 	snap atomic.Pointer[Snapshot]
 
-	// Writer-goroutine state (never touched by request goroutines).
-	nodes             []nodeRec
+	// Writer-goroutine state (never touched by request goroutines). A
+	// message's MsgView is written when it is first published and
+	// rewritten while it is in flight; a done message's never changes.
+	nodes             paged[nodeRec]
+	msgs              paged[MsgView]
 	version           uint64
 	dirty             bool
 	lastPublish       time.Time
@@ -189,9 +192,8 @@ func New(cfg Config) *Server {
 	g := s.model.Graph()
 	hs := g.AliveHandles()
 	sortByBirth(g, hs)
-	s.nodes = make([]nodeRec, 0, len(hs))
 	for _, h := range hs {
-		s.nodes = append(s.nodes, nodeRec{h: h, birth: g.BirthTime(h), state: nodeAlive})
+		s.nodes.append(nodeRec{h: h, birth: g.BirthTime(h), state: nodeAlive})
 	}
 
 	if cfg.ObserveEvery > 0 {
@@ -319,29 +321,30 @@ func (s *Server) apply(cmd command) {
 		}
 		for i := 0; i < n; i++ {
 			h := s.model.Join()
-			id := uint64(len(s.nodes))
-			s.nodes = append(s.nodes, nodeRec{h: h, birth: s.model.Now(), state: nodeAlive})
+			id := uint64(s.nodes.len())
+			s.nodes.append(nodeRec{h: h, birth: s.model.Now(), state: nodeAlive})
 			r.ids = append(r.ids, id)
 		}
 		s.dirty = true
 	case cmdLeave, cmdCrash:
-		rec, err := s.aliveRec(cmd.id)
+		rec, err := lookupNode(&s.nodes, cmd.id)
 		if err != nil {
 			r.err = err
 			break
 		}
+		state := nodeLeft
 		if cmd.kind == cmdLeave {
 			s.model.Leave(rec.h)
-			rec.state = nodeLeft
 		} else {
 			s.model.Crash(rec.h)
-			rec.state = nodeCrashed
+			state = nodeCrashed
 		}
+		s.nodes.at(int(cmd.id)).state = state
 		s.dirty = true
 	case cmdInject:
 		src := graph.Nil
 		if cmd.useID {
-			rec, err := s.aliveRec(cmd.id)
+			rec, err := lookupNode(&s.nodes, cmd.id)
 			if err != nil {
 				r.err = err
 				break
@@ -379,23 +382,6 @@ func (s *Server) apply(cmd command) {
 	}
 }
 
-// aliveRec resolves an external node ID to its live record, or a
-// well-formed error: 404 for an ID never issued, 410 for a departed node
-// (the message says whether it left or crashed).
-func (s *Server) aliveRec(id uint64) (*nodeRec, *APIError) {
-	if id >= uint64(len(s.nodes)) {
-		return nil, &APIError{Status: 404, Msg: fmt.Sprintf("unknown node %d", id)}
-	}
-	rec := &s.nodes[id]
-	switch rec.state {
-	case nodeLeft:
-		return nil, &APIError{Status: 410, Msg: fmt.Sprintf("node %d left the network", id)}
-	case nodeCrashed:
-		return nil, &APIError{Status: 410, Msg: fmt.Sprintf("node %d crashed", id)}
-	}
-	return rec, nil
-}
-
 func (s *Server) stepRounds(n int) {
 	for i := 0; i < n; i++ {
 		s.plane.Step()
@@ -414,9 +400,27 @@ func (s *Server) stepRounds(n int) {
 	s.dirty = true
 }
 
-// publish builds and installs a fresh immutable snapshot.
+// publish builds and installs a fresh immutable snapshot. It costs the
+// pages written since the last publish plus the in-flight messages: node
+// records and message views are shared page by page with the previous
+// snapshot (paged), the informed view is captured incrementally on top of
+// the previous one (flood.Traffic.CaptureView), and the expansion ring
+// only ever appends past what a snapshot holds.
 func (s *Server) publish(now time.Time) {
 	s.version++
+	var prev *flood.TrafficView
+	if cur := s.snap.Load(); cur != nil {
+		// Every message in flight now was in flight at the last publish or
+		// has been injected since; one that finished in between gets its
+		// final view here, once.
+		prev = cur.view
+		for _, id := range prev.InFlight() {
+			*s.msgs.at(int(id)) = newMsgView(s.plane, id)
+		}
+	}
+	for id := s.msgs.len(); id < s.plane.Injected(); id++ {
+		s.msgs.append(newMsgView(s.plane, flood.MessageID(id)))
+	}
 	snap := &Snapshot{
 		Version:     s.version,
 		Steps:       s.plane.Steps(),
@@ -424,14 +428,10 @@ func (s *Server) publish(now time.Time) {
 		Alive:       s.model.Graph().NumAlive(),
 		QueueLen:    len(s.cmds),
 		publishedAt: now,
-		nodes:       append([]nodeRec(nil), s.nodes...),
-		view:        s.plane.CaptureView(nil),
-		expansion:   append([]ExpansionObs(nil), s.obsRing...),
-	}
-	snap.msgs = make([]MsgView, s.plane.Injected())
-	for i := range snap.msgs {
-		id := flood.MessageID(i)
-		snap.msgs[i] = newMsgView(s.plane, id, snap.Version)
+		nodes:       s.nodes.share(),
+		msgs:        s.msgs.share(),
+		view:        s.plane.CaptureView(prev),
+		expansion:   s.obsRing[:len(s.obsRing):len(s.obsRing)],
 	}
 	s.snap.Store(snap)
 	s.dirty = false

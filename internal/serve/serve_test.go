@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -98,8 +99,8 @@ func TestServerConsistencyAudit(t *testing.T) {
 			t.Errorf("snapshot steps %d != plane %d", snap.Steps, plane.Steps())
 		}
 		aliveInSnap := 0
-		for id := range snap.nodes {
-			rec := snap.nodes[id]
+		for id := 0; id < snap.nodes.len(); id++ {
+			rec := snap.nodes.get(id)
 			if rec.state == nodeAlive {
 				aliveInSnap++
 				if !m.Graph().IsAlive(rec.h) {
@@ -122,7 +123,7 @@ func TestServerConsistencyAudit(t *testing.T) {
 			t.Errorf("snapshot per-node alive %d != snapshot total %d", aliveInSnap, snap.Alive)
 		}
 		for i := 0; i < snap.NumMsgs(); i++ {
-			mv, _ := snap.MsgStatus(i)
+			mv, _ := snap.MsgStatus(uint64(i))
 			mid := flood.MessageID(i)
 			if mv.Status != plane.Status(mid).String() {
 				t.Errorf("msg %d status %q != plane %q", i, mv.Status, plane.Status(mid))
@@ -185,7 +186,7 @@ func TestServerSingleNodeBroadcast(t *testing.T) {
 	if _, err := s.StepRounds(2); err != nil {
 		t.Fatalf("step: %v", err)
 	}
-	mv, merr := s.Current().MsgStatus(int(msg))
+	mv, merr := s.Current().MsgStatus(uint64(msg))
 	if merr != nil {
 		t.Fatalf("status: %v", merr)
 	}
@@ -305,16 +306,19 @@ func TestServerHTTPMisuse(t *testing.T) {
 	cases := []struct {
 		method, path, body string
 		want               int
+		wantErr            string // the error envelope's message, when set
 	}{
-		{"POST", "/join", `{"count": -1}`, 400},
-		{"POST", "/join", `{"bogus": true}`, 400},
-		{"POST", "/join", `not json`, 400},
-		{"POST", "/leave", `{}`, 400},
-		{"GET", "/node-info/notanumber", "", 400},
-		{"GET", "/status/-3", "", 400},
-		{"GET", "/join", "", 405},
-		{"POST", "/healthz", "", 405},
-		{"GET", "/nosuch", "", 404},
+		{"POST", "/join", `{"count": -1}`, 400, ""},
+		{"POST", "/join", `{"bogus": true}`, 400, ""},
+		{"POST", "/join", `not json`, 400, ""},
+		{"POST", "/leave", `{}`, 400, ""},
+		{"GET", "/node-info/notanumber", "", 400, ""},
+		{"GET", "/status/-3", "", 400, ""},
+		{"GET", "/status/18446744073709551615", "", 404, "unknown message 18446744073709551615"},
+		{"GET", "/node-info/18446744073709551615", "", 404, "unknown node 18446744073709551615"},
+		{"GET", "/join", "", 405, ""},
+		{"POST", "/healthz", "", 405, ""},
+		{"GET", "/nosuch", "", 404, ""},
 	}
 	for _, tc := range cases {
 		var body *bytes.Reader
@@ -331,9 +335,14 @@ func TestServerHTTPMisuse(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s %s: %v", tc.method, tc.path, err)
 		}
+		var env APIError
+		derr := json.NewDecoder(resp.Body).Decode(&env)
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s %s (body %q): status %d, want %d", tc.method, tc.path, tc.body, resp.StatusCode, tc.want)
+		}
+		if tc.wantErr != "" && (derr != nil || env.Msg != tc.wantErr) {
+			t.Errorf("%s %s: error %q (decode %v), want %q", tc.method, tc.path, env.Msg, derr, tc.wantErr)
 		}
 	}
 }
@@ -366,7 +375,7 @@ func TestServerRateLimitedPublishCatchesUp(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * interval)
 	for time.Now().Before(deadline) {
-		if _, merr := s.Current().MsgStatus(int(msg)); merr == nil {
+		if _, merr := s.Current().MsgStatus(uint64(msg)); merr == nil {
 			return
 		}
 		time.Sleep(interval / 10)

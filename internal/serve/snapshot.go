@@ -29,8 +29,8 @@ type Snapshot struct {
 	QueueLen int
 
 	publishedAt time.Time
-	nodes       []nodeRec
-	msgs        []MsgView
+	nodes       paged[nodeRec]
+	msgs        paged[MsgView] // Version left zero; MsgStatus stamps it
 	view        *flood.TrafficView
 	expansion   []ExpansionObs
 }
@@ -44,10 +44,10 @@ func (s *Snapshot) Age(now time.Time) time.Duration { return now.Sub(s.published
 
 // NumNodes returns how many external IDs have been issued (alive or
 // departed).
-func (s *Snapshot) NumNodes() int { return len(s.nodes) }
+func (s *Snapshot) NumNodes() int { return s.nodes.len() }
 
 // NumMsgs returns how many messages have been injected.
-func (s *Snapshot) NumMsgs() int { return len(s.msgs) }
+func (s *Snapshot) NumMsgs() int { return s.msgs.len() }
 
 // MsgInformed is one message's informed bit at a node.
 type MsgInformed struct {
@@ -72,15 +72,9 @@ type NodeInfo struct {
 // 404 for an ID never issued, 410 for a departed node, and the info
 // payload otherwise.
 func (s *Snapshot) NodeInfo(id uint64) (NodeInfo, *APIError) {
-	if id >= uint64(len(s.nodes)) {
-		return NodeInfo{}, &APIError{Status: 404, Msg: fmt.Sprintf("unknown node %d", id)}
-	}
-	rec := s.nodes[id]
-	switch rec.state {
-	case nodeLeft:
-		return NodeInfo{}, &APIError{Status: 410, Msg: fmt.Sprintf("node %d left the network", id)}
-	case nodeCrashed:
-		return NodeInfo{}, &APIError{Status: 410, Msg: fmt.Sprintf("node %d crashed", id)}
+	rec, err := lookupNode(&s.nodes, id)
+	if err != nil {
+		return NodeInfo{}, err
 	}
 	info := NodeInfo{ID: id, Alive: true, Birth: rec.birth, Age: s.Time - rec.birth, Version: s.Version}
 	for _, mid := range s.view.InFlight() {
@@ -94,19 +88,41 @@ func (s *Snapshot) NodeInfo(id uint64) (NodeInfo, *APIError) {
 
 // Probe answers the UDP fast path: is node id alive, and (when msg >= 0)
 // is it informed of that in-flight message. Departed and unknown nodes
-// return alive=false with a nil error; an unknown or finished message is
-// the error case.
+// return alive=false with a nil error. A finished message answers
+// informed=false with a nil error, as its per-node membership is no longer
+// tracked; only a message never injected is the error case.
 func (s *Snapshot) Probe(id uint64, msg int) (alive, informed bool, err *APIError) {
-	if id >= uint64(len(s.nodes)) || s.nodes[id].state != nodeAlive {
+	if id >= uint64(s.nodes.len()) {
+		return false, false, nil
+	}
+	rec := s.nodes.get(int(id))
+	if rec.state != nodeAlive {
 		return false, false, nil
 	}
 	if msg < 0 {
 		return true, false, nil
 	}
-	if msg >= len(s.msgs) {
+	if msg >= s.msgs.len() {
 		return true, false, &APIError{Status: 404, Msg: fmt.Sprintf("unknown message %d", msg)}
 	}
-	return true, s.view.Informed(flood.MessageID(msg), s.nodes[id].h), nil
+	return true, s.view.Informed(flood.MessageID(msg), rec.h), nil
+}
+
+// lookupNode resolves an external node ID to its alive record, or a
+// well-formed error: 404 for an ID never issued, 410 for a departed node
+// (the message says whether it left or crashed).
+func lookupNode(nodes *paged[nodeRec], id uint64) (nodeRec, *APIError) {
+	if id >= uint64(nodes.len()) {
+		return nodeRec{}, &APIError{Status: 404, Msg: fmt.Sprintf("unknown node %d", id)}
+	}
+	rec := nodes.get(int(id))
+	switch rec.state {
+	case nodeLeft:
+		return nodeRec{}, &APIError{Status: 410, Msg: fmt.Sprintf("node %d left the network", id)}
+	case nodeCrashed:
+		return nodeRec{}, &APIError{Status: 410, Msg: fmt.Sprintf("node %d crashed", id)}
+	}
+	return rec, nil
 }
 
 // MsgView is the /status payload: one message's lifecycle and flooding
@@ -134,7 +150,7 @@ type MsgView struct {
 	Version uint64 `json:"version"`
 }
 
-func newMsgView(t *flood.Traffic, id flood.MessageID, version uint64) MsgView {
+func newMsgView(t *flood.Traffic, id flood.MessageID) MsgView {
 	res := t.Result(id)
 	return MsgView{
 		ID:                    int(id),
@@ -150,17 +166,18 @@ func newMsgView(t *flood.Traffic, id flood.MessageID, version uint64) MsgView {
 		StrictCompletionRound: res.StrictCompletionRound,
 		DiedOut:               res.DiedOut,
 		DiedOutRound:          res.DiedOutRound,
-		Version:               version,
 	}
 }
 
 // MsgStatus resolves a message ID against the snapshot (404 for an ID
-// the plane never issued).
-func (s *Snapshot) MsgStatus(id int) (MsgView, *APIError) {
-	if id < 0 || id >= len(s.msgs) {
+// the plane never issued) and stamps the snapshot's version.
+func (s *Snapshot) MsgStatus(id uint64) (MsgView, *APIError) {
+	if id >= uint64(s.msgs.len()) {
 		return MsgView{}, &APIError{Status: 404, Msg: fmt.Sprintf("unknown message %d", id)}
 	}
-	return s.msgs[id], nil
+	mv := s.msgs.get(int(id))
+	mv.Version = s.Version
+	return mv, nil
 }
 
 // ExpansionObs is one tracked expansion observation, JSON-ready: Min is
