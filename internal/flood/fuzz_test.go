@@ -10,12 +10,19 @@ import (
 
 // FuzzTrafficMatchesReference is the coverage-guided form of
 // TestTrafficMatchesSingleMessageOracle: the fuzzer picks the seed, the
-// model, n ≤ 2000, d, M ≤ 130 messages (so both 64-lane word seams are
-// reachable), the mode, the injection schedule and the worker count W,
-// runs one plane, and compares every message's Result with its
-// RunReference replay on an identically seeded model. The committed seed
-// corpus (testdata/fuzz/FuzzTrafficMatchesReference) replays under a
-// plain go test; CI also runs the target for a fixed -fuzztime.
+// model, n ≤ 2000, d, M ≤ 130 messages, the mode, the injection schedule
+// and the worker count W, runs one plane, and compares every message's
+// Result with its RunReference replay on an identically seeded model. The
+// committed seed corpus (testdata/fuzz/FuzzTrafficMatchesReference)
+// replays under a plain go test; CI also runs the target for a fixed
+// -fuzztime.
+//
+// An input costs about n·d·M: every message is replayed on its own
+// warmed-up model, and warm-up and flood both scale with the n·d edges. So
+// M is drawn from 1..min(130, fuzzTrafficWork/(n·d)), which keeps the
+// slowest input (PDGR at n=2000, d=24, M=6) near 1.5 s uninstrumented, well
+// inside the fuzzer's 10 s per-input limit under coverage instrumentation,
+// while both 64-lane word seams stay reachable wherever n·d ≤ 2461.
 func FuzzTrafficMatchesReference(f *testing.F) {
 	f.Add(uint64(1), uint8(1), uint16(120), uint8(4), uint8(3), uint8(0), uint8(0), uint8(0))
 	f.Fuzz(func(t *testing.T, seed uint64, model uint8, n uint16, d, messages, mode, schedule, w uint8) {
@@ -23,7 +30,7 @@ func FuzzTrafficMatchesReference(f *testing.F) {
 		kind := kinds[int(model)%len(kinds)]
 		nn := 16 + int(n)%1985 // 16..2000
 		dd := 1 + int(d)%24
-		mm := 1 + int(messages)%130
+		mm := 1 + int(messages)%min(130, fuzzTrafficWork/(nn*dd))
 		opts := TrafficOptions{
 			Mode:           Mode(mode % 2),
 			MaxRounds:      20,
@@ -51,6 +58,9 @@ func FuzzTrafficMatchesReference(f *testing.F) {
 		}
 	})
 }
+
+// fuzzTrafficWork bounds n·d·M for one FuzzTrafficMatchesReference input.
+const fuzzTrafficWork = 320000
 
 // FuzzTrafficBetweenStepChurn is the coverage-guided form of
 // TestTrafficBetweenStepChurn: the fuzzer picks the seed, n ≤ 300, d,

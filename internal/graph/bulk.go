@@ -96,7 +96,7 @@ func (g *Graph) WireSnapshotEdgesPar(starts []int32, targets []uint32, workers i
 	}
 	for s := 0; s < nSlots; s++ {
 		nd := &g.nodes[s]
-		if nd.gen != 1 || len(nd.out) != 0 || len(nd.in) != 0 {
+		if g.gen[s] != 1 || len(nd.out) != 0 || len(nd.in) != 0 {
 			panic("graph: WireSnapshotEdges requires generation-1 nodes with no edges")
 		}
 		if starts[s+1] < starts[s] {

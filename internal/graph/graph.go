@@ -1,14 +1,21 @@
 // Package graph implements the dynamic undirected multigraph underlying all
 // four churnnet models (SDG, SDGR, PDG, PDGR).
 //
-// Nodes live in a slot arena and are addressed by Handle{Slot, Gen}: when a
-// node dies its slot's generation is bumped, so stale references held
+// Nodes live in a slot arena and are addressed by Handle{Slot, Gen}: a
+// slot's generation is bumped at every birth and every death, so it is odd
+// exactly while the slot holds a live node, and stale references held
 // anywhere — out-edge slots of no-regeneration models, in-edge lists of
 // neighbors — are detected by a generation mismatch instead of eager
-// cleanup. This mirrors the paper's edge semantics exactly: an edge (u, v)
-// exists while both endpoints are alive (Definitions 3.4/3.13/4.9/4.14,
-// rule 2), and in models without regeneration a node silently keeps
-// "pointing at" dead targets.
+// cleanup. The generations sit in their own dense array, so a liveness
+// check is one 4-byte load (IsAlive). This mirrors the paper's edge
+// semantics exactly: an edge (u, v) exists while both endpoints are alive
+// (Definitions 3.4/3.13/4.9/4.14, rule 2), and in models without
+// regeneration a node silently keeps "pointing at" dead targets.
+//
+// An in-list entry of a live node is a live edge exactly when its source
+// is alive: the mutators keep every live source's entry pointing back (see
+// inRefLive), so a neighbor visit costs one liveness load per edge in
+// either direction.
 //
 // Every node records the *requests it made* (its out-edges, at most d of
 // them) separately from the connections it accepted (its in-edges), because
@@ -22,15 +29,14 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/dyngraph/churnnet/internal/rng"
 )
 
 // Handle identifies a node at a particular generation of its arena slot.
-// The zero Handle is Nil and never refers to a live node (generations start
-// at 1).
+// The zero Handle is Nil and never refers to a live node: a live node's
+// generation is odd.
 type Handle struct {
 	Slot uint32
 	Gen  uint32
@@ -57,8 +63,10 @@ type InEdge struct {
 	Slot int
 }
 
+// node is one arena slot's record, exactly one 64-byte cache line; its
+// generation lives in Graph.gen. A dead slot holds no edges: RemoveNode
+// empties both lists, so a slot is born again with none.
 type node struct {
-	gen       uint32
 	birthSeq  uint64
 	birthTime float64
 	out       []Handle
@@ -74,9 +82,10 @@ type inRef struct {
 // of alive nodes. The zero value is not ready; use New.
 type Graph struct {
 	nodes    []node
+	gen      []uint32 // slot -> generation, odd exactly while alive
 	free     []uint32
 	alive    []uint32 // dense list of alive slots
-	alivePos []int32  // slot -> index into alive, -1 when dead
+	alivePos []int32  // slot -> index into alive, -1 when dead (O(1) removal)
 	birthSeq uint64   // next birth sequence number (monotone age order)
 }
 
@@ -88,6 +97,7 @@ func New(nHint, dHint int) *Graph {
 	}
 	g := &Graph{
 		nodes:    make([]node, 0, nHint),
+		gen:      make([]uint32, 0, nHint),
 		alive:    make([]uint32, 0, nHint),
 		alivePos: make([]int32, 0, nHint),
 	}
@@ -106,12 +116,12 @@ func (g *Graph) NextBirthSeq() uint64 { return g.birthSeq }
 // sizing per-slot scratch arrays.
 func (g *Graph) NumSlots() int { return len(g.nodes) }
 
-// IsAlive reports whether h refers to a currently alive node.
+// IsAlive reports whether h refers to a currently alive node. A slot's
+// generation is odd exactly while it is alive, so an odd h.Gen equal to
+// the slot's generation is the whole test: one load, exact for every
+// handle (Nil and fabricated even generations included).
 func (g *Graph) IsAlive(h Handle) bool {
-	if h.IsNil() || int(h.Slot) >= len(g.nodes) {
-		return false
-	}
-	return g.nodes[h.Slot].gen == h.Gen && g.alivePos[h.Slot] >= 0
+	return int(h.Slot) < len(g.gen) && h.Gen&1 == 1 && g.gen[h.Slot] == h.Gen
 }
 
 // AddNode births a node at the given model time and returns its handle.
@@ -124,20 +134,18 @@ func (g *Graph) AddNode(birthTime float64) Handle {
 	} else {
 		slot = uint32(len(g.nodes))
 		g.nodes = append(g.nodes, node{})
+		g.gen = append(g.gen, 0)
 		g.alivePos = append(g.alivePos, -1)
-		g.nodes[slot].gen = 0 // bumped to >= 1 below
 	}
+	g.gen[slot]++ // odd: alive
 	nd := &g.nodes[slot]
-	nd.gen++
 	nd.birthSeq = g.birthSeq
 	nd.birthTime = birthTime
-	nd.out = nd.out[:0]
-	nd.in = nd.in[:0]
 	g.birthSeq++
 
 	g.alivePos[slot] = int32(len(g.alive))
 	g.alive = append(g.alive, slot)
-	return Handle{Slot: slot, Gen: nd.gen}
+	return Handle{Slot: slot, Gen: g.gen[slot]}
 }
 
 // AddOutEdge records that u made a request accepted by v and returns the
@@ -184,13 +192,15 @@ func (g *Graph) RemoveNode(h Handle, buf []InEdge) []InEdge {
 	nd := &g.nodes[h.Slot]
 	// Collect the still-valid in-edges before invalidating the node.
 	for _, ref := range nd.in {
-		if g.inRefLive(ref, h) {
+		if g.inRefLive(ref) {
 			buf = append(buf, InEdge{Src: ref.src, Slot: int(ref.slot)})
 		}
 	}
+	// Emptying the in-list keeps inRefLive exact: a later node in this slot
+	// inherits no entries.
 	nd.in = nd.in[:0]
 	nd.out = nd.out[:0]
-	nd.gen++ // invalidates every surviving reference to h
+	g.gen[h.Slot]++ // even: invalidates every surviving reference to h
 
 	pos := g.alivePos[h.Slot]
 	last := uint32(len(g.alive) - 1)
@@ -203,17 +213,20 @@ func (g *Graph) RemoveNode(h Handle, buf []InEdge) []InEdge {
 	return buf
 }
 
-// inRefLive reports whether the in-list entry still describes a live edge
-// into owner: its source must be alive and its recorded out-slot must still
-// point at owner (it may have been redirected after owner's slot was
-// reused, or the source may have died).
-func (g *Graph) inRefLive(ref inRef, owner Handle) bool {
-	if !g.IsAlive(ref.src) {
-		return false
-	}
-	out := g.nodes[ref.src.Slot].out
-	return int(ref.slot) < len(out) && out[ref.slot] == owner
-}
+// inRefLive reports whether an entry in a live owner's in-list still
+// describes a live edge into the owner. That holds exactly when its source
+// is alive, because a live source's entry always points back:
+//
+//   - the entry was appended when the source's out-slot was set to the
+//     owner (AddOutEdge or RedirectOutEdge), both then alive;
+//   - an out-slot changes target only by RedirectOutEdge, which panics
+//     unless the old target is dead, and the owner has been alive since;
+//   - a source's out-slots are reset only when it dies, and it is alive;
+//   - RemoveNode empties the in-list of the dying node, so no entry
+//     survives into a later generation of the owner's slot.
+//
+// CheckInvariants asserts the point-back directly.
+func (g *Graph) inRefLive(ref inRef) bool { return g.IsAlive(ref.src) }
 
 // OutTargets calls visit for every live target of h's requests, in slot
 // order, including duplicates (the multigraph keeps parallel requests).
@@ -224,17 +237,17 @@ func (g *Graph) OutTargets(h Handle, visit func(Handle) bool) {
 		return
 	}
 	for _, t := range g.nodes[h.Slot].out {
-		if g.IsAlive(t) {
-			if !visit(t) {
-				return
-			}
+		if g.IsAlive(t) && !visit(t) {
+			return
 		}
 	}
 }
 
 // InSources calls visit for every live node whose request currently points
 // at h, including duplicates. Stale in-list entries are compacted away as a
-// side effect. Iteration stops early if visit returns false.
+// side effect — a stable filter that writes an entry or the list header only
+// when something actually moves. Iteration stops early if visit returns
+// false.
 func (g *Graph) InSources(h Handle, visit func(Handle) bool) {
 	if !g.IsAlive(h) {
 		return
@@ -243,35 +256,35 @@ func (g *Graph) InSources(h Handle, visit func(Handle) bool) {
 	in := nd.in
 	w := 0
 	stopped := false
-	for r := 0; r < len(in); r++ {
-		ref := in[r]
-		if !g.inRefLive(ref, h) {
+	for r, ref := range in {
+		if !g.inRefLive(ref) {
 			continue
 		}
-		in[w] = ref
+		if w != r {
+			in[w] = ref
+		}
 		w++
 		if !stopped && !visit(ref.src) {
 			stopped = true
 			// keep compacting the remainder without visiting
 		}
 	}
-	nd.in = in[:w]
+	if w != len(in) {
+		nd.in = in[:w]
+	}
 }
 
 // Neighbors calls visit for every live neighbor of h (out-targets then
 // in-sources), possibly with duplicates. Iteration stops early if visit
 // returns false.
 func (g *Graph) Neighbors(h Handle, visit func(Handle) bool) {
-	stopped := false
-	g.OutTargets(h, func(t Handle) bool {
-		if !visit(t) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-	if stopped {
+	if !g.IsAlive(h) {
 		return
+	}
+	for _, t := range g.nodes[h.Slot].out {
+		if g.IsAlive(t) && !visit(t) {
+			return
+		}
 	}
 	g.InSources(h, visit)
 }
@@ -355,7 +368,7 @@ func (g *Graph) mustAlive(h Handle) {
 // callback must not add or remove nodes.
 func (g *Graph) ForEachAlive(visit func(Handle) bool) {
 	for _, slot := range g.alive {
-		if !visit(Handle{Slot: slot, Gen: g.nodes[slot].gen}) {
+		if !visit(Handle{Slot: slot, Gen: g.gen[slot]}) {
 			return
 		}
 	}
@@ -375,7 +388,7 @@ func (g *Graph) RandomAlive(r *rng.RNG) Handle {
 		return Nil
 	}
 	slot := g.alive[r.Intn(len(g.alive))]
-	return Handle{Slot: slot, Gen: g.nodes[slot].gen}
+	return Handle{Slot: slot, Gen: g.gen[slot]}
 }
 
 // RandomAliveExcept returns a uniformly random alive node different from
@@ -397,7 +410,7 @@ func (g *Graph) RandomAliveExcept(r *rng.RNG, excl Handle) Handle {
 		i++
 	}
 	slot := g.alive[i]
-	return Handle{Slot: slot, Gen: g.nodes[slot].gen}
+	return Handle{Slot: slot, Gen: g.gen[slot]}
 }
 
 // Oldest returns the alive node with the smallest birth sequence, or Nil if
@@ -441,8 +454,15 @@ func (g *Graph) NumEdgesLive() int {
 }
 
 // CheckInvariants exhaustively validates internal consistency; it is meant
-// for tests and returns a descriptive error on the first violation.
+// for tests and returns a descriptive error on the first violation. Besides
+// the alive/free bookkeeping and edge symmetry it asserts the two facts the
+// one-load liveness rests on: a slot's generation is odd exactly while it
+// is alive, and every in-list entry with a live source points back.
 func (g *Graph) CheckInvariants() error {
+	if len(g.gen) != len(g.nodes) || len(g.alivePos) != len(g.nodes) {
+		return fmt.Errorf("len(gen)=%d, len(alivePos)=%d, want len(nodes)=%d",
+			len(g.gen), len(g.alivePos), len(g.nodes))
+	}
 	// alive / alivePos / free bookkeeping.
 	seen := make(map[uint32]bool, len(g.alive))
 	for i, slot := range g.alive {
@@ -458,8 +478,15 @@ func (g *Graph) CheckInvariants() error {
 		}
 	}
 	for slot := range g.nodes {
-		if pos := g.alivePos[slot]; pos >= 0 && !seen[uint32(slot)] {
+		pos := g.alivePos[slot]
+		if pos >= 0 && !seen[uint32(slot)] {
 			return fmt.Errorf("slot %d has alivePos %d but is not in alive", slot, pos)
+		}
+		if odd := g.gen[slot]&1 == 1; odd != (pos >= 0) {
+			return fmt.Errorf("slot %d has generation %d but alivePos %d", slot, g.gen[slot], pos)
+		}
+		if nd := &g.nodes[slot]; pos < 0 && (len(nd.out) != 0 || len(nd.in) != 0) {
+			return fmt.Errorf("dead slot %d holds %d out- and %d in-entries", slot, len(nd.out), len(nd.in))
 		}
 	}
 	for _, slot := range g.free {
@@ -468,9 +495,10 @@ func (g *Graph) CheckInvariants() error {
 		}
 	}
 	// Edge symmetry: every live out-edge must have exactly one matching
-	// in-list entry, and every valid in-list entry a matching out-edge.
+	// in-list entry, and every in-list entry with a live source must point
+	// back (entries with a dead source are legal until compaction).
 	for _, slot := range g.alive {
-		u := Handle{Slot: slot, Gen: g.nodes[slot].gen}
+		u := Handle{Slot: slot, Gen: g.gen[slot]}
 		for idx, t := range g.nodes[slot].out {
 			if !g.IsAlive(t) {
 				continue
@@ -486,12 +514,12 @@ func (g *Graph) CheckInvariants() error {
 			}
 		}
 		for _, ref := range g.nodes[slot].in {
-			if !g.inRefLive(ref, u) {
-				continue // stale entries are legal until compaction
+			if !g.IsAlive(ref.src) {
+				continue
 			}
 			out := g.nodes[ref.src.Slot].out
-			if out[ref.slot] != u {
-				return errors.New("valid in-ref does not point back")
+			if int(ref.slot) >= len(out) || out[ref.slot] != u {
+				return fmt.Errorf("in-ref %v.out[%d] of %v does not point back", ref.src, ref.slot, u)
 			}
 		}
 	}

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/dyngraph/churnnet/internal/rng"
@@ -10,6 +12,50 @@ func mustInvariants(t *testing.T, g *Graph) {
 	t.Helper()
 	if err := g.CheckInvariants(); err != nil {
 		t.Fatalf("invariants violated: %v", err)
+	}
+}
+
+// TestCheckInvariantsCatchesCorruption is CheckInvariants' negative
+// control: each case plants one corruption no mutator can produce, and the
+// check must name it. The point-back case is the one the one-load in-ref
+// rule depends on: b's entry for a's request has a live source, but the
+// request now points at a dead node without RedirectOutEdge's bookkeeping.
+func TestCheckInvariantsCatchesCorruption(t *testing.T) {
+	cases := []struct {
+		name    string
+		corrupt func(g *Graph, a, b, dead Handle)
+		want    string
+	}{
+		{"out-slot rewritten", func(g *Graph, a, b, dead Handle) {
+			g.nodes[a.Slot].out[0] = dead
+		}, "does not point back"},
+		{"even generation on an alive slot", func(g *Graph, a, b, dead Handle) {
+			g.gen[b.Slot]++
+		}, "has generation"},
+		{"odd generation on a dead slot", func(g *Graph, a, b, dead Handle) {
+			g.gen[dead.Slot]++
+		}, "has generation"},
+		{"dead slot keeps its in-list", func(g *Graph, a, b, dead Handle) {
+			g.nodes[dead.Slot].in = append(g.nodes[dead.Slot].in, inRef{src: a, slot: 0})
+		}, "dead slot"},
+		{"generation array too short", func(g *Graph, a, b, dead Handle) {
+			g.gen = g.gen[:len(g.gen)-1]
+		}, "len(gen)"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			g := New(3, 1)
+			a, b, dead := g.AddNode(0), g.AddNode(1), g.AddNode(2)
+			g.AddOutEdge(a, b)
+			g.AddOutEdge(dead, a)
+			g.RemoveNode(dead, nil)
+			mustInvariants(t, g)
+			tc.corrupt(g, a, b, dead)
+			err := g.CheckInvariants()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("CheckInvariants() = %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -269,10 +315,9 @@ func TestStaleInRefAfterSlotReuse(t *testing.T) {
 }
 
 func TestRedirectedAwayInRefInvalid(t *testing.T) {
-	// u -> v, v dies, u redirected to w. If v's slot is reused by x, the
-	// old in-ref in that slot was cleared on death; but also check the
-	// subtler case: u -> v, then u's slot entry redirected; w's in-list
-	// validity requires out[slot] to point back.
+	// u -> v, v dies, u redirected to w. v's in-list was emptied on death,
+	// so u's entry survives only in w's list, where it points back: the
+	// invariant that lets an in-ref be checked by its source's liveness.
 	g := New(4, 1)
 	u, v, w := g.AddNode(0), g.AddNode(1), g.AddNode(2)
 	g.AddOutEdge(u, v)
@@ -666,23 +711,59 @@ func BenchmarkAddRemoveNode(b *testing.B) {
 	}
 }
 
+// BenchmarkNeighborsIteration walks every neighborhood of a WireSnapshotEdges
+// snapshot (d = 8 requests per node, uniform targets) in a seeded random
+// node order and reports ns per neighbor visited. The size sweep runs past
+// the caches: at 1024 nodes the arena fits in L2, at 10⁶ every visit pays
+// its memory loads, which is what the liveness layout decides.
 func BenchmarkNeighborsIteration(b *testing.B) {
-	g := New(1024, 8)
-	r := rng.New(1)
-	var live []Handle
-	for i := 0; i < 1024; i++ {
-		h := g.AddNode(float64(i))
-		for j := 0; j < 8; j++ {
-			if tgt := g.RandomAliveExcept(r, h); !tgt.IsNil() {
-				g.AddOutEdge(h, tgt)
+	for _, n := range []int{1 << 10, 1e4, 1e5, 1e6} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			g, order := neighborsBenchGraph(n)
+			b.ResetTimer()
+			visited := 0
+			count := func(Handle) bool { visited++; return true }
+			for i := 0; i < b.N; i++ {
+				g.Neighbors(order[i%len(order)], count)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(visited), "ns/neighbor")
+		})
+	}
+}
+
+// neighborsBenchGraphs caches one snapshot per size across the repeated
+// calls the benchmark framework makes while it settles b.N.
+var neighborsBenchGraphs = map[int]neighborsBenchSnapshot{}
+
+type neighborsBenchSnapshot struct {
+	g     *Graph
+	order []Handle
+}
+
+func neighborsBenchGraph(n int) (*Graph, []Handle) {
+	if c, ok := neighborsBenchGraphs[n]; ok {
+		return c.g, c.order
+	}
+	const d = 8
+	r := rng.New(uint64(n))
+	starts := make([]int32, n+1)
+	targets := make([]uint32, 0, n*d)
+	for s := 0; s < n; s++ {
+		for j := 0; j < d; j++ {
+			t := r.Intn(n - 1)
+			if t >= s {
+				t++
+			}
+			targets = append(targets, uint32(t))
 		}
-		live = append(live, h)
+		starts[s+1] = int32(len(targets))
 	}
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		g.Neighbors(live[i%len(live)], func(Handle) bool { sink++; return true })
+	g, hs := freshNodes(n)
+	g.WireSnapshotEdgesPar(starts, targets, -1)
+	order := make([]Handle, n)
+	for i, p := range r.Perm(n) {
+		order[i] = hs[p]
 	}
-	_ = sink
+	neighborsBenchGraphs[n] = neighborsBenchSnapshot{g, order}
+	return g, order
 }
