@@ -22,11 +22,13 @@ func testPars() []int {
 }
 
 // TestEngineMatchesReference pins the equivalence contract: Run's cut-set
-// engine — serial and at every sharded worker count — and the full-rescan
-// reference produce bit-for-bit identical Results on every model × mode
-// across seeded trials. Identically seeded models see identical churn
-// streams (flooding consumes no randomness), so any divergence is an
-// engine bookkeeping bug.
+// engine — serial and at every sharded worker count, under the drain
+// direction rule and under each direction forced on every drain — and
+// the full-rescan reference produce bit-for-bit identical Results on
+// every model × mode across seeded trials. Identically seeded models see
+// identical churn streams (flooding consumes no randomness), so any
+// divergence is an engine bookkeeping bug. The rule must push every
+// Inject and pull at least once per model × mode.
 func TestEngineMatchesReference(t *testing.T) {
 	modes := []Mode{Discretized, Asynchronous}
 	for _, kind := range core.Kinds() {
@@ -34,6 +36,7 @@ func TestEngineMatchesReference(t *testing.T) {
 			kind, mode := kind, mode
 			t.Run(kind.String()+"-"+mode.String(), func(t *testing.T) {
 				t.Parallel()
+				pulls := 0
 				for seed := uint64(0); seed < 20; seed++ {
 					n := 80 + int(seed%4)*40
 					d := 2 + int(seed%9)
@@ -56,14 +59,24 @@ func TestEngineMatchesReference(t *testing.T) {
 					opts.Source = mRef.LastBorn()
 					want := RunReference(mRef, opts)
 
-					for _, par := range testPars() {
-						opts.Parallelism = par
-						got := Run(build(), opts)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("seed %d (n=%d d=%d par=%d): engine and reference diverged\nengine:    %+v\nreference: %+v",
-								seed, n, d, par, got, want)
+					for _, dir := range drainDirs {
+						for _, par := range testPars() {
+							opts.Parallelism = par
+							var l drainLog
+							got := runDir(build(), opts, dir, &l)
+							at := fmt.Sprintf("seed %d (n=%d d=%d par=%d %v)", seed, n, d, par, dir)
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s: engine and reference diverged\nengine:    %+v\nreference: %+v", at, got, want)
+							}
+							l.check(t, dir, at)
+							if dir == drainAuto {
+								pulls += l.pulls
+							}
 						}
 					}
+				}
+				if pulls == 0 {
+					t.Fatal("the drain direction rule never pulled")
 				}
 			})
 		}
@@ -120,7 +133,8 @@ func TestEngineRestoresHooks(t *testing.T) {
 // receivers with their cut counts — must equal the cut recomputed from
 // scratch out of the snapshot: for every alive node the lane does not
 // inform, the number of its live edge incidences with nodes the lane
-// informs. It runs one message (Run's case) and three concurrent ones.
+// informs. It runs one message (Run's case) and three concurrent ones,
+// under the drain direction rule and under each direction forced.
 func TestEngineCutMatchesRecompute(t *testing.T) {
 	cases := []struct {
 		kind core.Kind
@@ -138,36 +152,42 @@ func TestEngineCutMatchesRecompute(t *testing.T) {
 		c := c
 		t.Run(c.kind.String()+"-"+c.mode.String(), func(t *testing.T) {
 			t.Parallel()
-			for _, messages := range []int{1, 3} {
-				for seed := uint64(0); seed < 4; seed++ {
-					m := core.New(c.kind, c.n, c.d, rng.New(seed))
-					core.WarmUp(m)
-					for !m.Graph().IsAlive(m.LastBorn()) {
-						m.AdvanceRound()
-					}
-					tr := NewTraffic(m, TrafficOptions{
-						Mode:        c.mode,
-						Parallelism: c.par,
-						// A horizon well past completion keeps churning the
-						// informed network, exercising slot reuse and
-						// regeneration against a saturated cut.
-						MaxRounds: 50,
-						RunToMax:  true,
-					})
-					round := 0
-					tr.onFreeze = func() {
-						round++
-						checkFrozenCut(t, tr, fmt.Sprintf("M=%d seed %d round %d", messages, seed, round))
-					}
-					for i := 0; i < messages; i++ {
-						tr.Inject(nthAlive(m.Graph(), i))
-					}
-					for tr.Live() > 0 {
-						tr.Step()
-					}
-					tr.Close()
-					if round == 0 {
-						t.Fatal("freeze never observed")
+			for _, dir := range drainDirs {
+				for _, messages := range []int{1, 3} {
+					for seed := uint64(0); seed < 4; seed++ {
+						m := core.New(c.kind, c.n, c.d, rng.New(seed))
+						core.WarmUp(m)
+						for !m.Graph().IsAlive(m.LastBorn()) {
+							m.AdvanceRound()
+						}
+						tr := NewTraffic(m, TrafficOptions{
+							Mode:        c.mode,
+							Parallelism: c.par,
+							// A horizon well past completion keeps churning the
+							// informed network, exercising slot reuse and
+							// regeneration against a saturated cut.
+							MaxRounds: 50,
+							RunToMax:  true,
+						})
+						round := 0
+						tr.onFreeze = func() {
+							round++
+							checkFrozenCut(t, tr, fmt.Sprintf("%v M=%d seed %d round %d", dir, messages, seed, round))
+						}
+						var l drainLog
+						l.attach(tr, dir)
+						for i := 0; i < messages; i++ {
+							l.injecting = true
+							tr.Inject(nthAlive(m.Graph(), i))
+						}
+						for tr.Live() > 0 {
+							tr.Step()
+						}
+						tr.Close()
+						if round == 0 {
+							t.Fatal("freeze never observed")
+						}
+						l.check(t, dir, fmt.Sprintf("%v M=%d seed %d", dir, messages, seed))
 					}
 				}
 			}

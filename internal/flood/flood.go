@@ -20,8 +20,11 @@
 // node's neighborhood each round (the executable form of the
 // definitions). Traffic, the cut-set engine, maintains them incrementally
 // from the models' edge-level events for any number of concurrent
-// messages, and Run is its one-message case (see traffic.go). Both
-// produce bit-for-bit identical Results.
+// messages, and Run is its one-message case (see traffic.go). It counts
+// each wave of newly informed nodes from the cheaper side: from the
+// wave's own neighborhoods while it is sparse, and from the uninformed
+// receivers' once the wave outweighs them. Both implementations produce
+// bit-for-bit identical Results.
 //
 // Completion follows Definition 3.3: the broadcast is complete at round t
 // when I_t ⊇ N_{t−1} ∩ N_t, i.e. every alive node that was already present
@@ -189,7 +192,12 @@ type pair struct {
 // round. Its Result is bit-for-bit identical to RunReference's — pinned by
 // the differential tests — so callers never observe which path ran.
 // Models without the contract fall back to RunReference.
-func Run(m core.Model, opts Options) Result {
+func Run(m core.Model, opts Options) Result { return run(m, opts, nil) }
+
+// run is Run with a hook that configures the plane before its one
+// Inject; nil configures nothing. Test-only: the oracles set the plane's
+// drain direction through it.
+func run(m core.Model, opts Options, prep func(*Traffic)) Result {
 	if es, ok := m.(core.EdgeEventSource); !ok || !es.EmitsEdgeEvents() {
 		return RunReference(m, opts)
 	}
@@ -208,6 +216,9 @@ func Run(m core.Model, opts Options) Result {
 		Parallelism:    opts.Parallelism,
 	})
 	defer t.Close()
+	if prep != nil {
+		prep(t)
+	}
 	id := t.Inject(src)
 	for t.Live() > 0 {
 		t.Step()

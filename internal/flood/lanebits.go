@@ -46,15 +46,18 @@ func (b *laneBits) init(stride int) {
 func (b *laneBits) slots() int { return len(b.gen) }
 
 // grow extends the per-slot arrays to span at least n slots. New slots
-// start invalid (generation 0). Amortized doubling, like graph.Marks.
+// start invalid (generation 0). The span doubles, or jumps to n when that
+// is larger: the plane sizes the arrays to the arena once (NewTraffic),
+// and they double only when the arena outgrows them.
 func (b *laneBits) grow(n int) {
 	if n <= len(b.gen) {
 		return
 	}
-	ng := make([]uint32, n*2)
+	n = max(n, 2*len(b.gen))
+	ng := make([]uint32, n)
 	copy(ng, b.gen)
 	b.gen = ng
-	nw := make([]uint64, n*2*b.stride)
+	nw := make([]uint64, n*b.stride)
 	copy(nw, b.words)
 	b.words = nw
 }

@@ -167,6 +167,28 @@ func TestLaneBitsReshape(t *testing.T) {
 	}
 }
 
+// TestLaneBitsGrow pins the growth policy: a first grow spans exactly
+// the slots asked for, and a later one doubles the span unless the
+// request is larger still. Every set bit survives.
+func TestLaneBitsGrow(t *testing.T) {
+	t.Parallel()
+	b := lb(2)
+	v := h(99, 1)
+	for _, tc := range []struct{ n, slots int }{{100, 100}, {100, 100}, {101, 200}, {150, 200}, {500, 500}} {
+		b.grow(tc.n)
+		if got := b.slots(); got != tc.slots {
+			t.Fatalf("grow(%d): %d slots, want %d", tc.n, got, tc.slots)
+		}
+		if len(b.words) != tc.slots*2 {
+			t.Fatalf("grow(%d): %d words for %d slots at stride 2", tc.n, len(b.words), tc.slots)
+		}
+		b.set(v, 70)
+		if !b.has(v, 70) {
+			t.Fatalf("grow(%d) lost a bit", tc.n)
+		}
+	}
+}
+
 // TestLaneBitsFootprint sanity-checks the memory accounting MemStats
 // reports: words + shared generation, so per-lane cost at capacity M is
 // slots·(stride·8 + 4)/M bytes — at M = 64 (stride 1) that is 12 bytes

@@ -115,12 +115,13 @@ type liveChurnConfig struct {
 	messages         int
 	mode             Mode
 	par              int
-	perRound, perGap int // churn operations inside / between Steps
+	perRound, perGap int            // churn operations inside / between Steps
+	dir              drainDirection // the plane's drain direction
 }
 
 func (c liveChurnConfig) String() string {
-	return fmt.Sprintf("seed %d n=%d d=%d M=%d %v W=%d churn %d/%d",
-		c.seed, c.n, c.d, c.messages, c.mode, c.par, c.perRound, c.perGap)
+	return fmt.Sprintf("seed %d n=%d d=%d M=%d %v W=%d churn %d/%d %v",
+		c.seed, c.n, c.d, c.messages, c.mode, c.par, c.perRound, c.perGap, c.dir)
 }
 
 // checkBetweenStepChurn drives a plane over a churnTestModel with churn,
@@ -133,13 +134,18 @@ func (c liveChurnConfig) String() string {
 // Asynchronous, a surviving one under Discretized), among the alive
 // nodes, and its EverInformed and FinalInformed must agree. After every
 // Step and every operation between Steps, the chained incremental capture
-// must answer like a fresh full one (checkViewChain).
+// must answer like a fresh full one (checkViewChain). The plane's drains
+// take c.dir, and under the rule no Inject into a network of two or more
+// alive nodes pulls.
 func checkBetweenStepChurn(t *testing.T, c liveChurnConfig) {
 	t.Helper()
 	m := newChurnTestModel(c.n, c.d, c.perRound, c.seed)
 	g := m.g
 	tr := NewTraffic(m, TrafficOptions{Mode: c.mode, MaxRounds: 12, Parallelism: c.par})
 	defer tr.Close()
+	var l drainLog
+	l.attach(tr, c.dir)
+	defer l.check(t, c.dir, c.String())
 	drv := rng.New(c.seed ^ 0x9e3779b97f4a7c15)
 
 	type pair struct{ recv, sender graph.Handle }
@@ -176,6 +182,7 @@ func checkBetweenStepChurn(t *testing.T, c liveChurnConfig) {
 	injected := 0
 	inject := func() {
 		src := g.RandomAlive(drv)
+		l.injecting = g.NumAlive() > 1 // a lone node's source drain may pull
 		ever[tr.Inject(src)] = map[graph.Handle]bool{src: true}
 		injected++
 	}
@@ -248,9 +255,22 @@ func checkBetweenStepChurn(t *testing.T, c liveChurnConfig) {
 // and an edge made toward an informed node between Steps (which belongs
 // to the next freeze's snapshot, so it admits in that Step under
 // Discretized semantics). Two and 130 messages (both 64-lane word seams)
-// at several worker counts.
+// at several worker counts, under the drain direction rule and under each
+// direction forced.
 func TestTrafficBetweenStepChurn(t *testing.T) {
 	t.Parallel()
+	for _, dir := range drainDirs {
+		dir := dir
+		t.Run(dir.String(), func(t *testing.T) {
+			t.Parallel()
+			betweenStepChurn(t, dir)
+		})
+	}
+}
+
+// betweenStepChurn is TestTrafficBetweenStepChurn's sweep under one drain
+// direction.
+func betweenStepChurn(t *testing.T, dir drainDirection) {
 	for seed := uint64(0); seed < 6; seed++ {
 		for _, mode := range []Mode{Discretized, Asynchronous} {
 			for _, messages := range []int{2, 130} {
@@ -259,6 +279,7 @@ func TestTrafficBetweenStepChurn(t *testing.T) {
 						seed: seed, n: 60 + int(seed)*15, d: 1 + int(seed%4),
 						messages: messages, mode: mode, par: par,
 						perRound: int(seed % 3), perGap: 4 + int(seed%3)*6,
+						dir: dir,
 					})
 				}
 			}
@@ -268,7 +289,7 @@ func TestTrafficBetweenStepChurn(t *testing.T) {
 	// shares the pages nothing changed on and a missed change shows.
 	checkBetweenStepChurn(t, liveChurnConfig{
 		seed: 0, n: 2*viewPageSlots + 500, d: 2, messages: 70,
-		mode: Discretized, par: 2, perRound: 2, perGap: 6,
+		mode: Discretized, par: 2, perRound: 2, perGap: 6, dir: dir,
 	})
 }
 

@@ -21,8 +21,11 @@ import (
 // plane keeps, per message, the size of the live cut at every receiver —
 // the number of live edge incidences between an uninformed alive node and
 // the message's informed nodes — and updates it only on the events that
-// change it: a node crossing the cut (one neighborhood scan, batched per
-// Step or Inject and run before that call returns), a death
+// change it: a node crossing the cut (counted in one drain per Step or
+// Inject, run before that call returns, which either scans the crossing
+// nodes' neighborhoods or, once the wave outweighs the uninformed side,
+// recounts every uninformed receiver from its own; see drainFrontiers),
+// a death
 // (Hooks.OnDeath, which walks the dead node's neighborhood once) and an
 // edge creation or regeneration (Hooks.OnEdge). Admission needs only
 // whether some frozen sender qualifies, and a count answers that: > 0 at
@@ -48,12 +51,12 @@ import (
 //
 // Under TrafficOptions.Parallelism the cut is partitioned by arena slot
 // (slot s belongs to shard (s/shardBlock) mod par) and the frontier
-// drain, the freeze and the admission sweep fan out across the shards,
-// one barrier per pass for all lanes. Merges run in a scheduling-free
-// order, and Results are identical at every par: admission reads a
-// receiver's count, which no order changes, and every Result field is a
-// count over admitted sets, so no internal order is observable —
-// which also makes same-Step Inject order unobservable
+// drain (in either direction), the freeze and the admission sweep fan
+// out across the shards, one barrier per pass for all lanes. Merges run
+// in a scheduling-free order, and Results are identical at every par:
+// admission reads a receiver's count, which no order changes, and every
+// Result field is a count over admitted sets, so no internal order is
+// observable — which also makes same-Step Inject order unobservable
 // (TestTrafficInjectionOrderInvariance). Model advancement and every hook
 // stay serial.
 //
@@ -123,10 +126,11 @@ type Traffic struct {
 
 	// Pending frontier: scanNodes holds the nodes that crossed in the
 	// running Step or Inject, scanLanes[k*stride:(k+1)*stride] the packed
-	// lanes that queued scanNodes[k] (see cross). drainFrontiers scans and
-	// empties it before the call returns, so no hook — churn between
-	// Steps included — ever sees an informed node whose incidences are
-	// not yet counted, and every pending handle is alive at its scan.
+	// lanes that queued scanNodes[k] (see cross). drainFrontiers counts
+	// their incidences and empties it before the call returns, so no hook
+	// — churn between Steps included — ever sees an informed node whose
+	// incidences are not yet counted, and every pending handle is alive at
+	// its scan.
 	scanNodes []graph.Handle
 	scanLanes []uint64
 
@@ -151,7 +155,24 @@ type Traffic struct {
 	// before the model advances. Test-only: the cut-vs-recompute property
 	// test compares it with the cut recomputed from scratch.
 	onFreeze func()
+
+	// drainDir overrides the drain direction rule (see pullPays), and
+	// onDrain, when non-nil, observes the direction every drain that
+	// counts takes (true = pull). Test-only: the oracles run under each
+	// forced direction, and check which one the rule picks.
+	drainDir drainDirection
+	onDrain  func(pull bool)
 }
+
+// drainDirection selects how drainFrontiers counts a wave's incidences;
+// see pullPays.
+type drainDirection uint8
+
+const (
+	drainAuto drainDirection = iota // the rule in pullPays
+	drainPush                       // always scan the crossing nodes
+	drainPull                       // always recount the uninformed receivers
+)
 
 // TrafficOptions configures a Traffic plane. Every option applies
 // uniformly to all injected messages.
@@ -289,6 +310,10 @@ func NewTraffic(m core.Model, opts TrafficOptions) *Traffic {
 	}
 	t.informed.init(1)
 	t.tracked.init(1)
+	// Span the arena as it stands; the arrays double only when it outgrows
+	// them.
+	t.informed.grow(t.g.NumSlots())
+	t.growTracked(t.g.NumSlots())
 	t.shards = make([]trafficShard, t.par)
 	t.prevHooks = m.Hooks()
 	m.SetHooks(core.ChainHooks(core.Hooks{OnDeath: t.noteDeath, OnEdge: t.noteEdge}, t.prevHooks))
@@ -704,8 +729,9 @@ func (t *Traffic) cross(v graph.Handle, lanes []uint64) {
 // the dead slot, withdraws the dead node's incidences from its neighbors'
 // counts for those lanes, and drops the slot's receiver tracking for all
 // lanes with one store. The node's edges are still in the graph here
-// (core.Hooks), and every incidence was counted: a node is scanned before
-// the Step or Inject that made it cross returns, so before it can die.
+// (core.Hooks), and every incidence was counted: a crossing node's
+// incidences are drained before the Step or Inject that made it cross
+// returns, so before it can die.
 func (t *Traffic) noteDeath(h graph.Handle) {
 	if t.g.BirthSeq(h) < t.roundStartSeq {
 		t.preRoundAlive--
@@ -837,14 +863,22 @@ func (t *Traffic) freeze() {
 	}
 }
 
-// drainFrontiers performs the one-off neighborhood scans of every node
-// that crossed any lane's cut in the running Step or Inject, and empties
-// the pending list. Each queued node is scanned once for all the lanes
-// that queued it — deduplicating the work M separate runs would repeat,
-// and confining graph.Neighbors' in-list compaction side effect to a
-// single scanner.
+// drainFrontiers counts the incidences of every node that crossed any
+// lane's cut in the running Step or Inject into its uninformed neighbors'
+// rows, and empties the pending list. It runs in one of two directions
+// (DESIGN.md, "Drain direction"), chosen per drain by pullPays:
 //
-// The scan filters before it fans out or stages: a neighbor every
+//   - push scans each crossing node's neighborhood once for all the lanes
+//     that queued it, deduplicating the work M separate runs would repeat;
+//   - pull recounts, for every alive receiver some pending lane does not
+//     inform, that receiver's row from its own neighborhood (drainPull).
+//
+// Either way each neighborhood is walked by one worker — the crossing
+// node's scanner, or the receiver's owner shard — which confines
+// graph.Neighbors' in-list compaction side effect to a single scanner,
+// and the counts come out identical.
+//
+// The push scan filters before it fans out or stages: a neighbor every
 // queueing lane already informs is skipped with one load and a compare,
 // and the rest of the work sits behind the filter, in fanOut, so the
 // callback's common path stays short and staging stays proportional to
@@ -857,34 +891,164 @@ func (t *Traffic) drainFrontiers() {
 	}
 	// Mask every pending entry down to its in-flight lanes once, so the
 	// passes below read scanLanes as-is: lanes that finished this Step
-	// drop out, and an all-zero entry is skipped.
+	// drop out, and an all-zero entry is skipped. The union of what is
+	// left and the number of entries with a lane feed the direction rule.
+	lanes := make([]uint64, t.stride)
+	nScan := 0
 	for k := range t.scanNodes {
 		lw := t.scanLanes[k*t.stride : (k+1)*t.stride]
+		pending := false
 		for i := range lw {
 			lw[i] &= t.liveMask[i]
+			lanes[i] |= lw[i]
+			pending = pending || lw[i] != 0
+		}
+		if pending {
+			nScan++
 		}
 	}
-	// Fan-out never reallocates: every handle the scans reach lives in
-	// the current snapshot, so spanning the arena up front suffices.
+	// Counting never reallocates: every handle either direction reaches
+	// lives in the current snapshot, so spanning the arena up front
+	// suffices. When every pending lane informs every alive node there is
+	// nothing to count in either direction.
 	t.growTracked(t.g.NumSlots())
-	if t.par == 1 {
-		for k, v := range t.scanNodes {
-			lw := t.scanLanes[k*t.stride : (k+1)*t.stride]
-			if !anyBit(lw) {
-				continue // queued only by lanes that since finished
+	if u := t.uninformed(lanes); nScan > 0 && u > 0 {
+		pull := t.pullPays(u, nScan)
+		if t.onDrain != nil {
+			t.onDrain(pull)
+		}
+		switch {
+		case pull:
+			t.forEachShard(func(w int) { t.drainPull(w, lanes) })
+		case t.par == 1:
+			for k, v := range t.scanNodes {
+				lw := t.scanLanes[k*t.stride : (k+1)*t.stride]
+				if !anyBit(lw) {
+					continue // queued only by lanes that since finished
+				}
+				t.g.Neighbors(v, func(x graph.Handle) bool {
+					if !t.informed.covers(x, lw) {
+						t.fanOut(lw, t.informed.wordsOf(x), x, v)
+					}
+					return true
+				})
 			}
-			t.g.Neighbors(v, func(x graph.Handle) bool {
-				if !t.informed.covers(x, lw) {
-					t.fanOut(lw, t.informed.wordsOf(x), x, v)
+		default:
+			t.drainFrontiersSharded()
+		}
+	}
+	t.scanNodes = t.scanNodes[:0]
+	t.scanLanes = t.scanLanes[:0]
+}
+
+// uninformed returns the uninformed side of lanes, min(NumAlive,
+// Σ_{l∈lanes}(NumAlive − informedAlive_l)): 0 exactly when every lane
+// informs every alive node.
+func (t *Traffic) uninformed(lanes []uint64) int {
+	alive := t.g.NumAlive()
+	u := 0
+	for i, w := range lanes {
+		for ; w != 0 && u < alive; w &= w - 1 {
+			u += alive - t.lanes[i<<6|bits.TrailingZeros64(w)].informedAlive
+		}
+	}
+	return min(u, alive)
+}
+
+// pullPays is the drain direction rule: pull exactly when the uninformed
+// side u of the pending lanes is smaller than the nScan pending scans.
+// Push walks nScan neighborhoods and pull about u of them (plus one pass
+// over the slots), so the rule keeps push for sparse frontiers — every
+// Inject, a broadcast's early rounds, staggered traffic — and pulls the
+// dense wave that informs most of the network. It reads plane counters
+// only, so the choice is deterministic and independent of par and
+// scheduling.
+func (t *Traffic) pullPays(u, nScan int) bool {
+	switch t.drainDir {
+	case drainPush:
+		return false
+	case drainPull:
+		return true
+	}
+	return u < nScan
+}
+
+// drainPull is the pull direction of the drain over shard w's slots: for
+// every alive node x that some pending lane (lanes) does not inform, it
+// zeroes x's counts and tracking bits in those lanes, lx, and recounts
+// them from x's own neighborhood — one count per visit of a neighbor y
+// in each lane of lx that informs y — claiming x's row at the first
+// count. Every write lands in x's owner shard, so nothing is staged or
+// merged, and only x's owner walks Neighbors(x).
+//
+// The recount is exact. Before the drain, a lane l's count at x is the
+// number of live incidences between x and l's informed nodes other than
+// the ones crossing now (the invariant every event maintains; in a Step
+// the advance's fresh incidences are back in, applyFresh(+1)), and push
+// would add one per incidence between x and a crossing node. Neighbors
+// visits x's out-targets and in-sources, and the arena keeps out-slots
+// and in-refs in one-to-one correspondence (graph.CheckInvariants), so
+// the visits of x from its neighbors' side and of its neighbors from x's
+// side are the same multiset of incidences: the recount is the old count
+// plus exactly the pushes it replaces, and the count is again exact, and
+// nonzero only where the lane tracks x, when the drain returns. Lanes
+// outside lx are untouched; pending lanes that inform x never track it
+// (see cross).
+func (t *Traffic) drainPull(w int, lanes []uint64) {
+	g := t.g
+	lx := make([]uint64, t.stride)
+	n := g.NumSlots()
+	for lo := w * shardBlock; lo < n; lo += t.par * shardBlock {
+		for s := lo; s < min(lo+shardBlock, n); s++ {
+			x := g.SlotHandle(uint32(s))
+			if x.IsNil() {
+				continue
+			}
+			xw := t.informed.wordsOf(x)
+			recount := false
+			for i, l := range lanes {
+				if xw != nil {
+					l &^= xw[i]
+				}
+				lx[i] = l
+				recount = recount || l != 0
+			}
+			if !recount {
+				continue
+			}
+			if tw := t.tracked.wordsOf(x); tw != nil {
+				row := t.cnt.row(x.Slot)
+				for i, m := range lx {
+					tw[i] &^= m
+					for ; m != 0; m &= m - 1 {
+						row[i<<6|bits.TrailingZeros64(m)] = 0
+					}
+				}
+			}
+			var tw []uint64
+			var row []int32
+			g.Neighbors(x, func(y graph.Handle) bool {
+				yw := t.informed.wordsOf(y)
+				if yw == nil {
+					return true
+				}
+				for i, m := range lx {
+					for m &= yw[i]; m != 0; m &= m - 1 {
+						li := i<<6 | bits.TrailingZeros64(m)
+						if t.onStage != nil && !t.onStage(li, x, y) {
+							continue
+						}
+						if row == nil {
+							tw, row = t.claimRow(x)
+						}
+						tw[i] |= m & -m
+						row[li]++
+					}
 				}
 				return true
 			})
 		}
-	} else {
-		t.drainFrontiersSharded()
 	}
-	t.scanNodes = t.scanNodes[:0]
-	t.scanLanes = t.scanLanes[:0]
 }
 
 // anyBit reports whether any word of w is nonzero.
@@ -1132,8 +1296,8 @@ func (t *Traffic) laneFootprint() (lanes, slotState int) {
 // TrafficMemStats describes a plane's per-slot memory layout; see
 // MemStats.
 type TrafficMemStats struct {
-	// Slots is the arena-slot span of the packed state (grown
-	// amortized-doubling, exactly as graph.Marks grows).
+	// Slots is the arena-slot span of the packed state: the arena's size
+	// at NewTraffic, doubled whenever the arena outgrew it since.
 	Slots int
 	// Lanes is the number of lane slots allocated — the peak simultaneous
 	// message count, the packed layout's capacity denominator.

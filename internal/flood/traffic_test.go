@@ -43,13 +43,21 @@ type trafficInjection struct {
 // and the plane Steps until every message finished. It returns the final
 // per-message Results in admission order.
 func runTrafficPlane(m core.Model, opts TrafficOptions, steps []int) ([]Result, []trafficInjection) {
+	return runTrafficPlaneDir(m, opts, steps, drainAuto, &drainLog{})
+}
+
+// runTrafficPlaneDir is runTrafficPlane with the drain direction forced to
+// dir, logged into l.
+func runTrafficPlaneDir(m core.Model, opts TrafficOptions, steps []int, dir drainDirection, l *drainLog) ([]Result, []trafficInjection) {
 	tr := NewTraffic(m, opts)
 	defer tr.Close()
+	l.attach(tr, dir)
 	var inj []trafficInjection
 	next := 0
 	for step := 0; ; step++ {
 		for next < len(steps) && steps[next] == step {
 			src := nthAlive(m.Graph(), next)
+			l.injecting = true
 			id := tr.Inject(src)
 			inj = append(inj, trafficInjection{id: id, step: step, src: src})
 			next++
@@ -87,9 +95,12 @@ func replaySingle(m core.Model, opts TrafficOptions, in trafficInjection) Result
 // one multi-message run must be indistinguishable, message by message, from
 // M independent single-message reference runs each replaying the same churn
 // stream — every per-message Result bit-for-bit equal, across all four
-// models × three injection schedules × worker counts × 20 seeds. Any
+// models × three injection schedules × worker counts × 20 seeds, under
+// the drain direction rule and under each direction forced. Any
 // divergence is a cross-message bookkeeping bug (lanes leaking into each
-// other, shared counters miscounted, a frontier event misrouted).
+// other, shared counters miscounted, a frontier event misrouted). The
+// rule must push every Inject and pull at least once per model ×
+// schedule.
 func TestTrafficMatchesSingleMessageOracle(t *testing.T) {
 	schedules := []string{"burst", "staggered", "poisson"}
 	for _, kind := range core.Kinds() {
@@ -97,6 +108,7 @@ func TestTrafficMatchesSingleMessageOracle(t *testing.T) {
 			kind, schedule := kind, schedule
 			t.Run(kind.String()+"-"+schedule, func(t *testing.T) {
 				t.Parallel()
+				pulls := 0
 				for seed := uint64(0); seed < 20; seed++ {
 					n := 60 + int(seed%5)*20
 					d := 2 + int(seed%8)
@@ -136,20 +148,31 @@ func TestTrafficMatchesSingleMessageOracle(t *testing.T) {
 						}
 					}
 
-					// Every sharded setting must reproduce the serial plane
-					// bit-for-bit, injections included.
-					for _, par := range testPars() {
-						popts := opts
-						popts.Parallelism = par
-						pgot, pinj := runTrafficPlane(build(), popts, steps)
-						if !reflect.DeepEqual(pinj, inj) {
-							t.Fatalf("seed %d par %d: injection records diverged", seed, par)
-						}
-						if !reflect.DeepEqual(pgot, got) {
-							t.Fatalf("seed %d par %d: sharded plane diverged from serial plane\n%+v\n%+v",
-								seed, par, pgot, got)
+					// Every sharded setting under every drain direction
+					// must reproduce the serial plane bit-for-bit,
+					// injections included.
+					for _, dir := range drainDirs {
+						for _, par := range testPars() {
+							popts := opts
+							popts.Parallelism = par
+							var l drainLog
+							pgot, pinj := runTrafficPlaneDir(build(), popts, steps, dir, &l)
+							if !reflect.DeepEqual(pinj, inj) {
+								t.Fatalf("seed %d par %d %v: injection records diverged", seed, par, dir)
+							}
+							if !reflect.DeepEqual(pgot, got) {
+								t.Fatalf("seed %d par %d %v: plane diverged from the serial plane under the rule\n%+v\n%+v",
+									seed, par, dir, pgot, got)
+							}
+							l.check(t, dir, fmt.Sprintf("seed %d par %d", seed, par))
+							if dir == drainAuto {
+								pulls += l.pulls
+							}
 						}
 					}
+				}
+				if pulls == 0 {
+					t.Fatal("the drain direction rule never pulled")
 				}
 			})
 		}
@@ -161,9 +184,17 @@ func TestTrafficMatchesSingleMessageOracle(t *testing.T) {
 // cross-message frontier event on one target lane — must be caught by the
 // per-message differential comparison, while the untouched lanes keep
 // matching their replays (the corruption is confined to the lane whose event
-// was dropped; lanes share no informed state).
+// was dropped; lanes share no informed state). The control runs under each
+// drain direction forced, and under the rule; a pull recounts a dropped
+// incidence at its next drain, but the round it missed stays wrong.
 func TestTrafficNegativeControl(t *testing.T) {
 	t.Parallel()
+	for _, dir := range drainDirs {
+		negativeControl(t, dir)
+	}
+}
+
+func negativeControl(t *testing.T, dir drainDirection) {
 	opts := TrafficOptions{MaxRounds: 25, KeepTrajectory: true}
 	caught := 0
 	const seeds = 6
@@ -177,13 +208,14 @@ func TestTrafficNegativeControl(t *testing.T) {
 		// Honest plane: both messages injected as a burst at step 0.
 		m := build()
 		steps := []int{0, 0}
-		honest, inj := runTrafficPlane(m, opts, steps)
+		honest, inj := runTrafficPlaneDir(m, opts, steps, dir, &drainLog{})
 
 		// Corrupted plane: identical run, except the first frontier event
 		// staged for lane 1 — message 1's source scan discovering its first
 		// cut edge — is dropped.
 		mc := build()
 		tr := NewTraffic(mc, opts)
+		tr.drainDir = dir
 		dropped := false
 		tr.onStage = func(li int, recv, sender graph.Handle) bool {
 			if li == 1 && !dropped {
@@ -203,26 +235,26 @@ func TestTrafficNegativeControl(t *testing.T) {
 		tr.Close()
 
 		if !dropped {
-			t.Fatalf("seed %d: control never dropped an event", seed)
+			t.Fatalf("%v seed %d: control never dropped an event", dir, seed)
 		}
 		if !reflect.DeepEqual(corrupt[0], honest[0]) {
-			t.Fatalf("seed %d: corruption of lane 1 leaked into message 0\n%+v\n%+v",
-				seed, corrupt[0], honest[0])
+			t.Fatalf("%v seed %d: corruption of lane 1 leaked into message 0\n%+v\n%+v",
+				dir, seed, corrupt[0], honest[0])
 		}
 		// The oracle comparison the main test runs: corrupted message 1
 		// against its single-message replay.
 		want := replaySingle(build(), opts, inj[1])
 		if !reflect.DeepEqual(honest[1], want) {
-			t.Fatalf("seed %d: honest plane diverged from replay (harness broken)", seed)
+			t.Fatalf("%v seed %d: honest plane diverged from replay (harness broken)", dir, seed)
 		}
 		if !reflect.DeepEqual(corrupt[1], want) {
 			caught++
 		}
 	}
 	if caught == 0 {
-		t.Fatalf("oracle caught 0/%d corrupted runs — the harness has no teeth", seeds)
+		t.Fatalf("%v: oracle caught 0/%d corrupted runs — the harness has no teeth", dir, seeds)
 	}
-	t.Logf("oracle caught %d/%d corrupted runs", caught, seeds)
+	t.Logf("%v: oracle caught %d/%d corrupted runs", dir, caught, seeds)
 }
 
 // TestTrafficRetireReleasesAndReuses is the memory property test: retiring
@@ -392,6 +424,33 @@ func TestCutCountsFootprint(t *testing.T) {
 	}
 }
 
+// TestTrafficSpansArena pins the per-slot sizing: a plane spans the
+// arena as it stands at NewTraffic — the informed and tracked bitsets and
+// the count store, no more — and flooding a stationary model, whose
+// arena reuses freed slots, never grows them.
+func TestTrafficSpansArena(t *testing.T) {
+	t.Parallel()
+	m := core.SampleStationary(core.SDGR, 2000, 8, rng.New(4))
+	slots := m.Graph().NumSlots()
+	tr := NewTraffic(m, TrafficOptions{MaxRounds: 40})
+	defer tr.Close()
+	span := func(at string) {
+		t.Helper()
+		if a, b, c := tr.informed.slots(), tr.tracked.slots(), len(tr.cnt.cells); a != slots || b != slots || c != slots {
+			t.Fatalf("%s: informed %d, tracked %d, count cells %d slots; the arena has %d", at, a, b, c, slots)
+		}
+	}
+	span("NewTraffic")
+	tr.Inject(graph.Nil)
+	for tr.Live() > 0 {
+		tr.Step()
+	}
+	if m.Graph().NumSlots() != slots {
+		t.Fatalf("the arena grew from %d to %d slots", slots, m.Graph().NumSlots())
+	}
+	span("flood")
+}
+
 // TestTrafficInjectionOrderInvariance pins the determinism contract for
 // same-round admissions: permuting the Inject order of messages admitted in
 // the same Step permutes their MessageIDs and nothing else — every source's
@@ -554,7 +613,9 @@ func TestTrafficRequiresEdgeEvents(t *testing.T) {
 // (65 is the first count whose top lane lives in a second word), and 128
 // fills two words exactly; any divergence at 65 or 128 that 16 misses is
 // a word-indexing bug in the XOR classification, the packed scan masks,
-// or the frozen-cut cursor.
+// the pull pass's lane masks, or the frozen-cut cursor. Every plane run
+// repeats under each drain direction forced, and the rule must pull at
+// least once per M.
 func TestTrafficWordBoundaryOracle(t *testing.T) {
 	for _, messages := range []int{16, 63, 64, 65, 128} {
 		messages := messages
@@ -564,6 +625,7 @@ func TestTrafficWordBoundaryOracle(t *testing.T) {
 			if messages >= 128 {
 				seeds = 1 // two full words; one seed keeps -race time sane
 			}
+			pulls := 0
 			for _, schedule := range []string{"burst", "staggered", "poisson"} {
 				for seed := uint64(0); seed < uint64(seeds); seed++ {
 					mode := Discretized
@@ -592,19 +654,29 @@ func TestTrafficWordBoundaryOracle(t *testing.T) {
 								schedule, seed, i, messages, inj[i].step, got[i], want[i])
 						}
 					}
-					for _, par := range testPars() {
-						popts := opts
-						popts.Parallelism = par
-						pgot, pinj := runTrafficPlane(build(), popts, steps)
-						if !reflect.DeepEqual(pinj, inj) {
-							t.Fatalf("%s seed %d par %d: injection records diverged", schedule, seed, par)
-						}
-						if !reflect.DeepEqual(pgot, got) {
-							t.Fatalf("%s seed %d par %d: sharded plane diverged from serial plane",
-								schedule, seed, par)
+					for _, dir := range drainDirs {
+						for _, par := range testPars() {
+							popts := opts
+							popts.Parallelism = par
+							var l drainLog
+							pgot, pinj := runTrafficPlaneDir(build(), popts, steps, dir, &l)
+							if !reflect.DeepEqual(pinj, inj) {
+								t.Fatalf("%s seed %d par %d %v: injection records diverged", schedule, seed, par, dir)
+							}
+							if !reflect.DeepEqual(pgot, got) {
+								t.Fatalf("%s seed %d par %d %v: plane diverged from the serial plane under the rule",
+									schedule, seed, par, dir)
+							}
+							l.check(t, dir, fmt.Sprintf("%s seed %d par %d", schedule, seed, par))
+							if dir == drainAuto {
+								pulls += l.pulls
+							}
 						}
 					}
 				}
+			}
+			if pulls == 0 {
+				t.Fatal("the drain direction rule never pulled")
 			}
 		})
 	}
@@ -615,9 +687,16 @@ func TestTrafficWordBoundaryOracle(t *testing.T) {
 // lane 64, whose bit is the low bit of word 1. The oracle must still
 // catch the divergence, and the corruption must stay confined to lane 64
 // — in particular lane 63, its seam neighbor in word 0, must keep
-// matching the honest run.
+// matching the honest run. It runs under each drain direction forced, and
+// under the rule.
 func TestTrafficNegativeControlWordSeam(t *testing.T) {
 	t.Parallel()
+	for _, dir := range drainDirs {
+		negativeControlWordSeam(t, dir)
+	}
+}
+
+func negativeControlWordSeam(t *testing.T, dir drainDirection) {
 	const messages = 65
 	opts := TrafficOptions{MaxRounds: 15, KeepTrajectory: true}
 	caught := 0
@@ -630,10 +709,11 @@ func TestTrafficNegativeControlWordSeam(t *testing.T) {
 		}
 		steps := make([]int, messages) // burst
 		m := build()
-		honest, inj := runTrafficPlane(m, opts, steps)
+		honest, inj := runTrafficPlaneDir(m, opts, steps, dir, &drainLog{})
 
 		mc := build()
 		tr := NewTraffic(mc, opts)
+		tr.drainDir = dir
 		dropped := false
 		tr.onStage = func(li int, recv, sender graph.Handle) bool {
 			if li == 64 && !dropped {
@@ -656,28 +736,28 @@ func TestTrafficNegativeControlWordSeam(t *testing.T) {
 		tr.Close()
 
 		if !dropped {
-			t.Fatalf("seed %d: control never dropped a lane-64 event", seed)
+			t.Fatalf("%v seed %d: control never dropped a lane-64 event", dir, seed)
 		}
 		for i := 0; i < messages; i++ {
 			if i == 64 {
 				continue
 			}
 			if !reflect.DeepEqual(corrupt[i], honest[i]) {
-				t.Fatalf("seed %d: corruption of lane 64 leaked into lane %d", seed, i)
+				t.Fatalf("%v seed %d: corruption of lane 64 leaked into lane %d", dir, seed, i)
 			}
 		}
 		want := replaySingle(build(), opts, inj[64])
 		if !reflect.DeepEqual(honest[64], want) {
-			t.Fatalf("seed %d: honest plane diverged from replay (harness broken)", seed)
+			t.Fatalf("%v seed %d: honest plane diverged from replay (harness broken)", dir, seed)
 		}
 		if !reflect.DeepEqual(corrupt[64], want) {
 			caught++
 		}
 	}
 	if caught == 0 {
-		t.Fatalf("oracle caught 0/%d corrupted runs at the word seam", seeds)
+		t.Fatalf("%v: oracle caught 0/%d corrupted runs at the word seam", dir, seeds)
 	}
-	t.Logf("oracle caught %d/%d corrupted runs", caught, seeds)
+	t.Logf("%v: oracle caught %d/%d corrupted runs", dir, caught, seeds)
 }
 
 // TestTrafficInjectionOrderAcrossWordSeam extends the admission-order

@@ -124,6 +124,17 @@ func (g *Graph) IsAlive(h Handle) bool {
 	return int(h.Slot) < len(g.gen) && h.Gen&1 == 1 && g.gen[h.Slot] == h.Gen
 }
 
+// SlotHandle returns the handle of the node alive in slot, or Nil when the
+// slot holds none (a dead or free slot, or one past the arena). It lets a
+// pass that walks the arena by slot address each live node without
+// consulting the alive list.
+func (g *Graph) SlotHandle(slot uint32) Handle {
+	if int(slot) >= len(g.gen) || g.gen[slot]&1 == 0 {
+		return Nil
+	}
+	return Handle{Slot: slot, Gen: g.gen[slot]}
+}
+
 // AddNode births a node at the given model time and returns its handle.
 // The node starts with no edges.
 func (g *Graph) AddNode(birthTime float64) Handle {

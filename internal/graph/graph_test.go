@@ -133,6 +133,29 @@ func TestSlotReuseBumpsGeneration(t *testing.T) {
 	}
 }
 
+// TestSlotHandle pins the slot -> current handle accessor across a
+// slot's lifecycle: the live node's handle while it is alive, Nil once it
+// dies, the new generation after reuse, and Nil past the arena.
+func TestSlotHandle(t *testing.T) {
+	g := New(2, 1)
+	a := g.AddNode(0)
+	b := g.AddNode(0)
+	if got := g.SlotHandle(a.Slot); got != a {
+		t.Fatalf("SlotHandle(%d) = %v, want %v", a.Slot, got, a)
+	}
+	g.RemoveNode(a, nil)
+	if got := g.SlotHandle(a.Slot); !got.IsNil() {
+		t.Fatalf("SlotHandle of a dead slot = %v, want nil", got)
+	}
+	c := g.AddNode(1)
+	if got := g.SlotHandle(c.Slot); got != c || c.Slot != a.Slot {
+		t.Fatalf("SlotHandle after reuse = %v, want %v in slot %d", got, c, a.Slot)
+	}
+	if got := g.SlotHandle(b.Slot + 1); !got.IsNil() {
+		t.Fatalf("SlotHandle past the arena = %v, want nil", got)
+	}
+}
+
 func TestRemoveNodePanicsOnDead(t *testing.T) {
 	g := New(1, 1)
 	a := g.AddNode(0)
