@@ -1,6 +1,7 @@
 package flood
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -21,17 +22,24 @@ func (d drainDirection) String() string {
 // drain — every Inject drains its source — clears it, so injectPulls
 // counts the pulls inside Inject.
 type drainLog struct {
-	dirs        []bool // true = pull
+	dirs        []bool      // true = pull
+	waves       []drainWave // what each drain weighed, in the same order
 	pulls       int
 	injectPulls int
 	injecting   bool
 }
 
+// drainWave is one drain as the direction rule saw it: the plane's Step
+// count (0 inside the Injects before the first Step), the uninformed side
+// u and the pending scans nScan.
+type drainWave struct{ step, u, nScan int }
+
 // attach forces dir on tr and logs its drains.
 func (l *drainLog) attach(tr *Traffic, dir drainDirection) {
 	tr.drainDir = dir
-	tr.onDrain = func(pull bool) {
+	tr.onDrain = func(pull bool, u, nScan int) {
 		l.dirs = append(l.dirs, pull)
+		l.waves = append(l.waves, drainWave{tr.Steps(), u, nScan})
 		if pull {
 			l.pulls++
 			if l.injecting {
@@ -97,6 +105,83 @@ func TestDrainDirectionRule(t *testing.T) {
 	}
 }
 
+// TestDrainDirectionRuleBurst pins the rule on a multi-message burst,
+// where every node crosses in some lane: each Inject pushes its source,
+// the dense waves pull — including one whose frontier is still smaller
+// than the uninformed side, which the rule pulls because a push visit
+// costs κ = pushVisitCost pull visits — the direction sequence is the
+// same at every worker count, and every message's Result is its
+// RunReference replay's under every direction.
+func TestDrainDirectionRuleBurst(t *testing.T) {
+	t.Parallel()
+	const n, d, M = 4000, 21, 24
+	build := func() core.Model { return core.SampleStationary(core.SDGR, n, d, rng.New(9)) }
+	opts := TrafficOptions{KeepTrajectory: true}
+	steps := make([]int, M) // every message at step 0
+	want, inj := runTrafficPlane(build(), opts, steps)
+	for i, in := range inj {
+		if ref := replaySingle(build(), opts, in); !reflect.DeepEqual(want[i], ref) {
+			t.Fatalf("message %d diverged from its single-message replay\nplane:  %+v\nsingle: %+v", i, want[i], ref)
+		}
+	}
+	var serial []bool
+	for _, par := range testPars() {
+		for _, dir := range drainDirs {
+			popts := opts
+			popts.Parallelism = par
+			var l drainLog
+			got, _ := runTrafficPlaneDir(build(), popts, steps, dir, &l)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("par %d %v: plane diverged from its replays\n%+v\n%+v", par, dir, got, want)
+			}
+			l.check(t, dir, fmt.Sprintf("par %d", par)) // no Inject pulls
+			if dir != drainAuto {
+				continue
+			}
+			if len(l.dirs) <= M {
+				t.Fatalf("par %d: directions %v, want the %d Injects' and then the Steps'", par, l.dirs, M)
+			}
+			thin := false // a pulled wave smaller than the uninformed side
+			for k, pull := range l.dirs[M:] {
+				w := l.waves[M+k]
+				if !pull && w.nScan >= w.u {
+					t.Fatalf("par %d: drain %+v pushed a wave as large as the uninformed side", par, w)
+				}
+				thin = thin || pull && w.nScan < w.u
+			}
+			if !thin {
+				t.Fatalf("par %d: no pulled wave below the uninformed side; waves %+v, directions %v", par, l.waves, l.dirs)
+			}
+			if serial == nil {
+				serial = l.dirs
+			} else if !reflect.DeepEqual(l.dirs, serial) {
+				t.Fatalf("par %d: directions %v, serial %v", par, l.dirs, serial)
+			}
+		}
+	}
+}
+
+// TestDrainNoPullAfterCompletion pins the rule's slot-pass term: once a
+// RunToMax broadcast has completed, each Step informs the handful of
+// newborns the last round let in, and neither side of the drain is large
+// enough to pay for pull's pass over every arena slot. Without the term,
+// the rule pulled 25 of these drains at κ = 1 (as before the weighting)
+// and 30 at κ = 3.
+func TestDrainNoPullAfterCompletion(t *testing.T) {
+	t.Parallel()
+	m := core.SampleStationary(core.PDGR, 20_000, 8, rng.New(7))
+	var l drainLog
+	res := runDir(m, Options{MaxRounds: 200, RunToMax: true}, drainAuto, &l)
+	if !res.Completed || res.Rounds != 200 || l.pulls == 0 {
+		t.Fatalf("want a completed 200-round window whose dense wave pulls, got %+v, directions %v", res, l.dirs)
+	}
+	for k, pull := range l.dirs {
+		if pull && l.waves[k].step > res.CompletionRound {
+			t.Fatalf("drain %+v pulled after completion in round %d", l.waves[k], res.CompletionRound)
+		}
+	}
+}
+
 // The drain benchmarks time a to-completion broadcast at n = 10⁵, d = 21
 // on a sampled stationary SDGR model under each drain direction; the
 // model is built outside the timer, from the same seeds in all three.
@@ -117,3 +202,38 @@ func benchDrain(b *testing.B, dir drainDirection) {
 func BenchmarkFloodDrainPush(b *testing.B) { benchDrain(b, drainPush) }
 func BenchmarkFloodDrainPull(b *testing.B) { benchDrain(b, drainPull) }
 func BenchmarkFloodDrainAuto(b *testing.B) { benchDrain(b, drainAuto) }
+
+// The burst drain benchmarks step a burst of 64 messages at n = 10⁵,
+// d = 21, W = 2 to completion, retiring each message as it finishes,
+// under each drain direction; the model is built outside the timer, and
+// the sources are spread evenly over its alive list.
+
+func benchBurstDrain(b *testing.B, dir drainDirection) {
+	b.Helper()
+	const M = 64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := core.SampleStationary(core.SDGR, 100_000, 21, rng.New(uint64(i)))
+		alive := m.Graph().AliveHandles()
+		b.StartTimer()
+		tr := NewTraffic(m, TrafficOptions{Parallelism: 2})
+		tr.drainDir = dir
+		ids := make([]MessageID, M)
+		for k := range ids {
+			ids[k] = tr.Inject(alive[(2*k+1)*len(alive)/(2*M)])
+		}
+		for tr.Live() > 0 {
+			tr.Step()
+			for _, id := range ids {
+				if tr.Status(id) == MessageDone {
+					tr.Retire(id)
+				}
+			}
+		}
+		tr.Close()
+	}
+}
+
+func BenchmarkTrafficBurstDrainPush(b *testing.B) { benchBurstDrain(b, drainPush) }
+func BenchmarkTrafficBurstDrainPull(b *testing.B) { benchBurstDrain(b, drainPull) }
+func BenchmarkTrafficBurstDrainAuto(b *testing.B) { benchBurstDrain(b, drainAuto) }

@@ -23,9 +23,8 @@ import (
 // the message's informed nodes — and updates it only on the events that
 // change it: a node crossing the cut (counted in one drain per Step or
 // Inject, run before that call returns, which either scans the crossing
-// nodes' neighborhoods or, once the wave outweighs the uninformed side,
-// recounts every uninformed receiver from its own; see drainFrontiers),
-// a death
+// nodes' neighborhoods or, once recounting every uninformed receiver from
+// its own costs less, does that; see drainFrontiers), a death
 // (Hooks.OnDeath, which walks the dead node's neighborhood once) and an
 // edge creation or regeneration (Hooks.OnEdge). Admission needs only
 // whether some frozen sender qualifies, and a count answers that: > 0 at
@@ -158,10 +157,11 @@ type Traffic struct {
 
 	// drainDir overrides the drain direction rule (see pullPays), and
 	// onDrain, when non-nil, observes the direction every drain that
-	// counts takes (true = pull). Test-only: the oracles run under each
-	// forced direction, and check which one the rule picks.
+	// counts takes (true = pull) with the rule's inputs u and nScan.
+	// Test-only: the oracles run under each forced direction, and check
+	// which one the rule picks.
 	drainDir drainDirection
-	onDrain  func(pull bool)
+	onDrain  func(pull bool, u, nScan int)
 }
 
 // drainDirection selects how drainFrontiers counts a wave's incidences;
@@ -866,12 +866,14 @@ func (t *Traffic) freeze() {
 // drainFrontiers counts the incidences of every node that crossed any
 // lane's cut in the running Step or Inject into its uninformed neighbors'
 // rows, and empties the pending list. It runs in one of two directions
-// (DESIGN.md, "Drain direction"), chosen per drain by pullPays:
+// (DESIGN.md, "Drain direction"), whichever pullPays prices lower:
 //
 //   - push scans each crossing node's neighborhood once for all the lanes
 //     that queued it, deduplicating the work M separate runs would repeat;
-//   - pull recounts, for every alive receiver some pending lane does not
-//     inform, that receiver's row from its own neighborhood (drainPull).
+//   - pull passes over every arena slot and recounts, for every alive
+//     receiver some pending lane does not inform, that receiver's row from
+//     its own neighborhood (drainPull). It stages nothing, and a visit
+//     costs about a third of a push visit.
 //
 // Either way each neighborhood is walked by one worker — the crossing
 // node's scanner, or the receiver's owner shard — which confines
@@ -915,7 +917,7 @@ func (t *Traffic) drainFrontiers() {
 	if u := t.uninformed(lanes); nScan > 0 && u > 0 {
 		pull := t.pullPays(u, nScan)
 		if t.onDrain != nil {
-			t.onDrain(pull)
+			t.onDrain(pull, u, nScan)
 		}
 		switch {
 		case pull:
@@ -941,8 +943,11 @@ func (t *Traffic) drainFrontiers() {
 	t.scanLanes = t.scanLanes[:0]
 }
 
-// uninformed returns the uninformed side of lanes, min(NumAlive,
-// Σ_{l∈lanes}(NumAlive − informedAlive_l)): 0 exactly when every lane
+// uninformed returns u, the number of neighborhoods a pull of lanes walks,
+// estimated from the lanes' counters as min(NumAlive,
+// Σ_{l∈lanes}(NumAlive − informedAlive_l)): pull walks every alive node
+// that some lane does not inform once, for all lanes. It is exact for one
+// lane and an upper bound for several, and 0 exactly when every lane
 // informs every alive node.
 func (t *Traffic) uninformed(lanes []uint64) int {
 	alive := t.g.NumAlive()
@@ -955,13 +960,36 @@ func (t *Traffic) uninformed(lanes []uint64) int {
 	return min(u, alive)
 }
 
-// pullPays is the drain direction rule: pull exactly when the uninformed
-// side u of the pending lanes is smaller than the nScan pending scans.
-// Push walks nScan neighborhoods and pull about u of them (plus one pass
-// over the slots), so the rule keeps push for sparse frontiers — every
-// Inject, a broadcast's early rounds, staggered traffic — and pulls the
-// dense wave that informs most of the network. It reads plane counters
-// only, so the choice is deterministic and independent of par and
+// pushVisitCost is κ, what one push neighbor visit costs in pull neighbor
+// visits. A push visit filters the neighbor and then adds the incidence to
+// a count row anywhere in the store (sharded, it stages the edge and merges
+// it again in a second pass); a pull visit reads the neighbor's informed
+// word and writes the row of the node it walks from, in slot order. On the
+// dense waves of a 64-message burst the ratio measures 2.3–4.0 (DESIGN.md,
+// "Drain direction" has the per-drain timings it is taken from).
+const pushVisitCost = 3
+
+// pullPays is the drain direction rule. It prices both directions in one
+// unit, pull neighbor visits, taking δ = 2·D (the mean live degree of the
+// regenerating models) as the length of a walk:
+//
+//   - push walks the nScan pending neighborhoods at κ = pushVisitCost a
+//     visit: κ·nScan·δ;
+//   - pull walks the u uninformed neighborhoods and, before them, passes
+//     once over every arena slot, charged at one visit a slot (it measures
+//     under half of one): u·δ + NumSlots;
+//
+// and pulls exactly when pull costs less. A lone pending scan always
+// pushes: it is one walk, which pull (at least one walk and a pass over at
+// least two slots) could undercut only in an arena of fewer than 2δ slots,
+// and pushing it keeps every Inject, whose drain holds its source alone, a
+// push. So the rule keeps push for sparse frontiers — every Inject, a
+// broadcast's early rounds, staggered traffic, and the handful of newborns
+// a completed RunToMax broadcast informs each round, which would not pay
+// for the slot pass — and pulls the dense waves, including those of a
+// multi-message burst, where every node crosses in some lane and pushing
+// each one costs κ times its recount. It reads plane, graph and model
+// counters only, so the choice is deterministic and independent of par and
 // scheduling.
 func (t *Traffic) pullPays(u, nScan int) bool {
 	switch t.drainDir {
@@ -970,16 +998,18 @@ func (t *Traffic) pullPays(u, nScan int) bool {
 	case drainPull:
 		return true
 	}
-	return u < nScan
+	walk := max(1, 2*t.m.D())
+	return nScan > 1 && u*walk+t.g.NumSlots() < pushVisitCost*nScan*walk
 }
 
-// drainPull is the pull direction of the drain over shard w's slots: for
-// every alive node x that some pending lane (lanes) does not inform, it
-// zeroes x's counts and tracking bits in those lanes, lx, and recounts
-// them from x's own neighborhood — one count per visit of a neighbor y
-// in each lane of lx that informs y — claiming x's row at the first
-// count. Every write lands in x's owner shard, so nothing is staged or
-// merged, and only x's owner walks Neighbors(x).
+// drainPull is the pull direction of the drain over shard w's slots (the
+// pass pullPays charges at one visit a slot): for every alive node x that
+// some pending lane (lanes) does not inform, it zeroes x's counts and
+// tracking bits in those lanes, lx, and recounts them from x's own
+// neighborhood — one count per visit of a neighbor y in each lane of lx
+// that informs y — claiming x's row at the first count. Every write lands
+// in x's owner shard, so nothing is staged or merged, and only x's owner
+// walks Neighbors(x).
 //
 // The recount is exact. Before the drain, a lane l's count at x is the
 // number of live incidences between x and l's informed nodes other than
