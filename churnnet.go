@@ -65,6 +65,13 @@ const (
 func ModelKinds() []ModelKind { return core.Kinds() }
 
 // Model is a live dynamic network; see the core package for semantics.
+//
+// Every Model must keep the edge-event contract stated on core.Model: each
+// created or re-pointed edge fires Hooks.OnEdge, and an edge disappears
+// only with an endpoint whose death fires Hooks.OnDeath. Flood, NewTraffic
+// and TrackExpansion ride that stream with no fallback to a rescan, so a
+// third-party Model that changes edges without firing the hooks silently
+// corrupts their results.
 type Model = core.Model
 
 // Graph is the snapshot structure underlying every model.
@@ -184,13 +191,11 @@ func AutoParallelism(n int) int { return flood.AutoParallelism(n) }
 
 // Flood broadcasts from opts.Source (default: the newest node) over m.
 //
-// All built-in models emit edge-level events, so Flood runs the
-// incremental cut-set engine: it maintains the informed→uninformed
-// candidate edges under churn instead of rescanning every informed
-// neighborhood each round, with results bit-for-bit identical to the
-// definition-level reference implementation (see DESIGN.md, "The cut-set
-// flooding engine"). Third-party Model implementations that do not claim
-// the edge-event contract fall back to the reference scan transparently.
+// Flood runs the incremental cut-set engine over the model's edge-event
+// stream (see Model): it maintains the informed→uninformed candidate edges
+// under churn instead of rescanning every informed neighborhood each
+// round, with results bit-for-bit identical to the definition-level
+// reference implementation (see DESIGN.md, "The cut-set flooding engine").
 func Flood(m Model, opts FloodOptions) FloodResult { return flood.Run(m, opts) }
 
 // --- multi-message traffic ---
@@ -236,8 +241,8 @@ const (
 type TrafficMemStats = flood.TrafficMemStats
 
 // NewTraffic opens a traffic plane over m. The plane owns the model until
-// Close: advance it only through Step. It panics if the model does not
-// implement the edge-event contract (all built-in models do).
+// Close: advance it only through Step. The plane relies on the model's
+// edge-event contract (see Model).
 func NewTraffic(m Model, opts TrafficOptions) *Traffic { return flood.NewTraffic(m, opts) }
 
 // TrafficSchedule generates the injection steps of a named schedule —
@@ -300,16 +305,17 @@ type WitnessFamily = expansion.Family
 // current snapshot: advance the model, call Observe for time-resolved
 // h_out upper bounds, and Close to release the hook chain. The tracker
 // chains onto existing hooks, and Flood may run over a tracked model —
-// both observers share the event stream. It panics if the model does not
-// implement the edge-event contract (all built-in models do).
+// both observers share the event stream. The tracker relies on the
+// model's edge-event contract (see Model).
 func TrackExpansion(m Model, seed uint64, cfg ExpansionTrackerConfig) *ExpansionTracker {
 	return expansion.NewTracker(m, rng.New(seed), cfg)
 }
 
 // SpectralGap estimates 1 − λ₂ of the lazy random walk on the snapshot: a
 // witness-free expansion proxy (0 for disconnected graphs, constant for
-// expanders) that cross-checks EstimateExpansion. iters <= 0 selects a
-// default.
+// expanders) that cross-checks EstimateExpansion. The estimate can only
+// overstate the true gap, so it certifies no expansion. iters <= 0 selects
+// a default.
 func SpectralGap(g *Graph, iters int, seed uint64) float64 {
 	return expansion.SpectralGap(g, iters, rng.New(seed))
 }

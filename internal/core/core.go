@@ -127,18 +127,28 @@ func chain2(a, b func(u, v graph.Handle)) func(u, v graph.Handle) {
 	return func(u, v graph.Handle) { a(u, v); b(u, v) }
 }
 
-// EdgeEventSource is implemented by models whose edge set changes only
-// through events observable via Hooks: every created or redirected edge
-// fires Hooks.OnEdge, and every removal is implied by an OnDeath (rule 2 is
-// the only way an edge disappears). Incremental observers — flood.Run's
-// cut-set engine in particular — require this contract; models that mutate
-// edges behind the hooks' back must not claim it.
+// EdgeEventSource is the former declaration of the edge-event contract,
+// which every Model now keeps (see Model). No model in internal/
+// implements it and nothing checks it. It is kept only because
+// cmd/churnbench's timedModel still names it, and goes once that wrapper
+// drops its EmitsEdgeEvents method.
 type EdgeEventSource interface {
-	// EmitsEdgeEvents reports whether the edge-event contract above holds.
+	// EmitsEdgeEvents reports whether Model's edge-event contract holds.
 	EmitsEdgeEvents() bool
 }
 
 // Model is the dynamic network seen by flooding and measurement code.
+//
+// Every Model keeps the edge-event contract: its edge set changes only
+// through events observable via Hooks. Every created or re-pointed edge
+// fires Hooks.OnEdge (rules 1 and 3 in the paper models), and every
+// removal is implied by an OnDeath (rule 2 is the only way an edge
+// disappears). The incremental observers — flood's cut engine and
+// expansion's Tracker — ride this stream instead of rescanning
+// neighborhoods, so a model that mutates edges behind the hooks' back
+// breaks them silently. churnvet's hookfire analyzer checks that every
+// AddOutEdge/RedirectOutEdge is followed by an OnEdge fire, and the
+// hook-ledger tests replay each model's stream against its graph.
 type Model interface {
 	// Kind identifies the model.
 	Kind() Kind
@@ -228,10 +238,6 @@ func (m *Streaming) SetHooks(h Hooks) { m.hooks = h }
 
 // Hooks implements Model.
 func (m *Streaming) Hooks() Hooks { return m.hooks }
-
-// EmitsEdgeEvents implements EdgeEventSource: every streaming edge comes
-// from makeRequests or regenerate, both of which fire OnEdge.
-func (m *Streaming) EmitsEdgeEvents() bool { return true }
 
 // Step advances one round of Definition 3.2: the node born n rounds ago
 // (if any) dies, then a new node is born and makes its d requests.
@@ -354,10 +360,6 @@ func (m *Poisson) SetHooks(h Hooks) { m.hooks = h }
 
 // Hooks implements Model.
 func (m *Poisson) Hooks() Hooks { return m.hooks }
-
-// EmitsEdgeEvents implements EdgeEventSource: every Poisson edge comes from
-// the birth-request loop or death regeneration, both of which fire OnEdge.
-func (m *Poisson) EmitsEdgeEvents() bool { return true }
 
 // next returns the pending carried event if one exists, otherwise samples a
 // fresh jump-chain step.

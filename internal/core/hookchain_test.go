@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/dyngraph/churnnet/internal/graph"
@@ -8,10 +9,10 @@ import (
 )
 
 // Hook-contract regression tests: every edge-set change of every model
-// must be observable through the OnEdge/OnDeath stream (the
-// EdgeEventSource contract that both the flooding engine and the
-// expansion tracker ride), and ChainHooks must let any number of
-// observers share that stream without dropping events.
+// must be observable through the OnEdge/OnDeath stream (Model's edge-event
+// contract, which both the flooding engine and the expansion tracker
+// ride), and ChainHooks must let any number of observers share that
+// stream without dropping events.
 
 // TestChainHooksComposition pins ChainHooks semantics: nil slots pass the
 // other side through, both callbacks fire, and first's runs before next's.
@@ -97,12 +98,17 @@ func (l *edgeLedger) check(t *testing.T, tag string, round int) {
 // TestEdgeEventLedgerAllModels balances the event ledger on every model
 // kind and on the bounded-degree Poisson variants, so each emission path
 // — makeRequests, the Poisson apply birth loop, and both regeneration
-// paths — is pinned to fire exactly once per edge change.
+// paths — is pinned to fire exactly once per edge change. Each kind also
+// runs from a sampled stationary start (no warm-up) at one and two
+// sampling workers: the benchmark workloads start there, and the sampled
+// graph must leave the models' bookkeeping in a state whose later churn
+// still fires every event.
 func TestEdgeEventLedgerAllModels(t *testing.T) {
-	build := []struct {
+	type model struct {
 		tag string
 		mk  func() Model
-	}{
+	}
+	build := []model{
 		{"SDG", func() Model { return New(SDG, 120, 5, rng.New(1)) }},
 		{"SDGR", func() Model { return New(SDGR, 120, 5, rng.New(2)) }},
 		{"PDG", func() Model { return New(PDG, 120, 5, rng.New(3)) }},
@@ -110,12 +116,23 @@ func TestEdgeEventLedgerAllModels(t *testing.T) {
 		{"PDGR-incap", func() Model { return NewPoissonVariant(120, 5, true, DegreePolicy{InCap: 10}, rng.New(5)) }},
 		{"PDGR-choices", func() Model { return NewPoissonVariant(120, 5, true, DegreePolicy{Choices: 2}, rng.New(6)) }},
 	}
-	for _, c := range build {
-		c := c
+	warm := len(build)
+	for i, kind := range Kinds() {
+		for _, w := range []int{1, 2} {
+			kind, w, seed := kind, w, uint64(10+2*i+w)
+			build = append(build, model{fmt.Sprintf("%v-sampled-w%d", kind, w), func() Model {
+				return SampleStationaryPar(kind, 120, 5, rng.New(seed), w)
+			}})
+		}
+	}
+	for i, c := range build {
+		c, sampled := c, i >= warm
 		t.Run(c.tag, func(t *testing.T) {
 			t.Parallel()
 			m := c.mk()
-			WarmUp(m)
+			if !sampled {
+				WarmUp(m)
+			}
 			led := &edgeLedger{g: m.Graph(), edges: m.Graph().NumEdgesLive()}
 			m.SetHooks(led.hooks())
 			for round := 1; round <= 40; round++ {

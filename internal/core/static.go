@@ -20,9 +20,10 @@ const Live Kind = 7
 // d-out baseline (Lemma B.1) and for unit-testing processes against known
 // topologies.
 type StaticModel struct {
-	g    *graph.Graph
-	n, d int
-	now  float64
+	g     *graph.Graph
+	n, d  int
+	now   float64
+	hooks Hooks
 }
 
 // NewStaticModel wraps g; n and d are reported as the model parameters.
@@ -51,12 +52,10 @@ func (m *StaticModel) Now() float64 { return m.now }
 // LastBorn implements Model; it is the newest node of the wrapped graph.
 func (m *StaticModel) LastBorn() graph.Handle { return m.g.Newest() }
 
-// SetHooks implements Model; a static model emits no events.
-func (m *StaticModel) SetHooks(Hooks) {}
+// SetHooks implements Model. A static model stores the callbacks so that
+// Hooks reads them back, but never fires them: its edge set never changes,
+// so the edge-event contract holds vacuously.
+func (m *StaticModel) SetHooks(h Hooks) { m.hooks = h }
 
-// Hooks implements Model; a static model holds no callbacks.
-func (m *StaticModel) Hooks() Hooks { return Hooks{} }
-
-// EmitsEdgeEvents implements EdgeEventSource: the edge-event contract holds
-// vacuously — a static model never changes its edge set at all.
-func (m *StaticModel) EmitsEdgeEvents() bool { return true }
+// Hooks implements Model.
+func (m *StaticModel) Hooks() Hooks { return m.hooks }

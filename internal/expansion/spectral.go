@@ -8,16 +8,21 @@ import (
 )
 
 // SpectralGap estimates 1 − λ₂ of the lazy random walk on the alive graph
-// — an independent, witness-free proxy for expansion: by Cheeger-type
-// inequalities a constant vertex expander has a constant spectral gap,
-// while a disconnected graph has gap 0. It complements the witness search
-// of Estimate, which can only ever prove *upper* bounds on h_out.
+// — a witness-free proxy for expansion: by Cheeger-type inequalities a
+// constant vertex expander has a constant spectral gap, while a
+// disconnected graph has gap 0. It complements the witness search of
+// Estimate, which can only ever prove *upper* bounds on h_out.
 //
 // The estimate runs power iteration on the lazy normalized adjacency
 // L = (I + D^{-1/2} A D^{-1/2})/2, deflating the top eigenvector
-// (v₁ ∝ √deg), and returns 1 − λ₂(L) ∈ [0, 1]. Isolated nodes contribute a
-// zero row, i.e. an eigenvalue 1/2 component, and any disconnected graph
-// reports a gap near 0. More iterations sharpen the estimate.
+// (v₁ ∝ √deg), and returns 1 minus the Rayleigh quotient of the last
+// iterate, clamped to [0, 1]. That iterate is orthogonal to v₁, so its
+// quotient is at most λ₂ (up to rounding): the result is never below the
+// true gap and can only overstate it. It is an estimate, not a
+// certificate of expansion; more iterations tighten it from above.
+// Isolated nodes get an identity row (eigenvalue 1: a walker there stays
+// put), so a graph with an isolated node or any other disconnection
+// reports a gap near 0.
 func SpectralGap(g *graph.Graph, iters int, r *rng.RNG) float64 {
 	hs := g.AliveHandles()
 	n := len(hs)

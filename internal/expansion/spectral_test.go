@@ -37,6 +37,7 @@ func TestSpectralGapCompleteGraph(t *testing.T) {
 	if math.Abs(gap-want) > 0.02 {
 		t.Fatalf("K12 gap %v, want ~%v", gap, want)
 	}
+	checkGapOneSided(t, g, want, "K12")
 }
 
 func TestSpectralGapCycleSmall(t *testing.T) {
@@ -46,6 +47,21 @@ func TestSpectralGapCycleSmall(t *testing.T) {
 	want := (1 - math.Cos(2*math.Pi/40)) / 2
 	if math.Abs(gap-want) > 0.01 {
 		t.Fatalf("C40 gap %v, want ~%v", gap, want)
+	}
+	checkGapOneSided(t, g, want, "C40")
+}
+
+// checkGapOneSided pins the direction SpectralGap errs in: whatever the
+// iteration count and start, the estimate never falls below the true gap
+// (within rounding) — it can only overstate it.
+func checkGapOneSided(t *testing.T, g *graph.Graph, want float64, tag string) {
+	t.Helper()
+	for _, iters := range []int{1, 5, 50} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			if gap := SpectralGap(g, iters, rng.New(seed)); gap < want-1e-9 {
+				t.Fatalf("%s iters=%d seed=%d: gap %v below the true gap %v", tag, iters, seed, gap, want)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package expansion
 // This file implements the incremental expansion-witness engine: where
 // Estimate rescans every candidate family from scratch on each snapshot
 // (O(n·d) per call), the Tracker subscribes to the model's OnEdge/OnDeath
-// event stream — the same core.EdgeEventSource contract the flooding
+// event stream — the edge-event contract of core.Model that the flooding
 // engine rides — and maintains |S|, |∂out(S)| and the ratio of a
 // configurable family of witness sets under churn in O(events).
 //
@@ -256,14 +256,9 @@ type Tracker struct {
 
 // NewTracker attaches a tracker to m, seeds the witness families from the
 // current snapshot (consuming r, which the tracker keeps for re-seeds) and
-// returns it. It panics if the model does not guarantee the edge-event
-// contract of core.EdgeEventSource — without it edge changes are
-// invisible and incremental maintenance is impossible.
+// returns it. Incremental maintenance relies on core.Model's edge-event
+// contract: an edge change that fires no hook is invisible to the tracker.
 func NewTracker(m core.Model, r *rng.RNG, cfg TrackerConfig) *Tracker {
-	es, ok := m.(core.EdgeEventSource)
-	if !ok || !es.EmitsEdgeEvents() {
-		panic("expansion: NewTracker requires a model with the edge-event contract (core.EdgeEventSource)")
-	}
 	cfg = cfg.withDefaults()
 	par := cfg.Parallelism
 	if par < 0 {

@@ -12,6 +12,7 @@ import (
 	"github.com/dyngraph/churnnet/internal/core"
 	"github.com/dyngraph/churnnet/internal/flood"
 	"github.com/dyngraph/churnnet/internal/graph"
+	"github.com/dyngraph/churnnet/internal/overlay"
 	"github.com/dyngraph/churnnet/internal/rng"
 	"github.com/dyngraph/churnnet/internal/staticgraph"
 )
@@ -267,9 +268,10 @@ func TestTrackerSharesHookChainWithFlood(t *testing.T) {
 	}
 }
 
-// TestTrackerStaticAndOverlayModels extends the oracle to the churn-free
-// static wrapper (no events at all — the tracked state must simply stay
-// valid) and rejects models without the edge-event contract.
+// TestTrackerStaticAndOverlayModels extends the oracle beyond the four
+// paper models: to the churn-free static wrapper (no events at all — the
+// tracked state must simply stay valid) and to the address-gossip overlay,
+// whose redials fire OnEdge outside the paper's edge rules.
 func TestTrackerStaticAndOverlayModels(t *testing.T) {
 	t.Parallel()
 	g, _ := staticgraph.DOut(300, 5, rng.New(41))
@@ -282,18 +284,18 @@ func TestTrackerStaticAndOverlayModels(t *testing.T) {
 	checkTrackerAgainstRescan(t, g, tr, "static")
 	tr.Close()
 
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewTracker accepted a model without the edge-event contract")
+	o := overlay.New(overlay.Config{N: 200, D: 8, MaxIn: 64}, rng.New(43))
+	o.WarmUp()
+	tr = NewTracker(o, rng.New(44), TrackerConfig{ReseedEvery: 4})
+	for round := 1; round <= 12; round++ {
+		o.AdvanceRound()
+		if round%3 == 0 {
+			tr.Observe()
+			checkTrackerAgainstRescan(t, o.Graph(), tr, "overlay")
 		}
-	}()
-	NewTracker(noEdgeEvents{m}, rng.New(43), TrackerConfig{})
+	}
+	tr.Close()
 }
-
-// noEdgeEvents hides the wrapped model's EdgeEventSource implementation.
-type noEdgeEvents struct{ core.Model }
-
-func (noEdgeEvents) EmitsEdgeEvents() bool { return false }
 
 // TestTrackerConfigKnobs exercises the family-disabling sentinels and the
 // degenerate sizes.

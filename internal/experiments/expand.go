@@ -237,8 +237,9 @@ func runRegenExpansion(cfg Config, kind core.Kind, ds []int) *report.Table {
 		}
 	}
 	t.AddNote("regeneration pins every node's out-degree at d, so no isolated witnesses exist; "+
-		"%d snapshots per row. The spectral gap (1 − λ₂ of the lazy walk) is a witness-free "+
-		"cross-check: a constant gap certifies expansion independently of the search.", trials)
+		"%d snapshots per row. The spectral gap column is a power-iteration estimate of 1 − λ₂ "+
+		"of the lazy walk, a witness-free cross-check: the estimate can only overstate the true gap, "+
+		"so it certifies no expansion.", trials)
 	trackedNote(cfg, t)
 	return t
 }

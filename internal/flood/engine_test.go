@@ -83,29 +83,9 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunDispatchesToEngine checks that Run falls back to the reference
-// for models without the edge-event contract — and that a caller cannot
-// tell the difference.
-func TestRunDispatchesToEngine(t *testing.T) {
-	build := func() core.Model {
-		m := core.New(core.SDGR, 200, 8, rng.New(11))
-		core.WarmUp(m)
-		return m
-	}
-	opts := Options{MaxRounds: 25, KeepTrajectory: true}
-	viaRun := Run(build(), opts)
-	viaFallback := Run(noEdgeEvents{build()}, opts)
-	if !reflect.DeepEqual(viaFallback, viaRun) {
-		t.Fatalf("reference fallback diverged:\n%+v\n%+v", viaFallback, viaRun)
-	}
-}
-
-// noEdgeEvents hides the concrete model's EdgeEventSource implementation,
-// forcing Run onto the reference path.
-type noEdgeEvents struct{ core.Model }
-
 // TestEngineRestoresHooks checks that flooding chains a caller's hooks
-// while running and restores them afterwards.
+// while running and restores them afterwards, on a churning model and on
+// a static one (which stores hooks it never fires).
 func TestEngineRestoresHooks(t *testing.T) {
 	m := core.New(core.PDGR, 150, 6, rng.New(3))
 	core.WarmUp(m)
@@ -125,6 +105,17 @@ func TestEngineRestoresHooks(t *testing.T) {
 	if births == before && m.Kind().Poisson() {
 		// One round of Poisson churn at n=150 virtually always births.
 		t.Log("no birth in post-run round (rare but possible)")
+	}
+
+	g, _ := staticgraph.Path(5)
+	sm := core.NewStaticModel(g, 1)
+	sm.SetHooks(userHooks)
+	if sm.Hooks().OnBirth == nil {
+		t.Fatal("static model dropped the caller's hooks")
+	}
+	Run(sm, Options{MaxRounds: 10})
+	if after := sm.Hooks(); after.OnDeath != nil || after.OnEdge != nil || after.OnBirth == nil {
+		t.Fatalf("static model's hooks not restored after flooding: %+v", after)
 	}
 }
 

@@ -184,30 +184,17 @@ type pair struct {
 // Run floods over m per opts and returns the outcome. It panics if no
 // source node is available (empty network and Nil source).
 //
-// When the model guarantees the edge-event contract of
-// core.EdgeEventSource (all four paper models, the static baseline and the
-// overlay do), Run is a one-message Traffic plane: the incremental cut-set
-// engine, which maintains the informed→uninformed candidate edges under
-// churn events instead of rescanning every informed neighborhood each
-// round. Its Result is bit-for-bit identical to RunReference's — pinned by
-// the differential tests — so callers never observe which path ran.
-// Models without the contract fall back to RunReference.
+// Run is a one-message Traffic plane: the incremental cut-set engine, which
+// rides the model's edge-event stream (core.Model's contract) to maintain
+// the informed→uninformed candidate edges under churn instead of rescanning
+// every informed neighborhood each round. Its Result is bit-for-bit
+// identical to RunReference's — pinned by the differential tests.
 func Run(m core.Model, opts Options) Result { return run(m, opts, nil) }
 
 // run is Run with a hook that configures the plane before its one
 // Inject; nil configures nothing. Test-only: the oracles set the plane's
 // drain direction through it.
 func run(m core.Model, opts Options, prep func(*Traffic)) Result {
-	if es, ok := m.(core.EdgeEventSource); !ok || !es.EmitsEdgeEvents() {
-		return RunReference(m, opts)
-	}
-	src := opts.Source
-	if src.IsNil() {
-		src = m.LastBorn()
-	}
-	if !m.Graph().IsAlive(src) {
-		panic("flood: source is not an alive node")
-	}
 	t := NewTraffic(m, TrafficOptions{
 		Mode:           opts.Mode,
 		MaxRounds:      opts.MaxRounds,
@@ -219,7 +206,7 @@ func run(m core.Model, opts Options, prep func(*Traffic)) Result {
 	if prep != nil {
 		prep(t)
 	}
-	id := t.Inject(src)
+	id := t.Inject(opts.Source)
 	for t.Live() > 0 {
 		t.Step()
 	}

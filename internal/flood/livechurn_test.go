@@ -16,7 +16,7 @@ import (
 // inside AdvanceRound, and AdvanceRound runs a few of the same operations
 // so churn also lands inside Steps. Every placed or redirected edge fires
 // OnEdge and every departure fires OnDeath before the node is removed
-// (core.EdgeEventSource). The core models confine all churn to
+// (core.Model's edge-event contract). The core models confine all churn to
 // AdvanceRound; this one is how the tests reach the plane's
 // between-Step contract.
 type churnTestModel struct {
@@ -48,7 +48,6 @@ func (m *churnTestModel) Now() float64           { return float64(m.round) }
 func (m *churnTestModel) LastBorn() graph.Handle { return m.last }
 func (m *churnTestModel) SetHooks(h core.Hooks)  { m.hooks = h }
 func (m *churnTestModel) Hooks() core.Hooks      { return m.hooks }
-func (m *churnTestModel) EmitsEdgeEvents() bool  { return true }
 
 func (m *churnTestModel) AdvanceRound() {
 	m.round++

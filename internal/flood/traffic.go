@@ -287,14 +287,10 @@ type freshEdge struct {
 }
 
 // NewTraffic opens a multi-message traffic plane over m. It installs the
-// engine's hooks chained over any existing observer (restored by Close)
-// and panics if the model does not guarantee the edge-event contract of
-// core.EdgeEventSource — the incremental cut bookkeeping requires it (Run
-// checks first and falls back to RunReference).
+// engine's hooks chained over any existing observer (restored by Close);
+// the incremental cut bookkeeping relies on core.Model's edge-event
+// contract.
 func NewTraffic(m core.Model, opts TrafficOptions) *Traffic {
-	if es, ok := m.(core.EdgeEventSource); !ok || !es.EmitsEdgeEvents() {
-		panic("flood: NewTraffic requires a model with the edge-event contract")
-	}
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds(m.N())

@@ -592,20 +592,6 @@ func TestTrafficHookLifecycle(t *testing.T) {
 	}()
 }
 
-// TestTrafficRequiresEdgeEvents checks the constructor's contract: models
-// without the edge-event guarantee have no incremental-cut path to offer.
-func TestTrafficRequiresEdgeEvents(t *testing.T) {
-	t.Parallel()
-	m := core.New(core.SDG, 100, 3, rng.New(1))
-	core.WarmUp(m)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewTraffic accepted a model without edge events")
-		}
-	}()
-	NewTraffic(noEdgeEvents{m}, TrafficOptions{})
-}
-
 // TestTrafficWordBoundaryOracle runs the differential oracle at message
 // counts straddling the packed bitset's 64-lane word seams — M ∈ {16,
 // 63, 64, 65, 128} — across all three schedules and every worker count.

@@ -136,10 +136,6 @@ func (o *Overlay) SetHooks(h core.Hooks) { o.hooks = h }
 // Hooks implements core.Model.
 func (o *Overlay) Hooks() core.Hooks { return o.hooks }
 
-// EmitsEdgeEvents implements core.EdgeEventSource: every overlay edge is
-// dialed in maintain, which fires OnEdge.
-func (o *Overlay) EmitsEdgeEvents() bool { return true }
-
 // AdvanceRound implements core.Model: one unit of simulated time.
 func (o *Overlay) AdvanceRound() { o.AdvanceTime(1) }
 

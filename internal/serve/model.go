@@ -27,11 +27,10 @@ import (
 // autonomously. AdvanceRound advances the clock one transmission unit
 // without churn.
 //
-// It implements core.Model and the edge-event contract
-// (core.EdgeEventSource): every placed or re-pointed edge fires OnEdge
-// and every departure fires OnDeath before the node is removed, exactly
-// like the built-in models, so the flooding engines and the expansion
-// tracker ride it unchanged. All mutating methods must be called from a
+// It implements core.Model and keeps its edge-event contract: every
+// placed or re-pointed edge fires OnEdge and every departure fires
+// OnDeath before the node is removed, exactly like the built-in models,
+// so the flooding engines and the expansion tracker ride it unchanged. All mutating methods must be called from a
 // single goroutine (the server's writer loop).
 type LiveModel struct {
 	kind core.Kind // seed-snapshot kind, for reporting; Kind() is Live
@@ -96,10 +95,6 @@ func (m *LiveModel) SetHooks(h core.Hooks) { m.hooks = h }
 
 // Hooks returns the currently installed callbacks.
 func (m *LiveModel) Hooks() core.Hooks { return m.hooks }
-
-// EmitsEdgeEvents declares the edge-event contract: every edge creation
-// fires OnEdge and removals happen only through deaths.
-func (m *LiveModel) EmitsEdgeEvents() bool { return true }
 
 // AdvanceRound advances the clock one transmission unit. No churn: the
 // network between commands is frozen.
