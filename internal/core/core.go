@@ -189,6 +189,7 @@ type Streaming struct {
 	last  graph.Handle
 	hooks Hooks
 	buf   []graph.InEdge
+	draw  Draw
 }
 
 // NewStreaming builds an empty SDG (regen=false) or SDGR (regen=true) model
@@ -201,14 +202,16 @@ func NewStreaming(n, d int, regen bool, r *rng.RNG) *Streaming {
 	if regen {
 		kind = SDGR
 	}
+	g := graph.New(n+1, d)
 	return &Streaming{
 		kind:  kind,
 		n:     n,
 		d:     d,
 		r:     r,
-		g:     graph.New(n+1, d),
+		g:     g,
 		clock: churn.NewStreaming(n),
 		ring:  make([]graph.Handle, n),
+		draw:  UniformDraw(g, r),
 	}
 }
 
@@ -269,7 +272,7 @@ func (m *Streaming) die(h graph.Handle) {
 	}
 	m.buf = m.g.RemoveNode(h, m.buf[:0])
 	if m.kind.Regen() {
-		regenerate(m.g, m.r, m.buf, m.hooks.OnEdge)
+		Regenerate(m.g, m.buf, m.draw, m.hooks.OnEdge)
 	}
 }
 
@@ -277,7 +280,7 @@ func (m *Streaming) born(round, slot int) {
 	h := m.g.AddNode(float64(round))
 	m.ring[slot] = h
 	m.last = h
-	makeRequests(m.g, m.r, h, m.d, m.hooks.OnEdge)
+	MakeRequests(m.g, h, m.d, m.draw, m.hooks.OnEdge)
 	if m.hooks.OnBirth != nil {
 		m.hooks.OnBirth(h)
 	}
@@ -300,6 +303,7 @@ type Poisson struct {
 	last   graph.Handle
 	hooks  Hooks
 	buf    []graph.InEdge
+	draw   Draw // m.pickTarget, bound once
 
 	// pending is the jump-chain event whose exponential wait overshot the
 	// last AdvanceTime horizon: the residual wait and the already-sampled
@@ -324,7 +328,7 @@ func NewPoisson(n, d int, regen bool, r *rng.RNG) *Poisson {
 	if regen {
 		kind = PDGR
 	}
-	return &Poisson{
+	m := &Poisson{
 		kind: kind,
 		n:    n,
 		d:    d,
@@ -332,6 +336,8 @@ func NewPoisson(n, d int, regen bool, r *rng.RNG) *Poisson {
 		g:    graph.New(n+n/2, d),
 		proc: churn.NewPoisson(n),
 	}
+	m.draw = m.pickTarget
+	return m
 }
 
 // Kind implements Model.
@@ -423,16 +429,7 @@ func (m *Poisson) apply(kind churn.EventKind) {
 	if kind == churn.Birth {
 		h := m.g.AddNode(m.time)
 		m.last = h
-		for i := 0; i < m.d; i++ {
-			tgt := m.pickTarget(h)
-			if tgt.IsNil() {
-				break
-			}
-			m.g.AddOutEdge(h, tgt)
-			if m.hooks.OnEdge != nil {
-				m.hooks.OnEdge(h, tgt)
-			}
-		}
+		MakeRequests(m.g, h, m.d, m.draw, m.hooks.OnEdge)
 		if m.hooks.OnBirth != nil {
 			m.hooks.OnBirth(h)
 		}
@@ -447,27 +444,29 @@ func (m *Poisson) apply(kind churn.EventKind) {
 	}
 	m.buf = m.g.RemoveNode(victim, m.buf[:0])
 	if m.kind.Regen() {
-		for _, e := range m.buf {
-			tgt := m.pickTarget(e.Src)
-			if tgt.IsNil() {
-				continue
-			}
-			m.g.RedirectOutEdge(e.Src, e.Slot, tgt)
-			if m.hooks.OnEdge != nil {
-				m.hooks.OnEdge(e.Src, tgt)
-			}
-		}
+		Regenerate(m.g, m.buf, m.draw, m.hooks.OnEdge)
 	}
 }
 
 // --- shared edge dynamics ---
 
-// makeRequests performs rule 1: d independent uniform requests from h,
-// firing onEdge (if non-nil) per placed edge. In a network with no other
-// node (only during bootstrap) requests cannot be placed and are skipped.
-func makeRequests(g *graph.Graph, r *rng.RNG, h graph.Handle, d int, onEdge func(u, v graph.Handle)) {
+// Draw picks the target of a request made by src, or returns Nil when no
+// other node exists. Models bind theirs once, at construction.
+type Draw func(src graph.Handle) graph.Handle
+
+// UniformDraw is the paper's destination draw: uniform over the alive
+// nodes of g other than the requester.
+func UniformDraw(g *graph.Graph, r *rng.RNG) Draw {
+	return func(src graph.Handle) graph.Handle { return g.RandomAliveExcept(r, src) }
+}
+
+// MakeRequests performs rule 1: d independent requests from h, each to the
+// target draw picks, firing onEdge (if non-nil) per placed edge. In a
+// network with no other node (only during bootstrap) requests cannot be
+// placed and are skipped.
+func MakeRequests(g *graph.Graph, h graph.Handle, d int, draw Draw, onEdge func(u, v graph.Handle)) {
 	for i := 0; i < d; i++ {
-		tgt := g.RandomAliveExcept(r, h)
+		tgt := draw(h)
 		if tgt.IsNil() {
 			return
 		}
@@ -478,12 +477,13 @@ func makeRequests(g *graph.Graph, r *rng.RNG, h graph.Handle, d int, onEdge func
 	}
 }
 
-// regenerate performs rule 3 for every request orphaned by a death, firing
-// onEdge (if non-nil) per re-pointed edge. A request is dropped only if no
-// other node exists (bootstrap corner case).
-func regenerate(g *graph.Graph, r *rng.RNG, orphans []graph.InEdge, onEdge func(u, v graph.Handle)) {
+// Regenerate performs rule 3 for every request orphaned by a death,
+// re-pointing each to the target draw picks and firing onEdge (if non-nil)
+// per re-pointed edge. A request is dropped only if no other node exists
+// (bootstrap corner case).
+func Regenerate(g *graph.Graph, orphans []graph.InEdge, draw Draw, onEdge func(u, v graph.Handle)) {
 	for _, e := range orphans {
-		tgt := g.RandomAliveExcept(r, e.Src)
+		tgt := draw(e.Src)
 		if tgt.IsNil() {
 			continue
 		}

@@ -368,7 +368,7 @@ func TestMakeRequestsParallelEdgesPossible(t *testing.T) {
 	r := rng.New(19)
 	a := g.AddNode(0)
 	b := g.AddNode(1)
-	makeRequests(g, r, b, 5, nil)
+	MakeRequests(g, b, 5, UniformDraw(g, r), nil)
 	if got := g.OutDegreeLive(b); got != 5 {
 		t.Fatalf("out-degree %d, want 5 parallel edges", got)
 	}

@@ -58,8 +58,8 @@ func TestChainHooksComposition(t *testing.T) {
 // edgeLedger audits the event stream against the graph: it maintains the
 // live-edge count from OnEdge/OnDeath alone, which balances with
 // NumEdgesLive only if every emission path fires exactly once per edge
-// change — birth requests (makeRequests and the Poisson birth loop), both
-// regeneration paths, and rule-2 removals implied by deaths.
+// change — birth requests (MakeRequests), regeneration (Regenerate), and
+// rule-2 removals implied by deaths.
 type edgeLedger struct {
 	g      *graph.Graph
 	edges  int
@@ -97,8 +97,8 @@ func (l *edgeLedger) check(t *testing.T, tag string, round int) {
 
 // TestEdgeEventLedgerAllModels balances the event ledger on every model
 // kind and on the bounded-degree Poisson variants, so each emission path
-// — makeRequests, the Poisson apply birth loop, and both regeneration
-// paths — is pinned to fire exactly once per edge change. Each kind also
+// — MakeRequests and Regenerate, under the uniform draw and under the
+// policy draws — is pinned to fire exactly once per edge change. Each kind also
 // runs from a sampled stationary start (no warm-up) at one and two
 // sampling workers: the benchmark workloads start there, and the sampled
 // graph must leave the models' bookkeeping in a state whose later churn

@@ -46,13 +46,12 @@ package expansion
 // set x is not in, its live edges to that set's members. The sweep is
 // sharded by the block-cyclic slot ownership the flooding engine uses
 // (owner(slot) = (slot/64) mod W): worker w sweeps only the slots it owns,
-// so it writes only its own nodes' count lists (and compacts only their
-// in-lists, a stable filter that leaves every later neighborhood visit
-// order unchanged), and accumulates per-set boundary sizes in a private
-// row; the rows are summed at the barrier. A node's counts depend only on
-// its own neighborhood and integer sums are order-independent, so every
-// observable is bit-for-bit identical at any W (pinned by
-// TestTrackerParallelismInvariance and TestTrackerGolden).
+// so it writes only its own nodes' count lists, reads the graph (which no
+// neighborhood visit writes) freely, and accumulates per-set boundary
+// sizes in a private row; the rows are summed at the barrier. A node's
+// counts depend only on its own neighborhood and integer sums are
+// order-independent, so every observable is bit-for-bit identical at any
+// W (pinned by TestTrackerParallelismInvariance and TestTrackerGolden).
 import (
 	"fmt"
 	"sort"
@@ -647,8 +646,8 @@ func (t *Tracker) owner(slot uint32) int {
 // sweepShard is worker w's part of the seeding sweep: every alive node x
 // it owns walks its own neighborhood once and counts, per set x is not a
 // member of, the live edges to that set's members. It writes only the
-// count lists (and, through Neighbors, the in-lists) of the slots w owns,
-// and returns the number of nodes it put on each set's boundary.
+// count lists of the slots w owns, and returns the number of nodes it put
+// on each set's boundary.
 func (t *Tracker) sweepShard(w int, hs []graph.Handle) []int {
 	row := make([]int, len(t.sets))
 	// cnt[s] is x's running count into set s, or -1 for x's own sets;

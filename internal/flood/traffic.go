@@ -871,10 +871,7 @@ func (t *Traffic) freeze() {
 //     its own neighborhood (drainPull). It stages nothing, and a visit
 //     costs about a third of a push visit.
 //
-// Either way each neighborhood is walked by one worker — the crossing
-// node's scanner, or the receiver's owner shard — which confines
-// graph.Neighbors' in-list compaction side effect to a single scanner,
-// and the counts come out identical.
+// Either way the counts come out identical.
 //
 // The push scan filters before it fans out or stages: a neighbor every
 // queueing lane already informs is skipped with one load and a compare,

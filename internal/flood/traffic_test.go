@@ -885,9 +885,8 @@ func TestTrafficMessageIDValidation(t *testing.T) {
 // twice before a Step, and a source injected at a node the last admission
 // sweep just informed, each get their own scan, run before the call that
 // queued it returns — no scan is ever left pending for a later call to
-// merge or repeat (two workers scanning one node would race on its
-// in-list) — and every message still matches its reference replay at
-// every worker count.
+// merge or repeat — and every message still matches its reference replay
+// at every worker count.
 func TestTrafficRepeatedSources(t *testing.T) {
 	t.Parallel()
 	opts := TrafficOptions{MaxRounds: 20, KeepTrajectory: true}

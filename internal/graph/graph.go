@@ -3,19 +3,17 @@
 //
 // Nodes live in a slot arena and are addressed by Handle{Slot, Gen}: a
 // slot's generation is bumped at every birth and every death, so it is odd
-// exactly while the slot holds a live node, and stale references held
-// anywhere — out-edge slots of no-regeneration models, in-edge lists of
-// neighbors — are detected by a generation mismatch instead of eager
-// cleanup. The generations sit in their own dense array, so a liveness
-// check is one 4-byte load (IsAlive). This mirrors the paper's edge
-// semantics exactly: an edge (u, v) exists while both endpoints are alive
-// (Definitions 3.4/3.13/4.9/4.14, rule 2), and in models without
-// regeneration a node silently keeps "pointing at" dead targets.
+// exactly while the slot holds a live node. The generations sit in their
+// own dense array, so a liveness check is one 4-byte load (IsAlive). This
+// mirrors the paper's edge semantics exactly: an edge (u, v) exists while
+// both endpoints are alive (Definitions 3.4/3.13/4.9/4.14, rule 2), and in
+// models without regeneration a node silently keeps "pointing at" dead
+// targets — a stale out-slot is detected by its generation mismatch.
 //
-// An in-list entry of a live node is a live edge exactly when its source
-// is alive: the mutators keep every live source's entry pointing back (see
-// inRefLive), so a neighbor visit costs one liveness load per edge in
-// either direction.
+// In-lists, by contrast, hold live edges only: RemoveNode unlinks the dying
+// node's entry from each live target's in-list, keeping the order of the
+// others. So an in-source visit loads nothing but the entry, no read
+// writes the graph, and concurrent readers need no coordination.
 //
 // Every node records the *requests it made* (its out-edges, at most d of
 // them) separately from the connections it accepted (its in-edges), because
@@ -30,6 +28,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/dyngraph/churnnet/internal/rng"
 )
@@ -192,23 +191,33 @@ func (g *Graph) RedirectOutEdge(u Handle, idx int, v Handle) {
 	g.nodes[v.Slot].in = append(g.nodes[v.Slot].in, inRef{src: u, slot: uint32(idx)})
 }
 
-// RemoveNode kills h. All its incident edges disappear (rule 2). The live
-// in-edges it had at the moment of death are appended to buf and returned,
-// so models with regeneration can re-point each orphaned request; models
-// without regeneration ignore the result. It panics if h is not alive.
+// RemoveNode kills h. All its incident edges disappear (rule 2): its
+// requests leave their targets' in-lists, and the in-edges it had at the
+// moment of death are appended to buf and returned, so models with
+// regeneration can re-point each orphaned request; models without
+// regeneration ignore the result. It panics if h is not alive.
 func (g *Graph) RemoveNode(h Handle, buf []InEdge) []InEdge {
 	if !g.IsAlive(h) {
 		panic("graph: RemoveNode of non-alive handle")
 	}
 	nd := &g.nodes[h.Slot]
-	// Collect the still-valid in-edges before invalidating the node.
 	for _, ref := range nd.in {
-		if g.inRefLive(ref) {
-			buf = append(buf, InEdge{Src: ref.src, Slot: int(ref.slot)})
+		buf = append(buf, InEdge{Src: ref.src, Slot: int(ref.slot)})
+	}
+	// Unlink h's request k from its target's in-list: a stable delete, so
+	// the surviving entries keep their order and every visit order with it.
+	for k, t := range nd.out {
+		if !g.IsAlive(t) {
+			continue // a dead target's in-list was emptied at its death
+		}
+		tn := &g.nodes[t.Slot]
+		for i, ref := range tn.in {
+			if ref.src == h && ref.slot == uint32(k) {
+				tn.in = slices.Delete(tn.in, i, i+1)
+				break
+			}
 		}
 	}
-	// Emptying the in-list keeps inRefLive exact: a later node in this slot
-	// inherits no entries.
 	nd.in = nd.in[:0]
 	nd.out = nd.out[:0]
 	g.gen[h.Slot]++ // even: invalidates every surviving reference to h
@@ -223,21 +232,6 @@ func (g *Graph) RemoveNode(h Handle, buf []InEdge) []InEdge {
 	g.free = append(g.free, h.Slot)
 	return buf
 }
-
-// inRefLive reports whether an entry in a live owner's in-list still
-// describes a live edge into the owner. That holds exactly when its source
-// is alive, because a live source's entry always points back:
-//
-//   - the entry was appended when the source's out-slot was set to the
-//     owner (AddOutEdge or RedirectOutEdge), both then alive;
-//   - an out-slot changes target only by RedirectOutEdge, which panics
-//     unless the old target is dead, and the owner has been alive since;
-//   - a source's out-slots are reset only when it dies, and it is alive;
-//   - RemoveNode empties the in-list of the dying node, so no entry
-//     survives into a later generation of the owner's slot.
-//
-// CheckInvariants asserts the point-back directly.
-func (g *Graph) inRefLive(ref inRef) bool { return g.IsAlive(ref.src) }
 
 // OutTargets calls visit for every live target of h's requests, in slot
 // order, including duplicates (the multigraph keeps parallel requests).
@@ -255,33 +249,16 @@ func (g *Graph) OutTargets(h Handle, visit func(Handle) bool) {
 }
 
 // InSources calls visit for every live node whose request currently points
-// at h, including duplicates. Stale in-list entries are compacted away as a
-// side effect — a stable filter that writes an entry or the list header only
-// when something actually moves. Iteration stops early if visit returns
-// false.
+// at h, including duplicates, in the order the requests were placed.
+// Iteration stops early if visit returns false.
 func (g *Graph) InSources(h Handle, visit func(Handle) bool) {
 	if !g.IsAlive(h) {
 		return
 	}
-	nd := &g.nodes[h.Slot]
-	in := nd.in
-	w := 0
-	stopped := false
-	for r, ref := range in {
-		if !g.inRefLive(ref) {
-			continue
+	for _, ref := range g.nodes[h.Slot].in {
+		if !visit(ref.src) {
+			return
 		}
-		if w != r {
-			in[w] = ref
-		}
-		w++
-		if !stopped && !visit(ref.src) {
-			stopped = true
-			// keep compacting the remainder without visiting
-		}
-	}
-	if w != len(in) {
-		nd.in = in[:w]
 	}
 }
 
@@ -331,9 +308,10 @@ func (g *Graph) OutTarget(h Handle, idx int) (Handle, bool) {
 
 // InDegreeLive returns the number of live requests pointing at h.
 func (g *Graph) InDegreeLive(h Handle) int {
-	n := 0
-	g.InSources(h, func(Handle) bool { n++; return true })
-	return n
+	if !g.IsAlive(h) {
+		return 0
+	}
+	return len(g.nodes[h.Slot].in)
 }
 
 // DegreeLive returns OutDegreeLive + InDegreeLive (parallel edges counted).
@@ -466,9 +444,9 @@ func (g *Graph) NumEdgesLive() int {
 
 // CheckInvariants exhaustively validates internal consistency; it is meant
 // for tests and returns a descriptive error on the first violation. Besides
-// the alive/free bookkeeping and edge symmetry it asserts the two facts the
-// one-load liveness rests on: a slot's generation is odd exactly while it
-// is alive, and every in-list entry with a live source points back.
+// the alive/free bookkeeping and edge symmetry it asserts that a slot's
+// generation is odd exactly while it is alive and that every in-list entry
+// is a live edge: its source is alive and points back.
 func (g *Graph) CheckInvariants() error {
 	if len(g.gen) != len(g.nodes) || len(g.alivePos) != len(g.nodes) {
 		return fmt.Errorf("len(gen)=%d, len(alivePos)=%d, want len(nodes)=%d",
@@ -506,8 +484,8 @@ func (g *Graph) CheckInvariants() error {
 		}
 	}
 	// Edge symmetry: every live out-edge must have exactly one matching
-	// in-list entry, and every in-list entry with a live source must point
-	// back (entries with a dead source are legal until compaction).
+	// in-list entry, and every in-list entry must have a live source that
+	// points back.
 	for _, slot := range g.alive {
 		u := Handle{Slot: slot, Gen: g.gen[slot]}
 		for idx, t := range g.nodes[slot].out {
@@ -526,7 +504,7 @@ func (g *Graph) CheckInvariants() error {
 		}
 		for _, ref := range g.nodes[slot].in {
 			if !g.IsAlive(ref.src) {
-				continue
+				return fmt.Errorf("in-ref %v.out[%d] of %v has a dead source", ref.src, ref.slot, u)
 			}
 			out := g.nodes[ref.src.Slot].out
 			if int(ref.slot) >= len(out) || out[ref.slot] != u {

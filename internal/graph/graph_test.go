@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/dyngraph/churnnet/internal/rng"
@@ -17,9 +19,11 @@ func mustInvariants(t *testing.T, g *Graph) {
 
 // TestCheckInvariantsCatchesCorruption is CheckInvariants' negative
 // control: each case plants one corruption no mutator can produce, and the
-// check must name it. The point-back case is the one the one-load in-ref
-// rule depends on: b's entry for a's request has a live source, but the
-// request now points at a dead node without RedirectOutEdge's bookkeeping.
+// check must name it. The point-back and dead-source cases are the two ways
+// an in-list entry can stop being a live edge: b's entry for a's request
+// outlives a RedirectOutEdge-free rewrite of the request, or a dead node's
+// entry stays behind in a live in-list that RemoveNode should have
+// unlinked.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -35,6 +39,9 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		{"odd generation on a dead slot", func(g *Graph, a, b, dead Handle) {
 			g.gen[dead.Slot]++
 		}, "has generation"},
+		{"dead source left in a live in-list", func(g *Graph, a, b, dead Handle) {
+			g.nodes[a.Slot].in = append(g.nodes[a.Slot].in, inRef{src: dead, slot: 0})
+		}, "dead source"},
 		{"dead slot keeps its in-list", func(g *Graph, a, b, dead Handle) {
 			g.nodes[dead.Slot].in = append(g.nodes[dead.Slot].in, inRef{src: a, slot: 0})
 		}, "dead slot"},
@@ -239,12 +246,13 @@ func TestDeadSourceSkippedAndCompacted(t *testing.T) {
 	g.AddOutEdge(u, w)
 	g.AddOutEdge(v, w)
 	g.RemoveNode(u, nil)
+	// RemoveNode unlinks u's entry at once: before any visit, the in-list
+	// holds only v's ref.
+	if n := len(g.nodes[w.Slot].in); n != 1 || g.nodes[w.Slot].in[0].src != v {
+		t.Fatalf("in-list after source death = %v, want v's entry only", g.nodes[w.Slot].in)
+	}
 	if d := g.InDegreeLive(w); d != 1 {
 		t.Fatalf("in-degree after source death = %d", d)
-	}
-	// InSources compacts: internal in-list should now hold only v's ref.
-	if n := len(g.nodes[w.Slot].in); n != 1 {
-		t.Fatalf("in-list not compacted: %d entries", n)
 	}
 	mustInvariants(t, g)
 }
@@ -709,6 +717,69 @@ func TestMarksManyResets(t *testing.T) {
 		}
 		m.Reset()
 	}
+}
+
+// TestGraphConcurrentReaders pins that reading the graph writes nothing:
+// after churn whose deaths left requests on both sides of many in-lists,
+// several goroutines visit the same nodes through Neighbors, InSources and
+// InDegreeLive at once, and each must see exactly what a serial pass sees
+// afterwards. Under -race, a read that wrote to an in-list would fail here.
+func TestGraphConcurrentReaders(t *testing.T) {
+	const n, d, readers = 400, 4, 4
+	r := rng.New(77)
+	g := New(n, d)
+	for i := 0; i < 3*n; i++ {
+		h := g.AddNode(float64(i))
+		for j := 0; j < d; j++ {
+			if tgt := g.RandomAliveExcept(r, h); !tgt.IsNil() {
+				g.AddOutEdge(h, tgt)
+			}
+		}
+		if g.NumAlive() > n {
+			g.RemoveNode(g.RandomAlive(r), nil)
+		}
+	}
+	hs := g.AliveHandles()
+	// view renders a node's three reads as sorted source lists and a count.
+	view := func(h Handle) string {
+		var nb, in []Handle
+		g.Neighbors(h, func(x Handle) bool { nb = append(nb, x); return true })
+		g.InSources(h, func(x Handle) bool { in = append(in, x); return true })
+		sortHandles(nb)
+		sortHandles(in)
+		return fmt.Sprint(nb, in, g.InDegreeLive(h))
+	}
+	got := make([][]string, readers)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = make([]string, len(hs))
+			for i, h := range hs {
+				got[w][i] = view(h)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, h := range hs {
+		want := view(h)
+		for w := range got {
+			if got[w][i] != want {
+				t.Fatalf("reader %d saw %v as %s, serial pass %s", w, h, got[w][i], want)
+			}
+		}
+	}
+	mustInvariants(t, g)
+}
+
+func sortHandles(hs []Handle) {
+	sort.Slice(hs, func(i, j int) bool {
+		if hs[i].Slot != hs[j].Slot {
+			return hs[i].Slot < hs[j].Slot
+		}
+		return hs[i].Gen < hs[j].Gen
+	})
 }
 
 func BenchmarkAddRemoveNode(b *testing.B) {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sort"
 	"testing"
 
@@ -16,10 +17,11 @@ type refGraph struct {
 	alive  map[int]bool
 	birth  map[int]int
 	out    map[int][]int // owner -> slot-indexed targets (-1 = dead target)
+	in     map[int][]int // target -> live requesters, in placement order
 }
 
 func newRefGraph() *refGraph {
-	return &refGraph{alive: map[int]bool{}, birth: map[int]int{}, out: map[int][]int{}}
+	return &refGraph{alive: map[int]bool{}, birth: map[int]int{}, out: map[int][]int{}, in: map[int][]int{}}
 }
 
 func (r *refGraph) addNode() int {
@@ -32,10 +34,14 @@ func (r *refGraph) addNode() int {
 
 func (r *refGraph) addEdge(u, v int) int {
 	r.out[u] = append(r.out[u], v)
+	r.in[v] = append(r.in[v], u)
 	return len(r.out[u]) - 1
 }
 
-func (r *refGraph) redirect(u, slot, v int) { r.out[u][slot] = v }
+func (r *refGraph) redirect(u, slot, v int) {
+	r.out[u][slot] = v
+	r.in[v] = append(r.in[v], u)
+}
 
 // remove kills id and returns the live in-edges (owner, slot) it had.
 func (r *refGraph) remove(id int) [][2]int {
@@ -50,8 +56,14 @@ func (r *refGraph) remove(id int) [][2]int {
 			}
 		}
 	}
+	for _, v := range r.out[id] {
+		if r.alive[v] {
+			r.in[v] = slices.DeleteFunc(r.in[v], func(u int) bool { return u == id })
+		}
+	}
 	delete(r.alive, id)
 	delete(r.out, id)
+	delete(r.in, id)
 	sort.Slice(orphans, func(i, j int) bool {
 		if orphans[i][0] != orphans[j][0] {
 			return orphans[i][0] < orphans[j][0]
@@ -182,7 +194,7 @@ func (h *refHarness) addEdge(c chooser) {
 }
 
 // check compares the alive count and, for every alive node, its neighbor
-// multiplicities and degree, then runs CheckInvariants.
+// multiplicities, degree and in-source order, then runs CheckInvariants.
 func (h *refHarness) check() {
 	t, g := h.t, h.g
 	if g.NumAlive() != len(h.ref.alive) {
@@ -212,6 +224,11 @@ func (h *refHarness) check() {
 		}
 		if d := g.DegreeLive(v); d != wantDeg {
 			t.Fatalf("node %d: degree %d vs %d", id, d, wantDeg)
+		}
+		var in []int
+		g.InSources(v, func(u Handle) bool { in = append(in, h.toID[u]); return true })
+		if !slices.Equal(in, h.ref.in[id]) {
+			t.Fatalf("node %d: in-sources %v, want %v in placement order", id, in, h.ref.in[id])
 		}
 	}
 	if err := g.CheckInvariants(); err != nil {
@@ -273,9 +290,11 @@ func (c *byteChooser) Bool() bool     { return c.next()&1 == 1 }
 // TestGraphMatchesReference: the fuzzer's bytes are a script of AddNode,
 // AddOutEdge and RemoveNode (with or without redirecting the orphans), and
 // after every step the neighbor multiplicities, degrees and orphan lists
-// must match refGraph and CheckInvariants must hold. It is the evidence for
-// the one-load in-ref rule (inRefLive): an in-list entry whose source is
-// alive must be a live edge. Each op byte selects, mod 4: 0 AddNode, 1–2
+// must match refGraph and CheckInvariants must hold. It is the evidence
+// that RemoveNode unlinks exactly the dying node's in-list entries, in
+// place: every in-list holds live edges only, in the order they were
+// placed, even when the dying node made parallel requests to one target or
+// its slot is reused. Each op byte selects, mod 4: 0 AddNode, 1–2
 // AddOutEdge, 3 RemoveNode; the following bytes pick the endpoints, the
 // victim, whether to redirect, and the new targets. The committed corpus
 // (testdata/fuzz/FuzzGraphMatchesReference) replays under a plain go test.

@@ -35,7 +35,6 @@ import (
 type LiveModel struct {
 	kind core.Kind // seed-snapshot kind, for reporting; Kind() is Live
 	n, d int
-	r    *rng.RNG
 	g    *graph.Graph
 
 	time  float64
@@ -43,6 +42,7 @@ type LiveModel struct {
 	last  graph.Handle
 	hooks core.Hooks
 	buf   []graph.InEdge
+	draw  core.Draw
 }
 
 // NewLiveModel builds a live model seeded with a stationary snapshot of
@@ -62,7 +62,7 @@ func NewLiveModel(kind core.Kind, n, d int, seed uint64, workers int) *LiveModel
 	} else {
 		m.g = graph.New(0, d)
 	}
-	m.r = r
+	m.draw = core.UniformDraw(m.g, r)
 	return m
 }
 
@@ -108,16 +108,7 @@ func (m *LiveModel) AdvanceRound() {
 func (m *LiveModel) Join() graph.Handle {
 	h := m.g.AddNode(m.time)
 	m.last = h
-	for i := 0; i < m.d; i++ {
-		tgt := m.g.RandomAliveExcept(m.r, h)
-		if tgt.IsNil() {
-			break // first node of an empty network: no peer to request
-		}
-		m.g.AddOutEdge(h, tgt)
-		if m.hooks.OnEdge != nil {
-			m.hooks.OnEdge(h, tgt)
-		}
-	}
+	core.MakeRequests(m.g, h, m.d, m.draw, m.hooks.OnEdge)
 	if m.hooks.OnBirth != nil {
 		m.hooks.OnBirth(h)
 	}
@@ -143,17 +134,7 @@ func (m *LiveModel) depart(h graph.Handle, regen bool) {
 		m.hooks.OnDeath(h)
 	}
 	m.buf = m.g.RemoveNode(h, m.buf[:0])
-	if !regen {
-		return
-	}
-	for _, e := range m.buf {
-		tgt := m.g.RandomAliveExcept(m.r, e.Src)
-		if tgt.IsNil() {
-			continue
-		}
-		m.g.RedirectOutEdge(e.Src, e.Slot, tgt)
-		if m.hooks.OnEdge != nil {
-			m.hooks.OnEdge(e.Src, tgt)
-		}
+	if regen {
+		core.Regenerate(m.g, m.buf, m.draw, m.hooks.OnEdge)
 	}
 }
