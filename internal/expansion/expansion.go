@@ -387,19 +387,11 @@ func greedyGrow(g *graph.Graph, seed graph.Handle, maxSize int, r *rng.RNG, reco
 	}
 	addBoundary(seed)
 
-	compact := func() {
-		w := 0
-		for _, b := range boundary {
-			if g.IsAlive(b) && onBoundary.Has(b) && !inSet.Has(b) {
-				boundary[w] = b
-				w++
-			}
-		}
-		boundary = boundary[:w]
-	}
-
+	// boundary holds exactly the marked boundary vertices, alive and
+	// outside the set, with no compaction: the graph does not change
+	// during the call, a vertex enters once (onBoundary.Mark), and the only
+	// one that ever leaves — the pick — is swap-removed as it joins the set.
 	for len(set) < maxSize {
-		compact()
 		record(len(set), len(boundary))
 		if len(boundary) == 0 {
 			return set // the connected component is exhausted
@@ -435,7 +427,6 @@ func greedyGrow(g *graph.Graph, seed graph.Handle, maxSize int, r *rng.RNG, reco
 		set = append(set, pick)
 		addBoundary(pick)
 	}
-	compact()
 	record(len(set), len(boundary))
 	return set
 }

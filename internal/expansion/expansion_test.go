@@ -1,6 +1,7 @@
 package expansion
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -238,6 +239,24 @@ func BenchmarkEstimateSDGR(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Estimate(m.Graph(), r, Config{})
+	}
+}
+
+// BenchmarkGreedyGrow times greedy growth on a stationary SDGR snapshot
+// at n = 10⁵, d = 21, where the boundary outgrows greedyCandidateCap in
+// the first step: a step then walks a fixed number of neighborhoods, so
+// ns/step stays flat as the grown size rises 64-fold.
+func BenchmarkGreedyGrow(b *testing.B) {
+	g := core.SampleStationary(core.SDGR, 100_000, 21, rng.New(1)).Graph()
+	seed := g.AliveHandles()[0]
+	for _, size := range []int{256, 2048, 16384} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			r := rng.New(2)
+			for i := 0; i < b.N; i++ {
+				greedyGrow(g, seed, size, r, func(int, int) {})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*size), "ns/step")
+		})
 	}
 }
 

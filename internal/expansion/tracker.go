@@ -161,8 +161,8 @@ func (c TrackerConfig) withDefaults() TrackerConfig {
 }
 
 // defaultMaxGreedyTracked caps greedy growth during seeding unless the
-// config overrides it; beyond a few thousand members the growth's
-// per-step boundary compaction dominates every other seeding pass.
+// config overrides it: each step walks up to greedyCandidateCap
+// candidates' neighborhoods, so a grown set costs its size times that.
 const defaultMaxGreedyTracked = 2048
 
 // trackerShardBlock is the per-slot-range ownership block width, matching

@@ -410,7 +410,7 @@ func TestTrackerGolden(t *testing.T) {
 					tr := NewTracker(m, rng.New(seed^0x9e37), TrackerConfig{
 						ReseedEvery:   3,
 						LadderStride:  2,
-						MaxGreedySize: 256, // quadratic growth would dominate the run
+						MaxGreedySize: 256, // greedy growth would dominate the run
 						Parallelism:   par,
 					})
 					for round := 1; round <= 10; round++ {

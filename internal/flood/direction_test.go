@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"github.com/dyngraph/churnnet/internal/core"
+	"github.com/dyngraph/churnnet/internal/graph"
 	"github.com/dyngraph/churnnet/internal/rng"
+	"github.com/dyngraph/churnnet/internal/staticgraph"
 )
 
 // drainDirs are the drain directions the oracles sweep: the rule, and
@@ -237,3 +239,92 @@ func benchBurstDrain(b *testing.B, dir drainDirection) {
 func BenchmarkTrafficBurstDrainPush(b *testing.B) { benchBurstDrain(b, drainPush) }
 func BenchmarkTrafficBurstDrainPull(b *testing.B) { benchBurstDrain(b, drainPull) }
 func BenchmarkTrafficBurstDrainAuto(b *testing.B) { benchBurstDrain(b, drainAuto) }
+
+// TestPullRecountPlaneBoundaries pins the pull recount's bit planes at
+// their carries. A static hub of degree 300 — half its edges out, half
+// in — neighbors every y_j, j = 1..300; lane l's source (one of 70, so
+// the lanes span two words) neighbors y_1..y_{c_l}, with c_l cycling over
+// 2^k − 1 and 2^k up to 256, and 300, the hub's degree. Round 1 informs
+// exactly y_1..y_{c_l} in lane l, so the next drain recounts the hub's
+// lane-l count to c_l, and each source's to min(c_l, c_l') in lane l'.
+// The hub needs all nine planes its degree allows; the top one holds only
+// the counts from 256 on. Under pull and push forced, at every worker
+// count, every Result must be its RunReference's, every frozen cut the
+// recomputed one, and the hub's frozen counts exactly c_l.
+func TestPullRecountPlaneBoundaries(t *testing.T) {
+	t.Parallel()
+	const hubDeg, M = 300, 70
+	var targets []int
+	for k := 1; k <= 8; k++ {
+		targets = append(targets, 1<<k-1, 1<<k)
+	}
+	targets = append(targets, hubDeg)
+	c := make([]int, M)
+	for l := range c {
+		c[l] = targets[l%len(targets)]
+	}
+	n := 1 + hubDeg + M // hub 0, y_j = j, lane l's source n-1-l
+	var edges [][2]int
+	for j := 1; j <= hubDeg; j++ {
+		if j%2 == 1 {
+			edges = append(edges, [2]int{0, j})
+		} else {
+			edges = append(edges, [2]int{j, 0})
+		}
+	}
+	for l, cl := range c {
+		for j := 1; j <= cl; j++ {
+			edges = append(edges, [2]int{n - 1 - l, j})
+		}
+	}
+	build := func() (core.Model, []graph.Handle) {
+		g, hs := staticgraph.FromEdges(n, edges)
+		return core.NewStaticModel(g, 1), hs
+	}
+
+	want := make([]Result, M)
+	for l := range want {
+		m, hs := build()
+		want[l] = RunReference(m, Options{Source: hs[n-1-l], KeepTrajectory: true})
+	}
+	for _, dir := range []drainDirection{drainPull, drainPush} {
+		for _, par := range testPars() {
+			at := fmt.Sprintf("%v par %d", dir, par)
+			m, hs := build()
+			hub := hs[0]
+			tr := NewTraffic(m, TrafficOptions{KeepTrajectory: true, Parallelism: par})
+			var l drainLog
+			l.attach(tr, dir)
+			hubCounts := make([]int32, M) // the hub's frozen counts, per lane
+			tr.onFreeze = func() {
+				checkFrozenCut(t, tr, at)
+				if tr.tracked.wordsOf(hub) == nil {
+					return
+				}
+				for li, cnt := range tr.cnt.row(hub.Slot)[:M] {
+					if tr.tracked.has(hub, li) {
+						hubCounts[li] = max(hubCounts[li], cnt)
+					}
+				}
+			}
+			ids := make([]MessageID, M)
+			for li := range ids {
+				ids[li] = tr.Inject(hs[n-1-li])
+			}
+			for tr.Live() > 0 {
+				tr.Step()
+			}
+			for li, id := range ids {
+				if got := tr.Result(id); !reflect.DeepEqual(got, want[li]) {
+					t.Fatalf("%s: lane %d (c = %d) diverged from its reference\nplane:     %+v\nreference: %+v",
+						at, li, c[li], got, want[li])
+				}
+				if hubCounts[li] != int32(c[li]) {
+					t.Fatalf("%s: lane %d froze the hub at count %d, want %d", at, li, hubCounts[li], c[li])
+				}
+			}
+			tr.Close()
+			l.check(t, dir, at)
+		}
+	}
+}

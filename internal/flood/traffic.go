@@ -869,7 +869,8 @@ func (t *Traffic) freeze() {
 //   - pull passes over every arena slot and recounts, for every alive
 //     receiver some pending lane does not inform, that receiver's row from
 //     its own neighborhood (drainPull). It stages nothing, and a visit
-//     costs about a third of a push visit.
+//     costs about a third of a push visit at one lane, and less with many
+//     lanes, which it counts word-parallel.
 //
 // Either way the counts come out identical.
 //
@@ -957,9 +958,12 @@ func (t *Traffic) uninformed(lanes []uint64) int {
 // visits. A push visit filters the neighbor and then adds the incidence to
 // a count row anywhere in the store (sharded, it stages the edge and merges
 // it again in a second pass); a pull visit reads the neighbor's informed
-// word and writes the row of the node it walks from, in slot order. On the
-// dense waves of a 64-message burst the ratio measures 2.3–4.0 (DESIGN.md,
-// "Drain direction" has the per-drain timings it is taken from).
+// word and adds it to the bit planes of the node it walks from, whose row
+// it writes once, in slot order. The ratio measures about 3 at one lane
+// and 4–6 on the dense waves of a 64-message burst; any κ in about
+// [1.6, 25] picks the faster direction on every drain DESIGN.md times
+// ("Drain direction"), and 3 keeps a one-lane broadcast at n = 10⁶ pushing
+// four drains and then pulling, as before.
 const pushVisitCost = 3
 
 // pullPays is the drain direction rule. It prices both directions in one
@@ -1000,9 +1004,19 @@ func (t *Traffic) pullPays(u, nScan int) bool {
 // some pending lane (lanes) does not inform, it zeroes x's counts and
 // tracking bits in those lanes, lx, and recounts them from x's own
 // neighborhood — one count per visit of a neighbor y in each lane of lx
-// that informs y — claiming x's row at the first count. Every write lands
-// in x's owner shard, so nothing is staged or merged, and only x's owner
-// walks Neighbors(x).
+// that informs y. Every write lands in x's owner shard, so nothing is
+// staged or merged, and only x's owner walks Neighbors(x).
+//
+// The walk counts word-parallel, in bit planes: plane p holds bit p of
+// every lane's count, and a visit adds its lane word lx & informed(y) to
+// the planes with a ripple-carry add — about two word operations whatever
+// the number of lanes it counts in. Each visit adds at most one to a lane,
+// so bits.Len(OutSlotCount(x) + InDegreeLive(x)) planes hold every count
+// and a carry never leaves the top plane. After the walk each lane that
+// counts writes its count into x's row once and sets its tracking bit (the
+// OR of the planes), and x's row is claimed there, only if some lane
+// counts. Only x's own claim could happen during x's walk, so the
+// receivers keep the order a claim at the first count gave them.
 //
 // The recount is exact. Before the drain, a lane l's count at x is the
 // number of live incidences between x and l's informed nodes other than
@@ -1019,7 +1033,10 @@ func (t *Traffic) pullPays(u, nScan int) bool {
 // (see cross).
 func (t *Traffic) drainPull(w int, lanes []uint64) {
 	g := t.g
-	lx := make([]uint64, t.stride)
+	st := t.stride
+	lx := make([]uint64, st)
+	counted := make([]uint64, st) // the lanes of lx with a nonzero count
+	var planes []uint64           // plane p's word i at [p*st+i]; reused across x
 	n := g.NumSlots()
 	for lo := w * shardBlock; lo < n; lo += t.par * shardBlock {
 		for s := lo; s < min(lo+shardBlock, n); s++ {
@@ -1048,28 +1065,57 @@ func (t *Traffic) drainPull(w int, lanes []uint64) {
 					}
 				}
 			}
-			var tw []uint64
-			var row []int32
+			np := bits.Len(uint(g.OutSlotCount(x) + g.InDegreeLive(x)))
+			if len(planes) < np*st {
+				planes = make([]uint64, np*st)
+			}
+			ps := planes[:np*st]
+			clear(ps)
 			g.Neighbors(x, func(y graph.Handle) bool {
 				yw := t.informed.wordsOf(y)
 				if yw == nil {
 					return true
 				}
 				for i, m := range lx {
-					for m &= yw[i]; m != 0; m &= m - 1 {
-						li := i<<6 | bits.TrailingZeros64(m)
-						if t.onStage != nil && !t.onStage(li, x, y) {
-							continue
+					m &= yw[i]
+					if t.onStage != nil { // drop the filtered lanes before the add
+						for b := m; b != 0; b &= b - 1 {
+							if !t.onStage(i<<6|bits.TrailingZeros64(b), x, y) {
+								m &^= b & -b
+							}
 						}
-						if row == nil {
-							tw, row = t.claimRow(x)
-						}
-						tw[i] |= m & -m
-						row[li]++
+					}
+					// Ripple-carry add of one in every lane of m.
+					for p := i; m != 0; p += st {
+						c := ps[p]
+						ps[p] = c ^ m
+						m &= c
 					}
 				}
 				return true
 			})
+			for i := range counted {
+				var c uint64
+				for p := i; p < len(ps); p += st {
+					c |= ps[p]
+				}
+				counted[i] = c
+			}
+			if !anyBit(counted) {
+				continue
+			}
+			tw, row := t.claimRow(x)
+			for i, m := range counted {
+				tw[i] |= m
+				for ; m != 0; m &= m - 1 {
+					b := bits.TrailingZeros64(m)
+					var c int32
+					for p, k := i, 0; p < len(ps); p, k = p+st, k+1 {
+						c |= int32(ps[p]>>b&1) << k
+					}
+					row[i<<6|b] = c
+				}
+			}
 		}
 	}
 }

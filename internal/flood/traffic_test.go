@@ -186,7 +186,8 @@ func TestTrafficMatchesSingleMessageOracle(t *testing.T) {
 // matching their replays (the corruption is confined to the lane whose event
 // was dropped; lanes share no informed state). The control runs under each
 // drain direction forced, and under the rule; a pull recounts a dropped
-// incidence at its next drain, but the round it missed stays wrong.
+// incidence at its next drain, but the round it missed stays wrong. Under
+// forced pull the drop must land in the pull recount's word-parallel add.
 func TestTrafficNegativeControl(t *testing.T) {
 	t.Parallel()
 	for _, dir := range drainDirs {
@@ -216,10 +217,11 @@ func negativeControl(t *testing.T, dir drainDirection) {
 		mc := build()
 		tr := NewTraffic(mc, opts)
 		tr.drainDir = dir
-		dropped := false
+		dropped, pulling, droppedInPull := false, false, false
+		tr.onDrain = func(pull bool, u, nScan int) { pulling = pull }
 		tr.onStage = func(li int, recv, sender graph.Handle) bool {
 			if li == 1 && !dropped {
-				dropped = true
+				dropped, droppedInPull = true, pulling
 				return false
 			}
 			return true
@@ -236,6 +238,9 @@ func negativeControl(t *testing.T, dir drainDirection) {
 
 		if !dropped {
 			t.Fatalf("%v seed %d: control never dropped an event", dir, seed)
+		}
+		if dir == drainPull && !droppedInPull {
+			t.Fatalf("%v seed %d: the dropped event bypassed the pull recount", dir, seed)
 		}
 		if !reflect.DeepEqual(corrupt[0], honest[0]) {
 			t.Fatalf("%v seed %d: corruption of lane 1 leaked into message 0\n%+v\n%+v",
@@ -674,7 +679,8 @@ func TestTrafficWordBoundaryOracle(t *testing.T) {
 // catch the divergence, and the corruption must stay confined to lane 64
 // — in particular lane 63, its seam neighbor in word 0, must keep
 // matching the honest run. It runs under each drain direction forced, and
-// under the rule.
+// under the rule; under forced pull the drop must land in the pull
+// recount, in the bit planes of word 1.
 func TestTrafficNegativeControlWordSeam(t *testing.T) {
 	t.Parallel()
 	for _, dir := range drainDirs {
@@ -700,10 +706,11 @@ func negativeControlWordSeam(t *testing.T, dir drainDirection) {
 		mc := build()
 		tr := NewTraffic(mc, opts)
 		tr.drainDir = dir
-		dropped := false
+		dropped, pulling, droppedInPull := false, false, false
+		tr.onDrain = func(pull bool, u, nScan int) { pulling = pull }
 		tr.onStage = func(li int, recv, sender graph.Handle) bool {
 			if li == 64 && !dropped {
-				dropped = true
+				dropped, droppedInPull = true, pulling
 				return false
 			}
 			return true
@@ -723,6 +730,9 @@ func negativeControlWordSeam(t *testing.T, dir drainDirection) {
 
 		if !dropped {
 			t.Fatalf("%v seed %d: control never dropped a lane-64 event", dir, seed)
+		}
+		if dir == drainPull && !droppedInPull {
+			t.Fatalf("%v seed %d: the dropped lane-64 event bypassed the pull recount", dir, seed)
 		}
 		for i := 0; i < messages; i++ {
 			if i == 64 {
