@@ -187,7 +187,7 @@ const FloodAuto = flood.Auto
 // AutoParallelism returns the worker-shard count the FloodAuto policy
 // resolves to for a structure of roughly n nodes: one shard per 32Ki
 // slots, clamped to [1, GOMAXPROCS].
-func AutoParallelism(n int) int { return flood.AutoParallelism(n) }
+func AutoParallelism(n int) int { return graph.AutoWorkers(n) }
 
 // Flood broadcasts from opts.Source (default: the newest node) over m.
 //
@@ -458,10 +458,11 @@ type Experiment = experiments.Experiment
 // per-trial progress callback, the FastWarmUp knob that builds trial
 // models by direct stationary sampling (NewStationaryModel) instead of
 // simulated warm-up, and the FloodParallelism shard count applied inside
-// each single flooding run and fast-warm-up snapshot fill (0 or 1 =
-// serial — the right setting when trial-level parallelism already
-// saturates the cores). Results are bit-identical at every parallelism
-// setting, trial-level and intra-flood alike.
+// each single flooding run, fast-warm-up snapshot fill and tracked
+// expansion seeding sweep (0 or 1 = serial — the right setting when
+// trial-level parallelism already saturates the cores). Results are
+// bit-identical at every parallelism setting, trial-level and intra-flood
+// alike.
 type ExperimentConfig = experiments.Config
 
 // ResultTable is a rendered experiment result.

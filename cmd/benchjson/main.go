@@ -651,7 +651,7 @@ func trafficSource(m core.Model) graph.Handle {
 func measureTraffic(c spec, seed uint64, reps int) []row {
 	par := c.par
 	if par < 0 {
-		par = flood.AutoParallelism(c.n)
+		par = graph.AutoWorkers(c.n)
 	}
 	p := c.params()
 	p["schedule"], p["gap"], p["messages"], p["par"] = c.schedule, c.gap, c.messages, par

@@ -38,6 +38,7 @@ import (
 	"time"
 
 	"github.com/dyngraph/churnnet/internal/core"
+	"github.com/dyngraph/churnnet/internal/flood"
 	"github.com/dyngraph/churnnet/internal/serve"
 	"github.com/dyngraph/churnnet/internal/serve/driver"
 )
@@ -54,7 +55,7 @@ func main() {
 		queue     = flag.Int("queue", 1024, "command queue depth (full queue answers 429)")
 		pubEvery  = flag.Duration("publish-interval", 0, "minimum interval between snapshot publishes (0 = after every command batch)")
 		observe   = flag.Int("observe-every", 0, "record an expansion observation every k rounds (0 = tracker off)")
-		par       = flag.Int("par", 0, "worker shards for seeding and the traffic plane (0 = serial, -1 = auto)")
+		par       = flag.Int("par", 1, "worker shards for seeding and the traffic plane; 0 picks W from GOMAXPROCS and n")
 		maxRounds = flag.Int("maxrounds", 0, "per-message round cap (0 = 40·log2(n)+60)")
 
 		drive    = flag.Bool("drive", false, "driver mode: exercise the daemon at -addr and exit")
@@ -91,9 +92,12 @@ func main() {
 		fmt.Fprintln(os.Stderr, "churnd:", err)
 		os.Exit(2)
 	}
-	if err := validateServeFlags(*n, *d, *queue, *observe, *maxRounds, *tick, *pubEvery); err != nil {
+	if err := validateServeFlags(*n, *d, *queue, *observe, *par, *maxRounds, *tick, *pubEvery); err != nil {
 		fmt.Fprintln(os.Stderr, "churnd:", err)
 		os.Exit(2)
+	}
+	if *par == 0 {
+		*par = flood.Auto
 	}
 
 	log.Printf("churnd: seeding %s n=%d d=%d (seed %d)...", kind, *n, *d, *seed)
@@ -169,7 +173,7 @@ func parseKind(name string) (core.Kind, error) {
 	return 0, fmt.Errorf("unknown model %q (want SDG, SDGR, PDG or PDGR)", name)
 }
 
-func validateServeFlags(n, d, queue, observe, maxRounds int, tick, pubEvery time.Duration) error {
+func validateServeFlags(n, d, queue, observe, par, maxRounds int, tick, pubEvery time.Duration) error {
 	switch {
 	case n < 0 || n > 1_000_000:
 		return errors.New("-n must be in 0..1000000")
@@ -179,6 +183,8 @@ func validateServeFlags(n, d, queue, observe, maxRounds int, tick, pubEvery time
 		return errors.New("-queue must be at least 1")
 	case observe < 0:
 		return errors.New("-observe-every must be non-negative")
+	case par < 0:
+		return errors.New("-par must be >= 0 (0 = auto from GOMAXPROCS and n)")
 	case maxRounds < 0:
 		return errors.New("-maxrounds must be non-negative")
 	case tick < 0:

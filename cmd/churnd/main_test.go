@@ -23,25 +23,28 @@ func TestParseKind(t *testing.T) {
 // exit with the conventional usage status 2).
 func TestValidateServeFlags(t *testing.T) {
 	cases := []struct {
-		name                       string
-		n, d, queue, observe, maxr int
-		tick, pubEvery             time.Duration
-		wantErr                    bool
+		name                            string
+		n, d, queue, observe, par, maxr int
+		tick, pubEvery                  time.Duration
+		wantErr                         bool
 	}{
-		{"defaults", 10000, 20, 1024, 0, 0, 0, 0, false},
-		{"empty start", 0, 3, 1, 4, 100, time.Millisecond, time.Millisecond, false},
-		{"million nodes", 1_000_000, 20, 1024, 0, 0, 0, 0, false},
-		{"negative n", -1, 20, 1024, 0, 0, 0, 0, true},
-		{"too many nodes", 1_000_001, 20, 1024, 0, 0, 0, 0, true},
-		{"zero d", 100, 0, 1024, 0, 0, 0, 0, true},
-		{"zero queue", 100, 3, 0, 0, 0, 0, 0, true},
-		{"negative observe", 100, 3, 8, -1, 0, 0, 0, true},
-		{"negative maxrounds", 100, 3, 8, 0, -1, 0, 0, true},
-		{"negative tick", 100, 3, 8, 0, 0, -time.Second, 0, true},
-		{"negative publish interval", 100, 3, 8, 0, 0, 0, -time.Second, true},
+		{"defaults", 10000, 20, 1024, 0, 1, 0, 0, 0, false},
+		{"empty start", 0, 3, 1, 4, 1, 100, time.Millisecond, time.Millisecond, false},
+		{"million nodes", 1_000_000, 20, 1024, 0, 1, 0, 0, 0, false},
+		{"auto par", 10000, 20, 1024, 0, 0, 0, 0, 0, false},
+		{"four shards", 10000, 20, 1024, 0, 4, 0, 0, 0, false},
+		{"negative par", 10000, 20, 1024, 0, -1, 0, 0, 0, true},
+		{"negative n", -1, 20, 1024, 0, 1, 0, 0, 0, true},
+		{"too many nodes", 1_000_001, 20, 1024, 0, 1, 0, 0, 0, true},
+		{"zero d", 100, 0, 1024, 0, 1, 0, 0, 0, true},
+		{"zero queue", 100, 3, 0, 0, 1, 0, 0, 0, true},
+		{"negative observe", 100, 3, 8, -1, 1, 0, 0, 0, true},
+		{"negative maxrounds", 100, 3, 8, 0, 1, -1, 0, 0, true},
+		{"negative tick", 100, 3, 8, 0, 1, 0, -time.Second, 0, true},
+		{"negative publish interval", 100, 3, 8, 0, 1, 0, 0, -time.Second, true},
 	}
 	for _, c := range cases {
-		err := validateServeFlags(c.n, c.d, c.queue, c.observe, c.maxr, c.tick, c.pubEvery)
+		err := validateServeFlags(c.n, c.d, c.queue, c.observe, c.par, c.maxr, c.tick, c.pubEvery)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: validateServeFlags = %v, wantErr %v", c.name, err, c.wantErr)
 		}

@@ -59,8 +59,7 @@ func main() {
 		*floodPar = churnnet.FloodAuto
 	}
 	cfg := churnnet.ExperimentConfig{Scale: scale, Seed: *seed, Parallelism: *par,
-		FastWarmUp: *fastWarm, FloodParallelism: *floodPar,
-		TrackExpansion: *trackExp, ExpansionParallelism: *floodPar}
+		FastWarmUp: *fastWarm, FloodParallelism: *floodPar, TrackExpansion: *trackExp}
 
 	w := os.Stdout
 	if *out != "" {

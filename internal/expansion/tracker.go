@@ -43,10 +43,10 @@ package expansion
 // The one O(Σ|S|·d)-sized pass is seeding, at construction and at every
 // re-seed. Instead of walking each set's members, it runs one sweep in
 // which every alive node x walks its own neighborhood once and counts, per
-// set x is not in, its live edges to that set's members. The sweep is
-// sharded by the block-cyclic slot ownership the flooding engine uses
-// (owner(slot) = (slot/64) mod W): worker w sweeps only the slots it owns,
-// so it writes only its own nodes' count lists, reads the graph (which no
+// set x is not in, its live edges to that set's members. The sweep runs
+// on graph.Shards, the scaffold the flooding engine shares: worker w walks
+// only the slot blocks it owns, so it writes only its own nodes' count
+// lists, reads the graph (which no
 // neighborhood visit writes) freely, and accumulates per-set boundary
 // sizes in a private row; the rows are summed at the barrier. A node's
 // counts depend only on its own neighborhood and integer sums are
@@ -55,7 +55,6 @@ package expansion
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/dyngraph/churnnet/internal/core"
 	"github.com/dyngraph/churnnet/internal/graph"
@@ -165,10 +164,6 @@ func (c TrackerConfig) withDefaults() TrackerConfig {
 // candidates' neighborhoods, so a grown set costs its size times that.
 const defaultMaxGreedyTracked = 2048
 
-// trackerShardBlock is the per-slot-range ownership block width, matching
-// the flooding engine's: slot s belongs to shard (s/64) mod W.
-const trackerShardBlock = 64
-
 // slotSets lists the tracked sets a node belongs to.
 type slotSets struct {
 	epoch uint32
@@ -236,7 +231,7 @@ type Tracker struct {
 	g   *graph.Graph
 	r   *rng.RNG
 	cfg TrackerConfig
-	par int
+	sh  graph.Shards // seeding-sweep workers and slot ownership
 
 	prev   core.Hooks
 	closed bool
@@ -259,14 +254,7 @@ type Tracker struct {
 // contract: an edge change that fires no hook is invisible to the tracker.
 func NewTracker(m core.Model, r *rng.RNG, cfg TrackerConfig) *Tracker {
 	cfg = cfg.withDefaults()
-	par := cfg.Parallelism
-	if par < 0 {
-		par = graph.AutoWorkers(m.N())
-	}
-	if par < 1 {
-		par = 1
-	}
-	t := &Tracker{m: m, g: m.Graph(), r: r, cfg: cfg, par: par}
+	t := &Tracker{m: m, g: m.Graph(), r: r, cfg: cfg, sh: graph.NewShards(cfg.Parallelism, m.N())}
 	t.prev = m.Hooks()
 	m.SetHooks(core.ChainHooks(core.Hooks{OnDeath: t.onDeath, OnEdge: t.onEdge}, t.prev))
 	t.reseed()
@@ -285,7 +273,7 @@ func (t *Tracker) Close() {
 }
 
 // Parallelism returns the resolved seeding-sweep worker-shard count.
-func (t *Tracker) Parallelism() int { return t.par }
+func (t *Tracker) Parallelism() int { return t.sh.W() }
 
 // Observations returns how many Observe calls have been made.
 func (t *Tracker) Observations() int { return t.observations }
@@ -615,20 +603,8 @@ func (t *Tracker) reseed() {
 		st.live = len(st.members)
 	}
 	t.growBnd(g.NumSlots())
-	rows := make([][]int, t.par)
-	if t.par == 1 {
-		rows[0] = t.sweepShard(0, hs)
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(t.par)
-		for w := 0; w < t.par; w++ {
-			go func(w int) {
-				defer wg.Done()
-				rows[w] = t.sweepShard(w, hs)
-			}(w)
-		}
-		wg.Wait()
-	}
+	rows := make([][]int, t.sh.W())
+	t.sh.ForEachShard(func(w int) { rows[w] = t.sweepShard(w) })
 	for _, row := range rows {
 		for s, b := range row {
 			t.sets[s].boundary += b
@@ -636,19 +612,14 @@ func (t *Tracker) reseed() {
 	}
 }
 
-func (t *Tracker) owner(slot uint32) int {
-	if t.par == 1 {
-		return 0
-	}
-	return int(slot/trackerShardBlock) % t.par
-}
-
 // sweepShard is worker w's part of the seeding sweep: every alive node x
-// it owns walks its own neighborhood once and counts, per set x is not a
-// member of, the live edges to that set's members. It writes only the
-// count lists of the slots w owns, and returns the number of nodes it put
-// on each set's boundary.
-func (t *Tracker) sweepShard(w int, hs []graph.Handle) []int {
+// in w's slot blocks (graph.Shards) walks its own neighborhood once and
+// counts, per set x is not a member of, the live edges to that set's
+// members. It writes only the count lists of the slots w owns, and returns
+// the number of nodes it put on each set's boundary. A node's counts
+// depend on its own neighborhood alone and the row sums are integer, so
+// no visit order is observable.
+func (t *Tracker) sweepShard(w int) []int {
 	row := make([]int, len(t.sets))
 	// cnt[s] is x's running count into set s, or -1 for x's own sets;
 	// touched lists the sets with a count, in first-touch order.
@@ -665,26 +636,31 @@ func (t *Tracker) sweepShard(w int, hs []graph.Handle) []int {
 		}
 		return true
 	}
-	for _, x := range hs {
-		if t.owner(x.Slot) != w {
-			continue
-		}
-		own := t.memberSets(x)
-		for _, s := range own {
-			cnt[s] = -1
-		}
-		touched = touched[:0]
-		t.g.Neighbors(x, visit)
-		b := &t.bnd[x.Slot]
-		b.epoch, b.gen = t.epoch, x.Gen
-		b.entries = b.entries[:0]
-		for _, s := range touched {
-			b.entries = append(b.entries, bndEntry{set: s, cnt: cnt[s]})
-			row[s]++
-			cnt[s] = 0
-		}
-		for _, s := range own {
-			cnt[s] = 0
+	n := t.g.NumSlots()
+	first, stride := t.sh.Blocks(w)
+	for lo := first; lo < n; lo += stride {
+		for slot := lo; slot < min(lo+graph.ShardBlock, n); slot++ {
+			x := t.g.SlotHandle(uint32(slot))
+			if x.IsNil() {
+				continue
+			}
+			own := t.memberSets(x)
+			for _, s := range own {
+				cnt[s] = -1
+			}
+			touched = touched[:0]
+			t.g.Neighbors(x, visit)
+			b := &t.bnd[x.Slot]
+			b.epoch, b.gen = t.epoch, x.Gen
+			b.entries = b.entries[:0]
+			for _, s := range touched {
+				b.entries = append(b.entries, bndEntry{set: s, cnt: cnt[s]})
+				row[s]++
+				cnt[s] = 0
+			}
+			for _, s := range own {
+				cnt[s] = 0
+			}
 		}
 	}
 	return row

@@ -57,7 +57,7 @@ func trackCfg(cfg Config) expansion.TrackerConfig {
 		BFSSeeds:          cfg.pick(2, 4, 6),
 		GreedySeeds:       cfg.pick(1, 2, 3),
 		ReseedEvery:       3,
-		Parallelism:       cfg.ExpansionParallelism,
+		Parallelism:       cfg.FloodParallelism,
 	}
 }
 

@@ -102,13 +102,15 @@ type Config struct {
 	// committed EXPERIMENTS.md record keeps the default (off).
 	FastWarmUp bool
 	// FloodParallelism shards the work *inside* each flooding run
-	// (flood.Options.Parallelism) and each fast-warm-up snapshot fill
-	// (graph.WireSnapshotEdgesPar) across this many workers. 0 or 1 keeps
-	// runs serial — the right setting whenever Parallelism already
-	// saturates the cores with concurrent trials; raise it instead when an
-	// experiment is dominated by few huge broadcasts, or pass a negative
-	// value for the automatic GOMAXPROCS-and-n policy (the cmds' -floodpar
-	// 0). Results are bit-identical at every setting.
+	// (flood.Options.Parallelism), each fast-warm-up snapshot fill
+	// (graph.WireSnapshotEdgesPar) and, under TrackExpansion, the
+	// tracker's seeding sweep (expansion.TrackerConfig.Parallelism) across
+	// this many workers. 0 or 1 keeps runs serial — the right setting
+	// whenever Parallelism already saturates the cores with concurrent
+	// trials; raise it instead when an experiment is dominated by few huge
+	// broadcasts, or pass a negative value for the automatic
+	// GOMAXPROCS-and-n policy (the cmds' -floodpar 0). Results are
+	// bit-identical at every setting.
 	FloodParallelism int
 	// TrackExpansion switches the expansion experiments (F3/F4/F8/F9)
 	// from per-snapshot expansion.Estimate rescans to the event-driven
@@ -118,11 +120,6 @@ type Config struct {
 	// (Theorems 3.15/4.16). Default off: the committed EXPERIMENTS.md
 	// record uses the per-snapshot search.
 	TrackExpansion bool
-	// ExpansionParallelism shards the tracker's seeding sweep, run at
-	// attach and at every re-seed (expansion.TrackerConfig.Parallelism):
-	// 0 or 1 serial, negative auto. Tracked results are bit-identical at
-	// every setting.
-	ExpansionParallelism int
 }
 
 // floodOpts stamps the intra-flood sharding knob onto a flood

@@ -32,20 +32,20 @@ func TestTrackExpansionMode(t *testing.T) {
 }
 
 // TestTrackExpansionParallelismInvariance pins bit-identical tables across
-// the tracker's seeding-sweep worker counts (ExpansionParallelism), serial
-// through auto.
+// the worker counts of FloodParallelism, which shards the tracker's
+// seeding sweep, serial through auto.
 func TestTrackExpansionParallelismInvariance(t *testing.T) {
 	e, ok := ByID("F8")
 	if !ok {
 		t.Fatal("unknown experiment F8")
 	}
-	base := Config{Scale: Smoke, Seed: 9, TrackExpansion: true, ExpansionParallelism: 1}
+	base := Config{Scale: Smoke, Seed: 9, TrackExpansion: true, FloodParallelism: 1}
 	want := e.Run(base).Markdown()
 	for _, par := range []int{2, 4, runtime.GOMAXPROCS(0), -1} {
 		cfg := base
-		cfg.ExpansionParallelism = par
+		cfg.FloodParallelism = par
 		if got := e.Run(cfg).Markdown(); got != want {
-			t.Fatalf("ExpansionParallelism %d produced a different table than serial:\n--- serial\n%s\n--- par=%d\n%s",
+			t.Fatalf("FloodParallelism %d produced a different table than serial:\n--- serial\n%s\n--- par=%d\n%s",
 				par, want, par, got)
 		}
 	}
@@ -61,9 +61,9 @@ func TestTrackExpansionOffMatchesEstimate(t *testing.T) {
 		t.Fatal("unknown experiment F8")
 	}
 	a := e.Run(Config{Scale: Smoke, Seed: 3}).Markdown()
-	b := e.Run(Config{Scale: Smoke, Seed: 3, ExpansionParallelism: 4}).Markdown()
+	b := e.Run(Config{Scale: Smoke, Seed: 3, FloodParallelism: 4}).Markdown()
 	if a != b {
-		t.Fatal("ExpansionParallelism changed the untracked table")
+		t.Fatal("FloodParallelism changed the untracked table")
 	}
 	if strings.Contains(a, "event-driven tracker") {
 		t.Fatal("untracked table carries the tracked-mode note")

@@ -210,7 +210,7 @@ func checkFrozenCut(t *testing.T, tr *Traffic, at string) {
 			t.Fatalf("%s: shard %d has %d frozen words for %d receivers", at, si, len(sh.frozenWords), sh.nFrozen)
 		}
 		for i, v := range sh.receivers[:sh.nFrozen] {
-			if want := tr.owner(v.Slot); want != si {
+			if want := tr.sh.Owner(v.Slot); want != si {
 				t.Fatalf("%s: receiver %v frozen in shard %d, owner is %d", at, v, si, want)
 			}
 			if frozen[v] {

@@ -85,7 +85,7 @@ type Options struct {
 	// freeze/compaction pass and the admission sweep fan out across the
 	// shards (see Traffic, "Sharded execution"). 0 or 1 runs the serial
 	// engine; Auto (any negative value) picks the shard count from
-	// GOMAXPROCS and the model size via AutoParallelism. Results are
+	// GOMAXPROCS and the model size via graph.AutoWorkers. Results are
 	// bit-for-bit identical at every setting — the knob trades goroutine
 	// overhead for multi-core wall clock within a single broadcast,
 	// complementing the trial-level parallelism of internal/runner (use
@@ -95,33 +95,9 @@ type Options struct {
 }
 
 // Auto, assigned to Options.Parallelism, selects the automatic worker-shard
-// policy: the engine resolves it to AutoParallelism(model.N()) at run
-// start. The cmds' -floodpar 0 maps here.
+// policy: the engine resolves it to graph.AutoWorkers(model.N()) at run
+// start (graph.NewShards). The cmds' -floodpar 0 maps here.
 const Auto = -1
-
-// AutoParallelism returns the worker-shard count the Auto policy picks for
-// a network of nominal size n: one shard per 32Ki arena slots, clamped to
-// [1, GOMAXPROCS] — small networks stay serial (goroutine and barrier
-// overhead beats the per-slot work), large ones take every core. The
-// result only spends cores; every Result is bit-for-bit identical at any
-// setting (TestAutoParallelismInvariance).
-func AutoParallelism(n int) int { return graph.AutoWorkers(n) }
-
-// resolveParallelism normalizes a Parallelism option the same way at every
-// engine entry point (NewTraffic, which Run goes through, and the
-// expansion tracker's equivalent): any negative value selects the Auto
-// policy for a network of nominal size n, and 0 runs serial — one worker
-// shard. Centralizing the rule keeps "negative means auto" uniform instead
-// of a per-path accident.
-func resolveParallelism(par, n int) int {
-	if par < 0 {
-		par = AutoParallelism(n)
-	}
-	if par < 1 {
-		par = 1
-	}
-	return par
-}
 
 // DefaultMaxRounds returns the default round cap for a network of nominal
 // size n: generous against the paper's O(log n) completion results while

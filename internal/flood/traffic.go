@@ -3,7 +3,6 @@ package flood
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 
 	"github.com/dyngraph/churnnet/internal/core"
@@ -49,7 +48,7 @@ import (
 // there is no separate one-message path.
 //
 // Under TrafficOptions.Parallelism the cut is partitioned by arena slot
-// (slot s belongs to shard (s/shardBlock) mod par) and the frontier
+// (graph.Shards: block-cyclic, 64-slot blocks) and the frontier
 // drain (in either direction), the freeze and the admission sweep fan
 // out across the shards, one barrier per pass for all lanes. Merges run
 // in a scheduling-free order, and Results are identical at every par:
@@ -73,7 +72,7 @@ type Traffic struct {
 	m    core.Model
 	g    *graph.Graph
 	opts TrafficOptions
-	par  int // effective worker-shard count, >= 1
+	sh   graph.Shards // resolved worker shards and slot ownership
 
 	maxRounds int
 	prevHooks core.Hooks
@@ -299,7 +298,7 @@ func NewTraffic(m core.Model, opts TrafficOptions) *Traffic {
 		m:         m,
 		g:         m.Graph(),
 		opts:      opts,
-		par:       resolveParallelism(opts.Parallelism, m.N()),
+		sh:        graph.NewShards(opts.Parallelism, m.N()),
 		maxRounds: maxRounds,
 		stride:    1,
 		liveMask:  make([]uint64, 1),
@@ -310,7 +309,7 @@ func NewTraffic(m core.Model, opts TrafficOptions) *Traffic {
 	// them.
 	t.informed.grow(t.g.NumSlots())
 	t.growTracked(t.g.NumSlots())
-	t.shards = make([]trafficShard, t.par)
+	t.shards = make([]trafficShard, t.sh.W())
 	t.prevHooks = m.Hooks()
 	m.SetHooks(core.ChainHooks(core.Hooks{OnDeath: t.noteDeath, OnEdge: t.noteEdge}, t.prevHooks))
 	return t
@@ -486,7 +485,7 @@ func (t *Traffic) Step() {
 	// advance's fresh incidences are out of the counts during the sweep
 	// and back in for the lanes that did not admit.
 	t.applyFresh(-1)
-	t.forEachShard(func(w int) { t.admitShard(w) })
+	t.sh.ForEachShard(func(w int) { t.admitShard(w) })
 	t.applyFresh(+1)
 	alive := g.NumAlive()
 	for w := range t.shards {
@@ -557,48 +556,11 @@ func (t *Traffic) roundAccounting(ln *lane, alive int) bool {
 
 // --- packed lane plumbing ---
 
-// shardBlock is the number of consecutive arena slots per ownership block:
-// slot s belongs to shard (s/shardBlock) mod par. Block-cyclic ownership
-// keeps the assignment stable as the arena grows (a slot never changes
-// owners) while spreading any dense slot range across all shards; the
-// block width keeps different shards' writes to the slot-indexed arrays a
-// few cache lines apart.
-const shardBlock = 64
-
 // scanChunksPerWorker over-decomposes the frontier scan: workers claim
 // chunks atomically, so a chunk of expensive neighborhoods does not
 // serialize the tail of the pass. Chunk-indexed staging keeps the merge
 // order independent of which worker claimed what.
 const scanChunksPerWorker = 4
-
-// owner maps an arena slot to its shard index; the block-cyclic
-// assignment is shared by every lane.
-func (t *Traffic) owner(slot uint32) int {
-	if t.par == 1 {
-		return 0
-	}
-	return int(slot/shardBlock) % t.par
-}
-
-// forEachShard runs fn once per shard index: inline for par == 1, one
-// goroutine per shard otherwise, returning at the barrier. Parallel phases
-// must confine writes to shard-owned state (or disjoint staging slots) —
-// the barrier is the only synchronization.
-func (t *Traffic) forEachShard(fn func(w int)) {
-	if t.par == 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(t.par)
-	for w := 0; w < t.par; w++ {
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
-}
 
 func (t *Traffic) setLive(li int)   { t.liveMask[li>>6] |= 1 << (li & 63) }
 func (t *Traffic) clearLive(li int) { t.liveMask[li>>6] &^= 1 << (li & 63) }
@@ -689,7 +651,7 @@ func (t *Traffic) claimRow(x graph.Handle) ([]uint64, []int32) {
 	row := t.cnt.row(x.Slot)
 	if fresh {
 		clear(row)
-		sh := &t.shards[t.owner(x.Slot)]
+		sh := &t.shards[t.sh.Owner(x.Slot)]
 		sh.receivers = append(sh.receivers, x)
 	}
 	return tw, row
@@ -855,7 +817,7 @@ func (t *Traffic) applyFresh(delta int32) {
 // that made it returned, and every event since updated them.
 func (t *Traffic) freeze() {
 	if len(t.inFlight) > 0 {
-		t.forEachShard(func(w int) { t.compactShard(w) })
+		t.sh.ForEachShard(func(w int) { t.compactShard(w) })
 	}
 }
 
@@ -915,8 +877,8 @@ func (t *Traffic) drainFrontiers() {
 		}
 		switch {
 		case pull:
-			t.forEachShard(func(w int) { t.drainPull(w, lanes) })
-		case t.par == 1:
+			t.sh.ForEachShard(func(w int) { t.drainPull(w, lanes) })
+		case t.sh.W() == 1:
 			for k, v := range t.scanNodes {
 				lw := t.scanLanes[k*t.stride : (k+1)*t.stride]
 				if !anyBit(lw) {
@@ -1038,8 +1000,9 @@ func (t *Traffic) drainPull(w int, lanes []uint64) {
 	counted := make([]uint64, st) // the lanes of lx with a nonzero count
 	var planes []uint64           // plane p's word i at [p*st+i]; reused across x
 	n := g.NumSlots()
-	for lo := w * shardBlock; lo < n; lo += t.par * shardBlock {
-		for s := lo; s < min(lo+shardBlock, n); s++ {
+	first, stride := t.sh.Blocks(w)
+	for lo := first; lo < n; lo += stride {
+		for s := lo; s < min(lo+graph.ShardBlock, n); s++ {
 			x := g.SlotHandle(uint32(s))
 			if x.IsNil() {
 				continue
@@ -1164,11 +1127,9 @@ func (t *Traffic) fanOut(lanes, xw []uint64, x, v graph.Handle) {
 // pure function of the pending scans, not of scheduling.
 func (t *Traffic) drainFrontiersSharded() {
 	nScan := len(t.scanNodes)
-	nChunks := nScan
-	if max := t.par * scanChunksPerWorker; nChunks > max {
-		nChunks = max
-	}
-	if need := nChunks * t.par; len(t.stage) < need {
+	par := t.sh.W()
+	nChunks := min(nScan, par*scanChunksPerWorker)
+	if need := nChunks * par; len(t.stage) < need {
 		grown := make([][]laneCutEdge, need)
 		copy(grown, t.stage)
 		t.stage = grown
@@ -1177,13 +1138,13 @@ func (t *Traffic) drainFrontiersSharded() {
 	// Scan: the packed masks and informed words are read-only here, so
 	// the staged edges carry only the receiver and the scan index.
 	t.chunkNext.Store(0)
-	t.forEachShard(func(w int) {
+	t.sh.ForEachShard(func(w int) {
 		for {
 			c := int(t.chunkNext.Add(1)) - 1
 			if c >= nChunks {
 				return
 			}
-			buf := t.stage[c*t.par : (c+1)*t.par]
+			buf := t.stage[c*par : (c+1)*par]
 			for k := c * nScan / nChunks; k < (c+1)*nScan/nChunks; k++ {
 				lw := t.scanLanes[k*t.stride : (k+1)*t.stride]
 				if !anyBit(lw) {
@@ -1191,7 +1152,7 @@ func (t *Traffic) drainFrontiersSharded() {
 				}
 				t.g.Neighbors(t.scanNodes[k], func(x graph.Handle) bool {
 					if !t.informed.covers(x, lw) {
-						s := t.owner(x.Slot)
+						s := t.sh.Owner(x.Slot)
 						buf[s] = append(buf[s], laneCutEdge{recv: x, scan: int32(k)})
 					}
 					return true
@@ -1204,14 +1165,14 @@ func (t *Traffic) drainFrontiersSharded() {
 	// order, fanning each edge out over the lanes of its scan entry that
 	// do not inform the receiver — re-read here rather than staged, which
 	// would double the staging memory.
-	t.forEachShard(func(w int) {
+	t.sh.ForEachShard(func(w int) {
 		for c := 0; c < nChunks; c++ {
-			buf := t.stage[c*t.par+w]
+			buf := t.stage[c*par+w]
 			for _, ce := range buf {
 				k := int(ce.scan)
 				t.fanOut(t.scanLanes[k*t.stride:(k+1)*t.stride], t.informed.wordsOf(ce.recv), ce.recv, t.scanNodes[k])
 			}
-			t.stage[c*t.par+w] = buf[:0]
+			t.stage[c*par+w] = buf[:0]
 		}
 	})
 }

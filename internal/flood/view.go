@@ -37,7 +37,7 @@ func (t *Traffic) Informed(id MessageID, h graph.Handle) bool {
 }
 
 // viewPageShift sets the TrafficView page: 1<<viewPageShift consecutive
-// arena slots, a whole number of shardBlocks, so a page never splits an
+// arena slots, a whole number of graph.ShardBlocks, so a page never splits an
 // ownership block.
 const (
 	viewPageShift = 12

@@ -2,9 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 )
 
 // inSlack is the spare capacity, in entries, that WireSnapshotEdges leaves
@@ -15,30 +13,6 @@ import (
 // roughly triples the in-list memory of every node it touches. Four
 // entries (48 bytes per node) absorb the first four.
 const inSlack = 4
-
-// autoWorkerSlotQuota is the minimum per-worker slot count the AutoWorkers
-// policy aims for: below it, goroutine spawn and barrier overhead on the
-// sharded passes outweighs the per-slot work they parallelize.
-const autoWorkerSlotQuota = 1 << 15
-
-// AutoWorkers returns the worker-shard count the automatic parallelism
-// policy picks for a structure of roughly n slots: one worker per
-// autoWorkerSlotQuota slots, at least 1 and at most GOMAXPROCS. It backs
-// every "0 = auto" parallelism knob (the cmds' -floodpar 0, the negative
-// Parallelism sentinels of flood.Options and expansion.TrackerConfig, and
-// negative worker counts here and in core.SampleStationaryPar): results
-// are bit-for-bit identical at every worker count, so the policy only
-// chooses how many cores to spend, never what is computed.
-func AutoWorkers(n int) int {
-	w := n / autoWorkerSlotQuota
-	if max := runtime.GOMAXPROCS(0); w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // WireSnapshotEdges bulk-installs request edges into a freshly built
 // snapshot. The graph must have been constructed by AddNode calls alone:
@@ -79,15 +53,11 @@ func (g *Graph) WireSnapshotEdges(starts []int32, targets []uint32) {
 // turns them into exact disjoint cursors for the in pass, so the filled
 // arenas — including the in-list order within every node — are the same at
 // any worker count, and equal to the per-edge AddOutEdge build (pinned by
-// TestWireSnapshotEdgesMatchesAddOutEdge over a worker sweep). workers 0
-// or 1 run the same passes over one range; negative selects
-// AutoWorkers(NumSlots()). The passes cost ~4·workers·NumSlots() bytes of
-// transient count rows.
+// TestWireSnapshotEdgesMatchesAddOutEdge over a worker sweep). The worker
+// count resolves through NewShards over NumSlots(), capped at one worker
+// per slot; the passes cost ~4·W·NumSlots() bytes of transient count rows.
 func (g *Graph) WireSnapshotEdgesPar(starts []int32, targets []uint32, workers int) {
 	nSlots := len(g.nodes)
-	if workers < 0 {
-		workers = AutoWorkers(nSlots)
-	}
 	if len(starts) != nSlots+1 {
 		panic("graph: WireSnapshotEdges starts must have NumSlots()+1 entries")
 	}
@@ -106,22 +76,19 @@ func (g *Graph) WireSnapshotEdgesPar(starts []int32, targets []uint32, workers i
 	if starts[0] != 0 || int(starts[nSlots]) != len(targets) {
 		panic("graph: WireSnapshotEdges starts must cover targets exactly")
 	}
-	if workers > nSlots {
-		workers = nSlots
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	g.wireSharded(starts, targets, workers)
+	g.wireSharded(starts, targets, NewShards(min(workers, nSlots), nSlots))
 }
 
 // wireSharded is the arena fill; see WireSnapshotEdgesPar for the
 // algorithm. Every pass writes disjoint index ranges (owner segments, one
 // count/cursor row per worker, stacked in-arena cursors), so the phase
-// barriers are the only synchronization.
-func (g *Graph) wireSharded(starts []int32, targets []uint32, workers int) {
+// barriers are the only synchronization. Ownership here is by edge-balanced
+// range, not by Shards.Owner; only the worker count and the fan-out come
+// from sh.
+func (g *Graph) wireSharded(starts []int32, targets []uint32, sh Shards) {
 	nSlots := len(g.nodes)
 	nEdges := len(targets)
+	workers := sh.W()
 
 	// Owner ranges balanced by edge count (degrees may be skewed), and
 	// even target ranges for the per-target passes.
@@ -135,17 +102,6 @@ func (g *Graph) wireSharded(starts []int32, targets []uint32, workers int) {
 	for w := 0; w <= workers; w++ {
 		tb[w] = nSlots * w / workers
 	}
-	runRanges := func(fn func(w int)) {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				fn(w)
-			}(w)
-		}
-		wg.Wait()
-	}
 
 	// Out pass: fill owner segments, histogram targets per worker. Target
 	// validation happens here (first sight of every edge); errors are
@@ -154,7 +110,7 @@ func (g *Graph) wireSharded(starts []int32, targets []uint32, workers int) {
 	outArena := make([]Handle, nEdges)
 	counts := make([]int32, workers*nSlots)
 	errs := make([]error, workers)
-	runRanges(func(w int) {
+	sh.ForEachShard(func(w int) {
 		cnt := counts[w*nSlots : (w+1)*nSlots]
 		for s := ob[w]; s < ob[w+1]; s++ {
 			a, b := starts[s], starts[s+1]
@@ -179,7 +135,7 @@ func (g *Graph) wireSharded(starts []int32, targets []uint32, workers int) {
 	// Cursor pass: per-target totals, serial prefix sum, then stack the
 	// count rows into each worker's private cursor row.
 	inStart := make([]int32, nSlots+1)
-	runRanges(func(w int) {
+	sh.ForEachShard(func(w int) {
 		for t := tb[w]; t < tb[w+1]; t++ {
 			var sum int32
 			for ww := 0; ww < workers; ww++ {
@@ -191,7 +147,7 @@ func (g *Graph) wireSharded(starts []int32, targets []uint32, workers int) {
 	for t := 0; t < nSlots; t++ {
 		inStart[t+1] += inStart[t]
 	}
-	runRanges(func(w int) {
+	sh.ForEachShard(func(w int) {
 		for t := tb[w]; t < tb[w+1]; t++ {
 			run := inStart[t] + int32(inSlack*t)
 			for ww := 0; ww < workers; ww++ {
@@ -208,7 +164,7 @@ func (g *Graph) wireSharded(starts []int32, targets []uint32, workers int) {
 	// up in global owner order — the layout AddOutEdge calls in owner order
 	// build.
 	inArena := make([]inRef, nEdges+inSlack*nSlots)
-	runRanges(func(w int) {
+	sh.ForEachShard(func(w int) {
 		cur := counts[w*nSlots : (w+1)*nSlots]
 		for s := ob[w]; s < ob[w+1]; s++ {
 			src := Handle{Slot: uint32(s), Gen: 1}
@@ -219,7 +175,7 @@ func (g *Graph) wireSharded(starts []int32, targets []uint32, workers int) {
 			}
 		}
 	})
-	runRanges(func(w int) {
+	sh.ForEachShard(func(w int) {
 		for t := tb[w]; t < tb[w+1]; t++ {
 			a, b := int(inStart[t])+inSlack*t, int(inStart[t+1])+inSlack*t
 			g.nodes[t].in = inArena[a : b : b+inSlack]

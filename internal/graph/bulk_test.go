@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"runtime"
 	"slices"
 	"testing"
 
@@ -116,28 +115,6 @@ func TestWireSnapshotEdgesParMatchesSerial(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestAutoWorkersPolicy pins the shared auto-parallelism policy: always
-// within [1, GOMAXPROCS], serial below the per-worker slot quota, and
-// monotone non-decreasing in n.
-func TestAutoWorkersPolicy(t *testing.T) {
-	max := runtime.GOMAXPROCS(0)
-	prev := 0
-	for _, n := range []int{-5, 0, 100, autoWorkerSlotQuota - 1, autoWorkerSlotQuota,
-		4 * autoWorkerSlotQuota, 1 << 22} {
-		w := AutoWorkers(n)
-		if w < 1 || w > max {
-			t.Fatalf("AutoWorkers(%d) = %d, want within [1, %d]", n, w, max)
-		}
-		if w < prev {
-			t.Fatalf("AutoWorkers not monotone: %d at n=%d after %d", w, n, prev)
-		}
-		prev = w
-	}
-	if AutoWorkers(autoWorkerSlotQuota-1) != 1 {
-		t.Fatal("sub-quota networks must stay serial")
 	}
 }
 

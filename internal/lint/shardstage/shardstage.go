@@ -12,7 +12,8 @@
 // a schedule happens to interleave it.
 //
 // Scope: function literals passed to a worker sweep (a call to
-// forEachWorker / forEachShard, configurable) and function literals
+// graph.Shards.ForEachShard — the one fan-out of every sharded pass — or
+// forEachWorker; configurable) and function literals
 // launched by a `go` statement inside the deterministic packages. Within
 // those, the analyzer flags assignments and ++/-- through captured
 // variables whose access path involves no claim-derived ("tainted") value.
@@ -52,7 +53,7 @@ var (
 
 func init() {
 	Analyzer.Flags.StringVar(&detpkgs, "detpkgs", "", "comma-separated package-path suffixes overriding the deterministic-package roster")
-	Analyzer.Flags.StringVar(&sweepfuncs, "sweepfuncs", "forEachWorker,forEachShard", "comma-separated names of worker-sweep functions whose func-literal arguments are shard callbacks")
+	Analyzer.Flags.StringVar(&sweepfuncs, "sweepfuncs", "forEachWorker,ForEachShard", "comma-separated names of worker-sweep functions whose func-literal arguments are shard callbacks")
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

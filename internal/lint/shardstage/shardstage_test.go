@@ -8,12 +8,14 @@ import (
 )
 
 // TestShardstage drives the analyzer over the testdata tree: captured
-// shared writes (append, ++) fire both in forEachWorker callbacks and in
-// go-launched literals; worker-index staging, atomic chunk claims, channel
-// receives, literal-local scratch, and //churnvet:shardexempt (statement
-// and function forms) do not.
+// shared writes (append, ++, a fixed index) fire in forEachWorker
+// callbacks, in Shards.ForEachShard callbacks and in go-launched literals;
+// worker-index staging, atomic chunk claims, channel receives,
+// literal-local scratch, and //churnvet:shardexempt (statement and
+// function forms) do not.
 func TestShardstage(t *testing.T) {
 	linttest.Run(t, shardstage.Analyzer, "testdata",
 		"churnvettest/internal/flood",
+		"churnvettest/internal/graph",
 	)
 }
