@@ -43,6 +43,29 @@ import (
 	"github.com/dyngraph/churnnet/internal/serve/driver"
 )
 
+// Connection deadlines of the control plane. A client must finish its
+// request headers within httpReadHeaderTimeout and its whole request
+// within httpReadTimeout, and an idle keep-alive connection is closed
+// after httpIdleTimeout, so a client that trickles its bytes cannot hold a
+// connection forever. No write deadline is set: a large GET /snapshot may
+// legitimately stream for longer than any fixed bound.
+const (
+	httpReadHeaderTimeout = 5 * time.Second
+	httpReadTimeout       = 30 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns the control-plane server for h with the
+// connection deadlines above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
+}
+
 func main() {
 	var (
 		modelName = flag.String("model", "PDGR", "seed-snapshot model: SDG, SDGR, PDG or PDGR")
@@ -122,7 +145,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "churnd:", lnErr)
 		os.Exit(1)
 	}
-	hs := &http.Server{Handler: s.Handler()}
+	hs := newHTTPServer(s.Handler())
 	go func() {
 		if err := hs.Serve(httpLn); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			log.Printf("churnd: http: %v", err)

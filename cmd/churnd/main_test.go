@@ -1,6 +1,11 @@
 package main
 
 import (
+	"errors"
+	"io"
+	"net"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -72,5 +77,56 @@ func TestValidateDriveFlags(t *testing.T) {
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: validateDriveFlags = %v, wantErr %v", c.name, err, c.wantErr)
 		}
+	}
+}
+
+// TestHTTPServerDropsSlowHeaders pins the slow-client guard: a client that
+// sends its request headers one byte a second must have its connection
+// closed within httpReadHeaderTimeout plus a second of slack, instead of
+// holding it for as long as it keeps trickling.
+func TestHTTPServerDropsSlowHeaders(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := newHTTPServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
+	go hs.Serve(ln)
+	defer hs.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	stop, trickled := make(chan struct{}), make(chan struct{})
+	defer func() { close(stop); <-trickled }()
+	go func() {
+		defer close(trickled)
+		req := []byte("GET /healthz HTTP/1.1\r\nHost: churnd\r\nX-Slow: " + strings.Repeat("x", 64))
+		tick := time.NewTicker(time.Second)
+		defer tick.Stop()
+		for _, b := range req {
+			if _, err := conn.Write([]byte{b}); err != nil {
+				return
+			}
+			select {
+			case <-tick.C:
+			case <-stop:
+				return
+			}
+		}
+	}()
+
+	limit := httpReadHeaderTimeout + time.Second
+	conn.SetReadDeadline(start.Add(limit + 2*time.Second))
+	_, err = io.Copy(io.Discard, conn)
+	elapsed := time.Since(start)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open after %v (limit %v)", elapsed, limit)
+	}
+	if elapsed > limit {
+		t.Fatalf("connection closed after %v, want within %v", elapsed, limit)
 	}
 }

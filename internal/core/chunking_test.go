@@ -9,7 +9,7 @@ import (
 
 // fingerprint captures everything observable about a Poisson model's state:
 // clock, jump-chain position, and the full alive graph with every out-slot
-// (dead targets included, since no-regeneration models keep them).
+// (dead requests included, as Nil, since no-regeneration models keep them).
 func fingerprint(t *testing.T, m *Poisson) []uint64 {
 	t.Helper()
 	g := m.Graph()

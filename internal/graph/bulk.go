@@ -11,7 +11,7 @@ import (
 // slack the first such append copies the list out of the arena, leaving
 // its arena segment pinned and dead, so early churn on a 10⁶-node snapshot
 // roughly triples the in-list memory of every node it touches. Four
-// entries (48 bytes per node) absorb the first four.
+// entries (32 bytes per node) absorb the first four.
 const inSlack = 4
 
 // WireSnapshotEdges bulk-installs request edges into a freshly built
@@ -21,20 +21,27 @@ const inSlack = 4
 // makes the requests targets[starts[s]:starts[s+1]] (target arena slots,
 // in out-slot order).
 //
+// The graph takes ownership of targets: it becomes the out arena as is,
+// with no copy, since a slot-only out-list is exactly the owner's run of
+// target slots. Slot s's out-list aliases targets[starts[s]:starts[s+1]],
+// and the graph writes those entries when requests die or are redirected.
+// The caller must not write targets afterwards, may read it only until the
+// graph is first mutated, and must hand each graph its own slice.
+//
 // The result is exactly what the corresponding AddOutEdge calls in owner
 // order would build — pinned by TestWireSnapshotEdgesMatchesAddOutEdge —
-// but the construction differs where it matters at scale: every out- and
-// in-list is carved from one shared arena each, out-lists at exact
-// capacity and in-lists with inSlack spare entries, and the in-lists are
-// filled by a counting sort over target slots. The per-edge
-// path pays two aliveness checks and an amortized slice-growth append per
-// edge — ~5× the wall time of the counting sort at n = 10⁶ — which is why
-// this is the construction path of the stationary-snapshot samplers in
-// package core (see DESIGN.md).
+// but the construction differs where it matters at scale: the out-lists
+// are the adopted targets at exact capacity, every in-list is carved from
+// one shared arena with inSlack spare entries, and the in-lists are filled
+// by a counting sort over target slots. The per-edge path pays two
+// aliveness checks and an amortized slice-growth append per edge — ~5× the
+// wall time of the counting sort at n = 10⁶ — which is why this is the
+// construction path of the stationary-snapshot samplers in package core
+// (see DESIGN.md).
 //
 // Later mutation stays safe: the arena sub-slices are capacity-clamped, so
-// a post-snapshot append to any node's in-list fills its own slack and
-// then reallocates that node's slice instead of spilling into its
+// a post-snapshot append to any node's out- or in-list fills its own slack
+// and then reallocates that node's slice instead of spilling into its
 // neighbor's segment.
 //
 // It panics if the graph is not a fresh snapshot, the spec shape is
@@ -44,11 +51,14 @@ func (g *Graph) WireSnapshotEdges(starts []int32, targets []uint32) {
 }
 
 // WireSnapshotEdgesPar is WireSnapshotEdges with the two counting-sort
-// arena passes sharded over `workers` goroutines by slot range — the same
-// per-slot-range idiom the flooding engine uses for its cut. The out pass
-// splits the owner slots into contiguous ranges of roughly equal edge
-// count; each worker fills its owners' out segments while histogramming
-// target slots into a private count row. Stacking the rows per target
+// passes sharded over `workers` goroutines by slot range — the same
+// per-slot-range idiom the flooding engine uses for its cut. It takes
+// ownership of targets exactly as WireSnapshotEdges does: the out-lists
+// alias it, so the caller must not write it afterwards nor wire it into a
+// second graph. The out pass splits the owner slots into contiguous ranges
+// of roughly equal edge count; each worker validates its owners' targets,
+// points their out-lists at their runs of targets, and histograms target
+// slots into a private count row. Stacking the rows per target
 // (worker w's edges into slot t land at inStart[t] + Σ_{w'<w} counts[w'][t])
 // turns them into exact disjoint cursors for the in pass, so the filled
 // arenas — including the in-list order within every node — are the same at
@@ -103,24 +113,23 @@ func (g *Graph) wireSharded(starts []int32, targets []uint32, sh Shards) {
 		tb[w] = nSlots * w / workers
 	}
 
-	// Out pass: fill owner segments, histogram targets per worker. Target
-	// validation happens here (first sight of every edge); errors are
-	// collected per worker and re-raised deterministically — lowest owner
-	// range first, so the first invalid edge in owner order is reported.
-	outArena := make([]Handle, nEdges)
+	// Out pass: adopt each owner's run of targets as its out-list (capacity
+	// clamped) and histogram targets per worker. Target validation happens
+	// here (first sight of every edge); errors are collected per worker and
+	// re-raised deterministically — lowest owner range first, so the first
+	// invalid edge in owner order is reported.
 	counts := make([]int32, workers*nSlots)
 	errs := make([]error, workers)
 	sh.ForEachShard(func(w int) {
 		cnt := counts[w*nSlots : (w+1)*nSlots]
 		for s := ob[w]; s < ob[w+1]; s++ {
 			a, b := starts[s], starts[s+1]
-			seg := outArena[a:b:b]
-			for k, t := range targets[a:b] {
+			seg := targets[a:b:b]
+			for _, t := range seg {
 				if int(t) >= nSlots || int(t) == s {
 					errs[w] = fmt.Errorf("graph: WireSnapshotEdges target %d of slot %d invalid", t, s)
 					return
 				}
-				seg[k] = Handle{Slot: t, Gen: 1}
 				cnt[t]++
 			}
 			g.nodes[s].out = seg
@@ -167,10 +176,9 @@ func (g *Graph) wireSharded(starts []int32, targets []uint32, sh Shards) {
 	sh.ForEachShard(func(w int) {
 		cur := counts[w*nSlots : (w+1)*nSlots]
 		for s := ob[w]; s < ob[w+1]; s++ {
-			src := Handle{Slot: uint32(s), Gen: 1}
-			for k, t := range targets[starts[s]:starts[s+1]] {
+			for k, t := range g.nodes[s].out {
 				c := cur[t]
-				inArena[c] = inRef{src: src, slot: uint32(k)}
+				inArena[c] = inRef{src: uint32(s), k: uint32(k)}
 				cur[t] = c + 1
 			}
 		}

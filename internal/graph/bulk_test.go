@@ -38,7 +38,8 @@ func freshNodes(n int) (*Graph, []Handle) {
 // per-edge path at every worker count (negative = AutoWorkers): identical
 // specs must produce graphs that agree on every adjacency observable,
 // including in-list order (InSources visits sources in insertion order for
-// both, and the sharded cursors stack per target in owner order).
+// both, and the sharded cursors stack per target in owner order). Each
+// bulk graph adopts its own clone of the targets as its out arena.
 func TestWireSnapshotEdgesMatchesAddOutEdge(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 7, 17, 64, 65, 200, 20000} {
 		starts, targets := buildSpec(n, 5, rng.New(uint64(n)))
@@ -50,7 +51,7 @@ func TestWireSnapshotEdgesMatchesAddOutEdge(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 3, 4, 8, 19, -1} {
 			bulk, bh := freshNodes(n)
-			bulk.WireSnapshotEdgesPar(starts, targets, workers)
+			bulk.WireSnapshotEdgesPar(starts, slices.Clone(targets), workers)
 			if err := bulk.CheckInvariants(); err != nil {
 				t.Fatalf("n=%d workers=%d: bulk invariants: %v", n, workers, err)
 			}
@@ -88,10 +89,10 @@ func TestWireSnapshotEdgesParMatchesSerial(t *testing.T) {
 			starts, targets := buildSpec(n, 5, rng.New(uint64(n)))
 
 			par, ph := freshNodes(n)
-			par.WireSnapshotEdgesPar(starts, targets, workers)
+			par.WireSnapshotEdgesPar(starts, slices.Clone(targets), workers)
 
 			ser, sh := freshNodes(n)
-			ser.WireSnapshotEdges(starts, targets)
+			ser.WireSnapshotEdges(starts, slices.Clone(targets))
 
 			if err := par.CheckInvariants(); err != nil {
 				t.Fatalf("n=%d workers=%d: invariants: %v", n, workers, err)
@@ -124,9 +125,9 @@ func TestWireSnapshotEdgesAutoWorkers(t *testing.T) {
 	const n = 500
 	starts, targets := buildSpec(n, 4, rng.New(99))
 	auto, ah := freshNodes(n)
-	auto.WireSnapshotEdgesPar(starts, targets, -1)
+	auto.WireSnapshotEdgesPar(starts, slices.Clone(targets), -1)
 	ser, sh := freshNodes(n)
-	ser.WireSnapshotEdges(starts, targets)
+	ser.WireSnapshotEdges(starts, slices.Clone(targets))
 	if err := auto.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -143,6 +144,65 @@ func TestWireSnapshotEdgesAutoWorkers(t *testing.T) {
 		if !slices.Equal(oa, os) {
 			t.Fatalf("slot %d: in sources differ under auto workers", s)
 		}
+	}
+}
+
+// TestWireSnapshotEdgesAdoptsTargets pins the ownership transfer: every
+// non-empty out-list aliases the caller's targets at its owner's run, at
+// every worker count, and a graph that mutates its adopted arena leaves a
+// second graph wired from a clone of the same spec untouched.
+func TestWireSnapshotEdgesAdoptsTargets(t *testing.T) {
+	const n = 300
+	starts, targets := buildSpec(n, 5, rng.New(11))
+	for _, workers := range []int{1, 3, -1} {
+		g, _ := freshNodes(n)
+		own := slices.Clone(targets)
+		g.WireSnapshotEdgesPar(starts, own, workers)
+		for s := 0; s < n; s++ {
+			if out := g.nodes[s].out; len(out) > 0 && &out[0] != &own[starts[s]] {
+				t.Fatalf("workers=%d slot %d: out-list does not alias targets[%d]", workers, s, starts[s])
+			}
+		}
+	}
+
+	g, gh := freshNodes(n)
+	g.WireSnapshotEdges(starts, slices.Clone(targets))
+	other, oh := freshNodes(n)
+	other.WireSnapshotEdges(starts, slices.Clone(targets))
+	otherOuts := func() [][]Handle {
+		all := make([][]Handle, n)
+		for s, h := range oh {
+			for k := 0; k < other.OutSlotCount(h); k++ {
+				tgt, _ := other.OutTarget(h, k)
+				all[s] = append(all[s], tgt)
+			}
+		}
+		return all
+	}
+	before := otherOuts()
+	// Kill the most-requested node: every request to it takes the dead
+	// sentinel in g's adopted arena, and only there.
+	victim := 0
+	for s := range gh {
+		if g.InDegreeLive(gh[s]) > g.InDegreeLive(gh[victim]) {
+			victim = s
+		}
+	}
+	if g.InDegreeLive(gh[victim]) == 0 {
+		t.Fatal("spec has no requests")
+	}
+	g.RemoveNode(gh[victim], nil)
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	after := otherOuts()
+	for s := range before {
+		if !slices.Equal(before[s], after[s]) {
+			t.Fatalf("slot %d: removal in one graph changed the other's out-slots: %v -> %v", s, before[s], after[s])
+		}
+	}
+	if err := other.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,13 +6,17 @@
 // exactly while the slot holds a live node. The generations sit in their
 // own dense array, so a liveness check is one 4-byte load (IsAlive). This
 // mirrors the paper's edge semantics exactly: an edge (u, v) exists while
-// both endpoints are alive (Definitions 3.4/3.13/4.9/4.14, rule 2), and in
-// models without regeneration a node silently keeps "pointing at" dead
-// targets — a stale out-slot is detected by its generation mismatch.
+// both endpoints are alive (Definitions 3.4/3.13/4.9/4.14, rule 2).
 //
-// In-lists, by contrast, hold live edges only: RemoveNode unlinks the dying
-// node's entry from each live target's in-list, keeping the order of the
-// others. So an in-source visit loads nothing but the entry, no read
+// Adjacency is stored by slot alone, since a slot's generation is already
+// in the dense array. An out-slot holds its target's arena slot, or the
+// dead sentinel once the target has died: RemoveNode writes the sentinel
+// into every request that pointed at the dying node, so an out-slot never
+// names a dead or reused slot. In models without regeneration the request
+// keeps its slot index and stays dead. In-lists hold live edges only:
+// RemoveNode unlinks the dying node's entry from each live target's
+// in-list, keeping the order of the others. So every stored edge is live,
+// a neighbor visit loads the entry and the endpoint's generation, no read
 // writes the graph, and concurrent readers need no coordination.
 //
 // Every node records the *requests it made* (its out-edges, at most d of
@@ -63,18 +67,26 @@ type InEdge struct {
 }
 
 // node is one arena slot's record, exactly one 64-byte cache line; its
-// generation lives in Graph.gen. A dead slot holds no edges: RemoveNode
-// empties both lists, so a slot is born again with none.
+// generation lives in Graph.gen. out[k] is the arena slot of the k-th
+// request's target, or deadOut once that target has died. A dead slot
+// holds no edges: RemoveNode empties both lists, so a slot is born again
+// with none.
 type node struct {
 	birthSeq  uint64
 	birthTime float64
-	out       []Handle
+	out       []uint32
 	in        []inRef
 }
 
+// deadOut marks an out-slot whose target has died. It names no node: an
+// arena of 2³²−1 slots would need 256 GiB of node records.
+const deadOut = ^uint32(0)
+
+// inRef is one in-list entry: the source node in arena slot src made its
+// k-th request to this node. The source is alive (in-lists hold live edges
+// only), so its handle is {src, gen[src]}.
 type inRef struct {
-	src  Handle
-	slot uint32
+	src, k uint32
 }
 
 // Graph is a dynamic multigraph with slot-reuse and O(1) uniform sampling
@@ -134,6 +146,12 @@ func (g *Graph) SlotHandle(slot uint32) Handle {
 	return Handle{Slot: slot, Gen: g.gen[slot]}
 }
 
+// handle returns the handle of the live node in slot; the caller knows it
+// is alive.
+func (g *Graph) handle(slot uint32) Handle {
+	return Handle{Slot: slot, Gen: g.gen[slot]}
+}
+
 // AddNode births a node at the given model time and returns its handle.
 // The node starts with no edges.
 func (g *Graph) AddNode(birthTime float64) Handle {
@@ -167,8 +185,8 @@ func (g *Graph) AddOutEdge(u, v Handle) int {
 	}
 	un := &g.nodes[u.Slot]
 	idx := len(un.out)
-	un.out = append(un.out, v)
-	g.nodes[v.Slot].in = append(g.nodes[v.Slot].in, inRef{src: u, slot: uint32(idx)})
+	un.out = append(un.out, v.Slot)
+	g.nodes[v.Slot].in = append(g.nodes[v.Slot].in, inRef{src: u.Slot, k: uint32(idx)})
 	return idx
 }
 
@@ -184,35 +202,37 @@ func (g *Graph) RedirectOutEdge(u Handle, idx int, v Handle) {
 	if idx < 0 || idx >= len(un.out) {
 		panic("graph: RedirectOutEdge slot out of range")
 	}
-	if old := un.out[idx]; g.IsAlive(old) {
+	if un.out[idx] != deadOut {
 		panic("graph: RedirectOutEdge over a live edge")
 	}
-	un.out[idx] = v
-	g.nodes[v.Slot].in = append(g.nodes[v.Slot].in, inRef{src: u, slot: uint32(idx)})
+	un.out[idx] = v.Slot
+	g.nodes[v.Slot].in = append(g.nodes[v.Slot].in, inRef{src: u.Slot, k: uint32(idx)})
 }
 
-// RemoveNode kills h. All its incident edges disappear (rule 2): its
-// requests leave their targets' in-lists, and the in-edges it had at the
-// moment of death are appended to buf and returned, so models with
-// regeneration can re-point each orphaned request; models without
-// regeneration ignore the result. It panics if h is not alive.
+// RemoveNode kills h. All its incident edges disappear (rule 2): every
+// request that pointed at h becomes dead (its out-slot takes the dead
+// sentinel), h's requests leave their targets' in-lists, and the in-edges
+// it had at the moment of death are appended to buf and returned, so
+// models with regeneration can re-point each orphaned request; models
+// without regeneration ignore the result. It panics if h is not alive.
 func (g *Graph) RemoveNode(h Handle, buf []InEdge) []InEdge {
 	if !g.IsAlive(h) {
 		panic("graph: RemoveNode of non-alive handle")
 	}
 	nd := &g.nodes[h.Slot]
 	for _, ref := range nd.in {
-		buf = append(buf, InEdge{Src: ref.src, Slot: int(ref.slot)})
+		g.nodes[ref.src].out[ref.k] = deadOut
+		buf = append(buf, InEdge{Src: g.handle(ref.src), Slot: int(ref.k)})
 	}
 	// Unlink h's request k from its target's in-list: a stable delete, so
 	// the surviving entries keep their order and every visit order with it.
 	for k, t := range nd.out {
-		if !g.IsAlive(t) {
+		if t == deadOut {
 			continue // a dead target's in-list was emptied at its death
 		}
-		tn := &g.nodes[t.Slot]
+		tn := &g.nodes[t]
 		for i, ref := range tn.in {
-			if ref.src == h && ref.slot == uint32(k) {
+			if ref.src == h.Slot && ref.k == uint32(k) {
 				tn.in = slices.Delete(tn.in, i, i+1)
 				break
 			}
@@ -242,7 +262,7 @@ func (g *Graph) OutTargets(h Handle, visit func(Handle) bool) {
 		return
 	}
 	for _, t := range g.nodes[h.Slot].out {
-		if g.IsAlive(t) && !visit(t) {
+		if t != deadOut && !visit(g.handle(t)) {
 			return
 		}
 	}
@@ -256,7 +276,7 @@ func (g *Graph) InSources(h Handle, visit func(Handle) bool) {
 		return
 	}
 	for _, ref := range g.nodes[h.Slot].in {
-		if !visit(ref.src) {
+		if !visit(g.handle(ref.src)) {
 			return
 		}
 	}
@@ -270,7 +290,7 @@ func (g *Graph) Neighbors(h Handle, visit func(Handle) bool) {
 		return
 	}
 	for _, t := range g.nodes[h.Slot].out {
-		if g.IsAlive(t) && !visit(t) {
+		if t != deadOut && !visit(g.handle(t)) {
 			return
 		}
 	}
@@ -293,8 +313,9 @@ func (g *Graph) OutSlotCount(h Handle) int {
 	return len(g.nodes[h.Slot].out)
 }
 
-// OutTarget returns the current target of h's idx-th request (it may be a
-// dead handle in no-regeneration models) and whether idx is in range.
+// OutTarget returns the current target of h's idx-th request — Nil once
+// that target has died (possible only without regeneration) — and whether
+// idx is in range.
 func (g *Graph) OutTarget(h Handle, idx int) (Handle, bool) {
 	if !g.IsAlive(h) {
 		return Nil, false
@@ -303,7 +324,10 @@ func (g *Graph) OutTarget(h Handle, idx int) (Handle, bool) {
 	if idx < 0 || idx >= len(out) {
 		return Nil, false
 	}
-	return out[idx], true
+	if out[idx] == deadOut {
+		return Nil, true
+	}
+	return g.handle(out[idx]), true
 }
 
 // InDegreeLive returns the number of live requests pointing at h.
@@ -444,9 +468,11 @@ func (g *Graph) NumEdgesLive() int {
 
 // CheckInvariants exhaustively validates internal consistency; it is meant
 // for tests and returns a descriptive error on the first violation. Besides
-// the alive/free bookkeeping and edge symmetry it asserts that a slot's
-// generation is odd exactly while it is alive and that every in-list entry
-// is a live edge: its source is alive and points back.
+// the alive/free bookkeeping it asserts that a slot's generation is odd
+// exactly while it is alive, that every out-slot other than the dead
+// sentinel targets a live slot whose in-list holds exactly one
+// back-reference to it, and that every in-list entry is a live edge: its
+// source is alive and points back.
 func (g *Graph) CheckInvariants() error {
 	if len(g.gen) != len(g.nodes) || len(g.alivePos) != len(g.nodes) {
 		return fmt.Errorf("len(gen)=%d, len(alivePos)=%d, want len(nodes)=%d",
@@ -483,32 +509,35 @@ func (g *Graph) CheckInvariants() error {
 			return fmt.Errorf("slot %d is both free and alive", slot)
 		}
 	}
-	// Edge symmetry: every live out-edge must have exactly one matching
-	// in-list entry, and every in-list entry must have a live source that
-	// points back.
+	// Edge symmetry: every live out-slot must target a live slot with
+	// exactly one matching in-list entry, and every in-list entry must have
+	// a live source that points back.
 	for _, slot := range g.alive {
-		u := Handle{Slot: slot, Gen: g.gen[slot]}
-		for idx, t := range g.nodes[slot].out {
-			if !g.IsAlive(t) {
+		u := g.handle(slot)
+		for k, t := range g.nodes[slot].out {
+			if t == deadOut {
 				continue
 			}
+			if int(t) >= len(g.nodes) || g.gen[t]&1 == 0 {
+				return fmt.Errorf("out-slot %v.out[%d] targets dead slot %d", u, k, t)
+			}
 			matches := 0
-			for _, ref := range g.nodes[t.Slot].in {
-				if ref.src == u && int(ref.slot) == idx {
+			for _, ref := range g.nodes[t].in {
+				if ref.src == slot && int(ref.k) == k {
 					matches++
 				}
 			}
 			if matches != 1 {
-				return fmt.Errorf("edge %v.out[%d]=%v has %d in-list entries", u, idx, t, matches)
+				return fmt.Errorf("edge %v.out[%d]=%v has %d in-list entries", u, k, g.handle(t), matches)
 			}
 		}
 		for _, ref := range g.nodes[slot].in {
-			if !g.IsAlive(ref.src) {
-				return fmt.Errorf("in-ref %v.out[%d] of %v has a dead source", ref.src, ref.slot, u)
+			if int(ref.src) >= len(g.nodes) || g.gen[ref.src]&1 == 0 {
+				return fmt.Errorf("in-ref %d.out[%d] of %v has a dead source", ref.src, ref.k, u)
 			}
-			out := g.nodes[ref.src.Slot].out
-			if int(ref.slot) >= len(out) || out[ref.slot] != u {
-				return fmt.Errorf("in-ref %v.out[%d] of %v does not point back", ref.src, ref.slot, u)
+			out := g.nodes[ref.src].out
+			if int(ref.k) >= len(out) || out[ref.k] != slot {
+				return fmt.Errorf("in-ref %v.out[%d] of %v does not point back", g.handle(ref.src), ref.k, u)
 			}
 		}
 	}

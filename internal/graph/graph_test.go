@@ -23,7 +23,9 @@ func mustInvariants(t *testing.T, g *Graph) {
 // an in-list entry can stop being a live edge: b's entry for a's request
 // outlives a RedirectOutEdge-free rewrite of the request, or a dead node's
 // entry stays behind in a live in-list that RemoveNode should have
-// unlinked.
+// unlinked. The dead-target case is the out-side twin: a request left
+// pointing at a slot whose node died, where RemoveNode should have written
+// the dead sentinel.
 func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -31,8 +33,11 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 		want    string
 	}{
 		{"out-slot rewritten", func(g *Graph, a, b, dead Handle) {
-			g.nodes[a.Slot].out[0] = dead
+			g.nodes[a.Slot].out[0] = deadOut
 		}, "does not point back"},
+		{"out-slot left pointing at a dead slot", func(g *Graph, a, b, dead Handle) {
+			g.nodes[a.Slot].out[0] = dead.Slot
+		}, "targets dead slot"},
 		{"even generation on an alive slot", func(g *Graph, a, b, dead Handle) {
 			g.gen[b.Slot]++
 		}, "has generation"},
@@ -40,10 +45,10 @@ func TestCheckInvariantsCatchesCorruption(t *testing.T) {
 			g.gen[dead.Slot]++
 		}, "has generation"},
 		{"dead source left in a live in-list", func(g *Graph, a, b, dead Handle) {
-			g.nodes[a.Slot].in = append(g.nodes[a.Slot].in, inRef{src: dead, slot: 0})
+			g.nodes[a.Slot].in = append(g.nodes[a.Slot].in, inRef{src: dead.Slot, k: 0})
 		}, "dead source"},
 		{"dead slot keeps its in-list", func(g *Graph, a, b, dead Handle) {
-			g.nodes[dead.Slot].in = append(g.nodes[dead.Slot].in, inRef{src: a, slot: 0})
+			g.nodes[dead.Slot].in = append(g.nodes[dead.Slot].in, inRef{src: a.Slot, k: 0})
 		}, "dead slot"},
 		{"generation array too short", func(g *Graph, a, b, dead Handle) {
 			g.gen = g.gen[:len(g.gen)-1]
@@ -230,12 +235,13 @@ func TestDeadTargetSkipped(t *testing.T) {
 	if !g.IsIsolated(u) {
 		t.Fatal("u should be isolated")
 	}
-	// The stale out-slot is retained (no-regeneration semantics).
+	// The dead out-slot is retained (no-regeneration semantics) and
+	// reports Nil.
 	if n := g.OutSlotCount(u); n != 1 {
 		t.Fatalf("OutSlotCount = %d", n)
 	}
-	if tgt, ok := g.OutTarget(u, 0); !ok || g.IsAlive(tgt) {
-		t.Fatal("stale target should be reported dead")
+	if tgt, ok := g.OutTarget(u, 0); !ok || tgt != Nil {
+		t.Fatalf("OutTarget of a dead request = %v, %v; want nil, true", tgt, ok)
 	}
 	mustInvariants(t, g)
 }
@@ -248,7 +254,7 @@ func TestDeadSourceSkippedAndCompacted(t *testing.T) {
 	g.RemoveNode(u, nil)
 	// RemoveNode unlinks u's entry at once: before any visit, the in-list
 	// holds only v's ref.
-	if n := len(g.nodes[w.Slot].in); n != 1 || g.nodes[w.Slot].in[0].src != v {
+	if n := len(g.nodes[w.Slot].in); n != 1 || g.nodes[w.Slot].in[0].src != v.Slot {
 		t.Fatalf("in-list after source death = %v, want v's entry only", g.nodes[w.Slot].in)
 	}
 	if d := g.InDegreeLive(w); d != 1 {
@@ -325,8 +331,9 @@ func TestRedirectPanicsOverLiveEdge(t *testing.T) {
 }
 
 func TestStaleInRefAfterSlotReuse(t *testing.T) {
-	// u points at v; v dies; v's slot is reused by x. u's stale out-slot
-	// must NOT count as an edge to x, and x must not list u as a source.
+	// u points at v; v dies; v's slot is reused by x. u's dead out-slot
+	// must NOT count as an edge to x, nor name x, and x must not list u as
+	// a source.
 	g := New(3, 1)
 	u := g.AddNode(0)
 	v := g.AddNode(1)
@@ -338,6 +345,9 @@ func TestStaleInRefAfterSlotReuse(t *testing.T) {
 	}
 	if d := g.OutDegreeLive(u); d != 0 {
 		t.Fatalf("stale edge resurrected: out-degree %d", d)
+	}
+	if tgt, _ := g.OutTarget(u, 0); tgt != Nil {
+		t.Fatalf("dead request resurrected onto the reused slot: target %v", tgt)
 	}
 	if d := g.InDegreeLive(x); d != 0 {
 		t.Fatalf("reused slot inherited in-edges: %d", d)

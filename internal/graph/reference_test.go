@@ -16,7 +16,7 @@ type refGraph struct {
 	nextID int
 	alive  map[int]bool
 	birth  map[int]int
-	out    map[int][]int // owner -> slot-indexed targets (-1 = dead target)
+	out    map[int][]int // owner -> slot-indexed targets, dead ones kept
 	in     map[int][]int // target -> live requesters, in placement order
 }
 
@@ -194,7 +194,8 @@ func (h *refHarness) addEdge(c chooser) {
 }
 
 // check compares the alive count and, for every alive node, its neighbor
-// multiplicities, degree and in-source order, then runs CheckInvariants.
+// multiplicities, degree, in-source order and out-slots (Nil where the
+// target is dead), then runs CheckInvariants.
 func (h *refHarness) check() {
 	t, g := h.t, h.g
 	if g.NumAlive() != len(h.ref.alive) {
@@ -229,6 +230,19 @@ func (h *refHarness) check() {
 		g.InSources(v, func(u Handle) bool { in = append(in, h.toID[u]); return true })
 		if !slices.Equal(in, h.ref.in[id]) {
 			t.Fatalf("node %d: in-sources %v, want %v in placement order", id, in, h.ref.in[id])
+		}
+		refOut := h.ref.out[id]
+		if n := g.OutSlotCount(v); n != len(refOut) {
+			t.Fatalf("node %d: %d out-slots, want %d", id, n, len(refOut))
+		}
+		for k, tgt := range refOut {
+			want := Nil
+			if h.ref.alive[tgt] {
+				want = h.toHandle[tgt]
+			}
+			if got, ok := g.OutTarget(v, k); !ok || got != want {
+				t.Fatalf("node %d: out-slot %d targets %v, want %v", id, k, got, want)
+			}
 		}
 	}
 	if err := g.CheckInvariants(); err != nil {
@@ -289,12 +303,14 @@ func (c *byteChooser) Bool() bool     { return c.next()&1 == 1 }
 // FuzzGraphMatchesReference is the coverage-guided form of
 // TestGraphMatchesReference: the fuzzer's bytes are a script of AddNode,
 // AddOutEdge and RemoveNode (with or without redirecting the orphans), and
-// after every step the neighbor multiplicities, degrees and orphan lists
-// must match refGraph and CheckInvariants must hold. It is the evidence
-// that RemoveNode unlinks exactly the dying node's in-list entries, in
-// place: every in-list holds live edges only, in the order they were
-// placed, even when the dying node made parallel requests to one target or
-// its slot is reused. Each op byte selects, mod 4: 0 AddNode, 1–2
+// after every step the neighbor multiplicities, degrees, out-slots and
+// orphan lists must match refGraph and CheckInvariants must hold. It is
+// the evidence that RemoveNode unlinks exactly the dying node's in-list
+// entries, in place: every in-list holds live edges only, in the order
+// they were placed, even when the dying node made parallel requests to one
+// target or its slot is reused. It is also the evidence that every request
+// to the dying node takes the dead sentinel, so a newborn in the reused
+// slot inherits none of them. Each op byte selects, mod 4: 0 AddNode, 1–2
 // AddOutEdge, 3 RemoveNode; the following bytes pick the endpoints, the
 // victim, whether to redirect, and the new targets. The committed corpus
 // (testdata/fuzz/FuzzGraphMatchesReference) replays under a plain go test.
