@@ -361,9 +361,10 @@ func measureFlood(c spec, seed uint64, reps int) []row {
 	return []row{r}
 }
 
-// measureWarmup times both constructions, keeping each side's fastest
-// repetition's snapshot numbers: a speedup only counts if the sampled
-// snapshot looks like the warmed one.
+// measureWarmup times both constructions and records each side's snapshot
+// numbers from repetition 0 (seed seed), so they are a function of the
+// seed alone, not of which repetition ran fastest: a speedup only counts
+// if the sampled snapshot looks like the warmed one.
 func measureWarmup(c spec, seed uint64, reps int) []row {
 	r := newRow(seed, c.params())
 	snapshot := func(prefix string, m core.Model) {
@@ -376,13 +377,15 @@ func measureWarmup(c spec, seed uint64, reps int) []row {
 	}
 	for rep := 0; rep < reps; rep++ {
 		var m core.Model
-		if r.timed("warmup", func() { m = warm(c.kind, c.n, c.d, seed+uint64(rep)) }) {
+		r.timed("warmup", func() { m = warm(c.kind, c.n, c.d, seed+uint64(rep)) })
+		if rep == 0 {
 			snapshot("warm", m)
 		}
 	}
 	for rep := 0; rep < max(reps, 3); rep++ {
 		var m core.Model
-		if r.timed("sample", func() { m = core.SampleStationary(c.kind, c.n, c.d, rng.New(seed+uint64(rep))) }) {
+		r.timed("sample", func() { m = core.SampleStationary(c.kind, c.n, c.d, rng.New(seed+uint64(rep))) })
+		if rep == 0 {
 			snapshot("sampled", m)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -148,4 +149,28 @@ func mustMarshal(t *testing.T, rec record) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// TestWarmupValuesFollowSeed pins the warmup record's snapshot values to
+// the seed: two measurements of the n = 2000 smoke cases at one seed give
+// equal values apart from the timing ratio, whichever repetition ran
+// fastest in each.
+func TestWarmupValuesFollowSeed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("smoke benches skipped in -short mode")
+	}
+	for _, c := range benches["warmup"].cases["smoke"] {
+		if c.n != 2000 {
+			continue
+		}
+		var values [2]map[string]float64
+		for i := range values {
+			rows := measureWarmup(c, 5, 3)
+			values[i] = rows[0].Values
+			delete(values[i], "speedup")
+		}
+		if !reflect.DeepEqual(values[0], values[1]) {
+			t.Errorf("%v n=%d: values differ between two runs at one seed:\n%v\n%v", c.kind, c.n, values[0], values[1])
+		}
+	}
 }

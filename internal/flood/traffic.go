@@ -44,8 +44,9 @@ import (
 // classifies against all M cuts with one masked XOR per word, a node
 // admitted by k lanes is queued and scanned once, and the freeze and
 // admission sweeps visit each receiver once for all lanes. With one lane
-// every word is a single uint64 and every count row a single int32;
-// there is no separate one-message path.
+// every word is a single uint64 and every count row a single byte (a
+// count above 254 escapes to an exact per-shard overflow table; see
+// cutCounts); there is no separate one-message path.
 //
 // Under TrafficOptions.Parallelism the cut is partitioned by arena slot
 // (graph.Shards: block-cyclic, 64-slot blocks) and the frontier
@@ -303,6 +304,7 @@ func NewTraffic(m core.Model, opts TrafficOptions) *Traffic {
 		stride:    1,
 		liveMask:  make([]uint64, 1),
 	}
+	t.cnt = newCutCounts(t.sh)
 	t.informed.init(1)
 	t.tracked.init(1)
 	// Span the arena as it stands; the arrays double only when it outgrows
@@ -436,11 +438,11 @@ func (t *Traffic) Result(id MessageID) Result {
 }
 
 // Retire releases a done message's lane — its bit columns in the packed
-// membership state and its column of cut counts — for reuse by later
-// injections; the Result remains queryable. It panics on a MessageID the plane never
-// issued, on a closed plane, and unless the message is MessageDone:
-// in-flight messages run to their own finish, and retiring twice is a
-// bug.
+// membership state and its column of cut counts, whose overflow entries
+// it drops — for reuse by later injections; the Result remains
+// queryable. It panics on a MessageID the plane never issued, on a closed
+// plane, and unless the message is MessageDone: in-flight messages run to
+// their own finish, and retiring twice is a bug.
 func (t *Traffic) Retire(id MessageID) {
 	if t.closed {
 		panic("flood: Retire on a closed Traffic plane")
@@ -450,6 +452,7 @@ func (t *Traffic) Retire(id MessageID) {
 		panic("flood: Retire of a message that is " + msg.status.String())
 	}
 	t.lanes[msg.laneIdx] = nil
+	t.cnt.dropEscapes(msg.laneIdx)
 	t.freeLanes = append(t.freeLanes, msg.laneIdx)
 	msg.laneIdx = -1
 	msg.status = MessageRetired
@@ -580,34 +583,154 @@ func (t *Traffic) reshape(stride int) {
 	t.stride = stride
 }
 
-// cutCounts is the plane's count store: one int32 cell per (arena slot,
+// cutCounts is the plane's count store: one byte cell per (arena slot,
 // lane), slot-major in rows of 1<<shift cells, where 1<<shift is the
-// smallest power of two at least the allocated lane count — 4 bytes per
-// slot at one lane. The store keeps no validity of its own: a row counts
-// only while Traffic.tracked holds the slot for its node, and a fresh
-// claim zeroes it (claimRow).
+// smallest power of two at least the allocated lane count — 1 byte per
+// slot at one lane. A cell holds its count inline up to maxInlineCount;
+// the value escapeCell stands for a larger count, whose exact value lives
+// in the overflow table of the slot's owner shard, keyed by (slot, lane
+// index). A cell is escapeCell exactly when its entry exists, and a count
+// is never negative (dec panics rather than wrap). A count is at most the
+// node's degree, so the table is empty unless some receiver has more than
+// maxInlineCount live incidences with one message's informed nodes.
+//
+// Every write goes through the methods below — only drainPull stores an
+// inline count straight into a cell it knows is zero — and a write touches
+// only the slot's owner shard's table, so the owner-shard passes stay
+// race-free; widen, clearLane and dropEscapes are serial. The store keeps
+// no validity of its own: a row counts only while Traffic.tracked holds
+// the slot for its node, and a fresh claim zeroes it (claimRow).
 type cutCounts struct {
-	cells []int32
+	cells []uint8
 	shift uint
+	sh    graph.Shards
+	over  []map[uint64]int32 // per owner shard: overKey(slot, li) -> exact count
 }
 
-// row returns slot's cells, one per lane index.
-func (c *cutCounts) row(slot uint32) []int32 {
+const (
+	maxInlineCount = 254 // the largest count a cell holds inline
+	escapeCell     = 255 // the cell value of a count held in the overflow table
+
+	// overflowEntryBytes is the charge per overflow entry in footprintBytes:
+	// an 8-byte key and a 4-byte count padded to a 16-byte map slot, plus
+	// the map's control bytes and spare slots at its typical load.
+	overflowEntryBytes = 32
+)
+
+func newCutCounts(sh graph.Shards) cutCounts {
+	return cutCounts{sh: sh, over: make([]map[uint64]int32, sh.W())}
+}
+
+// overKey keys (slot, li) in the overflow table. The key names the lane
+// index, not the cell offset, so widen leaves every entry valid.
+func overKey(slot uint32, li int) uint64 { return uint64(slot)<<32 | uint64(li) }
+
+// cellRow returns slot's cells, one per lane index. A cell is positive
+// exactly when its count is; use count for the exact value.
+func (c *cutCounts) cellRow(slot uint32) []uint8 {
 	s := int(slot) << c.shift
 	return c.cells[s : s+1<<c.shift]
+}
+
+// inc adds one to lane li's count at slot; a count leaving the inline
+// range escapes to the overflow table.
+func (c *cutCounts) inc(slot uint32, li int) {
+	if i := int(slot)<<c.shift | li; c.cells[i] < maxInlineCount {
+		c.cells[i]++
+	} else {
+		c.setAt(i, c.countAt(i)+1)
+	}
+}
+
+// dec subtracts one from lane li's count at slot; an escaped count that
+// falls back into the inline range returns to its cell.
+func (c *cutCounts) dec(slot uint32, li int) {
+	if i := int(slot)<<c.shift | li; c.cells[i]-1 < maxInlineCount { // 1 ≤ cell ≤ maxInlineCount
+		c.cells[i]--
+	} else {
+		c.setAt(i, c.countAt(i)-1)
+	}
+}
+
+// set stores v as lane li's count at slot.
+func (c *cutCounts) set(slot uint32, li int, v int32) {
+	if i := int(slot)<<c.shift | li; c.cells[i] != escapeCell && uint32(v) <= maxInlineCount {
+		c.cells[i] = uint8(v)
+	} else {
+		c.setAt(i, v)
+	}
+}
+
+// zero sets lane li's count at slot to zero.
+func (c *cutCounts) zero(slot uint32, li int) {
+	i := int(slot)<<c.shift | li
+	if c.cells[i] == escapeCell {
+		delete(c.over[c.sh.Owner(slot)], overKey(slot, li))
+	}
+	c.cells[i] = 0
+}
+
+// count returns lane li's exact count at slot.
+func (c *cutCounts) count(slot uint32, li int) int32 {
+	return c.countAt(int(slot)<<c.shift | li)
+}
+
+// countAt and setAt are count and set on a cell offset, the slow path of
+// the writes: setAt moves a count between its cell and the overflow
+// table, and panics on a negative count, which a cell would wrap.
+func (c *cutCounts) countAt(i int) int32 {
+	if v := c.cells[i]; v != escapeCell {
+		return int32(v)
+	}
+	slot := uint32(i >> c.shift)
+	return c.over[c.sh.Owner(slot)][overKey(slot, i&(1<<c.shift-1))]
+}
+
+func (c *cutCounts) setAt(i int, v int32) {
+	slot, li := uint32(i>>c.shift), i&(1<<c.shift-1)
+	if v < 0 {
+		panic(fmt.Sprintf("flood: negative cut count %d at slot %d, lane %d", v, slot, li))
+	}
+	w := c.sh.Owner(slot)
+	if v <= maxInlineCount {
+		if c.cells[i] == escapeCell {
+			delete(c.over[w], overKey(slot, li))
+		}
+		c.cells[i] = uint8(v)
+		return
+	}
+	if c.over[w] == nil {
+		c.over[w] = make(map[uint64]int32)
+	}
+	c.over[w][overKey(slot, li)] = v
+	c.cells[i] = escapeCell
+}
+
+// clearRow zeroes every count at slot (a fresh claim).
+func (c *cutCounts) clearRow(slot uint32) {
+	row := c.cellRow(slot)
+	if over := c.over[c.sh.Owner(slot)]; len(over) > 0 {
+		for li, v := range row {
+			if v == escapeCell {
+				delete(over, overKey(slot, li))
+			}
+		}
+	}
+	clear(row)
 }
 
 // grow spans at least n slots; new rows are zero.
 func (c *cutCounts) grow(n int) {
 	if need := n << c.shift; need > len(c.cells) {
-		nc := make([]int32, need)
+		nc := make([]uint8, need)
 		copy(nc, c.cells)
 		c.cells = nc
 	}
 }
 
 // widen doubles the row width until it holds lanes cells, keeping every
-// row's cells. Serial context only (Inject).
+// row's cells; the overflow entries stay as they are. Serial context only
+// (Inject).
 func (c *cutCounts) widen(lanes int) {
 	shift := c.shift
 	for 1<<shift < lanes {
@@ -617,23 +740,50 @@ func (c *cutCounts) widen(lanes int) {
 		return
 	}
 	slots := len(c.cells) >> c.shift
-	nc := make([]int32, slots<<shift)
+	nc := make([]uint8, slots<<shift)
 	for s := 0; s < slots; s++ {
 		copy(nc[s<<shift:], c.cells[s<<c.shift:(s+1)<<c.shift])
 	}
 	c.cells, c.shift = nc, shift
 }
 
-// clearLane zeroes lane li's cell in every row (lane index reuse; see
-// Inject). O(slots).
+// clearLane zeroes lane li's count in every row (lane index reuse; see
+// Inject). O(slots). Serial context only.
 func (c *cutCounts) clearLane(li int) {
+	c.dropEscapes(li)
 	for i := li; i < len(c.cells); i += 1 << c.shift {
 		c.cells[i] = 0
 	}
 }
 
-// footprintBytes returns the store's size: 4 bytes per cell.
-func (c *cutCounts) footprintBytes() int { return len(c.cells) * 4 }
+// dropEscapes zeroes lane li's escaped counts and deletes their overflow
+// entries, in O(entries) (Retire; clearLane). Serial context only.
+func (c *cutCounts) dropEscapes(li int) {
+	for _, over := range c.over {
+		//churnvet:ordered each matching entry is zeroed and deleted on its own; no order is observable
+		for k := range over {
+			if int(uint32(k)) == li {
+				c.cells[int(k>>32)<<c.shift|li] = 0
+				delete(over, k)
+			}
+		}
+	}
+}
+
+// overflowEntries returns the number of escaped counts.
+func (c *cutCounts) overflowEntries() int {
+	n := 0
+	for _, over := range c.over {
+		n += len(over)
+	}
+	return n
+}
+
+// footprintBytes returns the store's size: 1 byte per cell plus
+// overflowEntryBytes per overflow entry.
+func (c *cutCounts) footprintBytes() int {
+	return len(c.cells) + c.overflowEntries()*overflowEntryBytes
+}
 
 // growTracked spans n slots in the tracked bitset and the count store,
 // which grow together. Serial context only.
@@ -642,19 +792,18 @@ func (t *Traffic) growTracked(n int) {
 	t.cnt.grow(t.tracked.slots())
 }
 
-// claimRow claims x's tracked slot and returns its tracking words and
-// its count row. A fresh claim zeroes the row — whatever it holds belongs
-// to an earlier node or an earlier tracking spell — and lists x in its
-// owner shard's receivers. Owner-shard context (see fanOut).
-func (t *Traffic) claimRow(x graph.Handle) ([]uint64, []int32) {
+// claimRow claims x's tracked slot and returns its tracking words. A
+// fresh claim zeroes the slot's count row — whatever it holds belongs to
+// an earlier node or an earlier tracking spell — and lists x in its owner
+// shard's receivers. Owner-shard context (see fanOut).
+func (t *Traffic) claimRow(x graph.Handle) []uint64 {
 	tw, fresh := t.tracked.claim(x)
-	row := t.cnt.row(x.Slot)
 	if fresh {
-		clear(row)
+		t.cnt.clearRow(x.Slot)
 		sh := &t.shards[t.sh.Owner(x.Slot)]
 		sh.receivers = append(sh.receivers, x)
 	}
-	return tw, row
+	return tw
 }
 
 // cross moves v to the informed side of every lane set in lanes (a
@@ -716,10 +865,9 @@ func (t *Traffic) noteDeath(h graph.Handle) {
 			// a neighbor informs it, so the neighbor has no count there.
 			t.g.Neighbors(h, func(x graph.Handle) bool {
 				if tw := t.tracked.wordsOf(x); tw != nil {
-					row := t.cnt.row(x.Slot)
 					for i, m := range lanes {
 						for m &= tw[i]; m != 0; m &= m - 1 {
-							row[i<<6|bits.TrailingZeros64(m)]--
+							t.cnt.dec(x.Slot, i<<6|bits.TrailingZeros64(m))
 						}
 					}
 				}
@@ -783,15 +931,15 @@ func (t *Traffic) edgeTo(x, s graph.Handle, sw, xw []uint64) {
 	}
 }
 
-// applyFresh adds delta to the counts of this advance's fresh incidences
-// whose sender is still alive, in the lanes that still track the
-// receiver. A dead sender's incidences already left the counts at its
+// applyFresh adds delta (±1) to the counts of this advance's fresh
+// incidences whose sender is still alive, in the lanes that still track
+// the receiver. A dead sender's incidences already left the counts at its
 // death (noteDeath), and a dead receiver's row is invalid. Run with -1
 // before the admission sweep, the counts hold exactly the frozen
 // incidences whose sender survived — the Discretized admission test — and
 // with +1 after it, the lanes that did not admit get theirs back. Serial
 // context; a no-op under Asynchronous semantics, which records none.
-func (t *Traffic) applyFresh(delta int32) {
+func (t *Traffic) applyFresh(delta int) {
 	for k, e := range t.fresh {
 		if !t.g.IsAlive(e.sender) {
 			continue
@@ -800,10 +948,13 @@ func (t *Traffic) applyFresh(delta int32) {
 		if tw == nil {
 			continue
 		}
-		row := t.cnt.row(e.recv.Slot)
 		for i, m := range t.freshLanes[k*t.stride : (k+1)*t.stride] {
 			for m &= tw[i]; m != 0; m &= m - 1 {
-				row[i<<6|bits.TrailingZeros64(m)] += delta
+				if li := i<<6 | bits.TrailingZeros64(m); delta > 0 {
+					t.cnt.inc(e.recv.Slot, li)
+				} else {
+					t.cnt.dec(e.recv.Slot, li)
+				}
 			}
 		}
 	}
@@ -1020,11 +1171,10 @@ func (t *Traffic) drainPull(w int, lanes []uint64) {
 				continue
 			}
 			if tw := t.tracked.wordsOf(x); tw != nil {
-				row := t.cnt.row(x.Slot)
 				for i, m := range lx {
 					tw[i] &^= m
 					for ; m != 0; m &= m - 1 {
-						row[i<<6|bits.TrailingZeros64(m)] = 0
+						t.cnt.zero(x.Slot, i<<6|bits.TrailingZeros64(m))
 					}
 				}
 			}
@@ -1067,7 +1217,10 @@ func (t *Traffic) drainPull(w int, lanes []uint64) {
 			if !anyBit(counted) {
 				continue
 			}
-			tw, row := t.claimRow(x)
+			// The counted lanes' cells are zero here, zeroed above or by a
+			// fresh claim, so only a count above the inline range needs set.
+			tw := t.claimRow(x)
+			row := t.cnt.cellRow(x.Slot)
 			for i, m := range counted {
 				tw[i] |= m
 				for ; m != 0; m &= m - 1 {
@@ -1076,7 +1229,11 @@ func (t *Traffic) drainPull(w int, lanes []uint64) {
 					for p, k := i, 0; p < len(ps); p, k = p+st, k+1 {
 						c |= int32(ps[p]>>b&1) << k
 					}
-					row[i<<6|b] = c
+					if c <= maxInlineCount {
+						row[i<<6|b] = uint8(c)
+					} else {
+						t.cnt.set(x.Slot, i<<6|b, c)
+					}
 				}
 			}
 		}
@@ -1101,7 +1258,6 @@ func anyBit(w []uint64) bool {
 // x (growth is serial: growTracked).
 func (t *Traffic) fanOut(lanes, xw []uint64, x, v graph.Handle) {
 	var tw []uint64
-	var row []int32
 	for i, w := range lanes {
 		if xw != nil {
 			w &^= xw[i]
@@ -1111,11 +1267,11 @@ func (t *Traffic) fanOut(lanes, xw []uint64, x, v graph.Handle) {
 			if t.onStage != nil && !t.onStage(li, x, v) {
 				continue
 			}
-			if row == nil {
-				tw, row = t.claimRow(x)
+			if tw == nil {
+				tw = t.claimRow(x)
 			}
 			tw[i] |= w & -w
-			row[li]++
+			t.cnt.inc(x.Slot, li)
 		}
 	}
 }
@@ -1209,7 +1365,7 @@ func (t *Traffic) compactShard(w int) {
 	}
 	n := 0
 	for r, v := range sh.receivers {
-		row := t.cnt.row(v.Slot)
+		row := t.cnt.cellRow(v.Slot)
 		anyFrozen := false
 		for i := 0; i < st; i++ {
 			var frozen uint64
@@ -1264,7 +1420,7 @@ func (t *Traffic) admitShard(w int) {
 			continue // died during the advance (its tracking went with it)
 		}
 		fw := sh.frozenWords[fi*t.stride : (fi+1)*t.stride]
-		row := t.cnt.row(v.Slot)
+		row := t.cnt.cellRow(v.Slot)
 		wordBase := len(sh.admWords)
 		var tw []uint64 // v's tracking words, fetched at the first admission
 		for i, m := range fw {
@@ -1273,7 +1429,7 @@ func (t *Traffic) admitShard(w int) {
 				li := i<<6 | bits.TrailingZeros64(m)
 				if async || row[li] > 0 {
 					admitted |= m & -m
-					row[li] = 0
+					t.cnt.zero(v.Slot, li)
 				}
 			}
 			sh.admWords = append(sh.admWords, admitted)
@@ -1303,8 +1459,9 @@ func (t *Traffic) admitShard(w int) {
 	sh.nFrozen = 0
 }
 
-// laneFootprint reports the allocated lane count and the number of
-// nonzero count cells across allocated lanes — the quantities the
+// laneFootprint reports the allocated lane count and the per-slot state
+// held for lanes: the nonzero count cells across allocated lanes plus the
+// overflow entries of lanes that are not allocated — the quantities the
 // retirement property test tracks to pin memory at O(live messages), not
 // O(all ever injected).
 func (t *Traffic) laneFootprint() (lanes, slotState int) {
@@ -1316,6 +1473,13 @@ func (t *Traffic) laneFootprint() (lanes, slotState int) {
 		lanes++
 		for i := li; i < len(t.cnt.cells); i += width {
 			if t.cnt.cells[i] != 0 {
+				slotState++
+			}
+		}
+	}
+	for _, over := range t.cnt.over {
+		for k := range over {
+			if t.lanes[uint32(k)] == nil {
 				slotState++
 			}
 		}
@@ -1343,9 +1507,11 @@ type TrafficMemStats struct {
 	// pre-packing layout of one graph.Marks per lane: 12 bytes (an
 	// 8-byte epoch plus a 4-byte generation) per slot per lane.
 	MarksBaselineBytes int
-	// CutCountBytes is the cut-count store's footprint: one 4-byte count
-	// per slot per lane, in rows of the smallest power of two at least
-	// Lanes, over the tracked bitset's slot span.
+	// CutCountBytes is the cut-count store's footprint: one 1-byte count
+	// cell per slot per lane, in rows of the smallest power of two at
+	// least Lanes, over the tracked bitset's slot span, plus 32 bytes
+	// (overflowEntryBytes) for each count above 254 held in the overflow
+	// table.
 	CutCountBytes int
 	// ViewPagesCopied is the number of TrafficView pages CaptureView has
 	// copied over the plane's life; every other page a capture holds is

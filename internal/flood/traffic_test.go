@@ -264,9 +264,10 @@ func negativeControl(t *testing.T, dir drainDirection) {
 
 // TestTrafficRetireReleasesAndReuses is the memory property test: retiring
 // done messages mid-run must release their lanes' per-slot state (tracked
-// via the laneFootprint test hook: the allocated lanes and their nonzero
-// cut counts), keeping the plane at O(live messages) rather than O(all
-// ever injected) — and a late injection reusing a retired lane slot must
+// via the laneFootprint test hook: the allocated lanes, their nonzero
+// cut counts and the overflow entries of lanes no longer allocated),
+// keeping the plane at O(live messages) rather than O(all ever injected)
+// — and a late injection reusing a retired lane slot must
 // start from an all-zero count column (right after Inject the column holds
 // exactly the source's incidence multiplicities, which Inject counts),
 // leave the count store's width alone, and match the reference flooding
@@ -310,6 +311,12 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 		if lanesDone != first {
 			t.Fatalf("seed %d: %d lanes allocated before retirement, want %d", seed, lanesDone, first)
 		}
+		// A done lane may still hold counts: give each an escaped one, as a
+		// lane that stopped while tracking a hub would leave, so retirement
+		// must drop overflow entries too.
+		for _, id := range ids {
+			tr.cnt.set(uint32(seed), tr.msgs[id].laneIdx, maxInlineCount+1+int32(seed))
+		}
 		for _, id := range ids {
 			if tr.Status(id) != MessageDone {
 				t.Fatalf("seed %d: message %d is %v after drain", seed, id, tr.Status(id))
@@ -331,9 +338,11 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 		src := nthAlive(m.Graph(), 0)
 		// Stale counts in the column the late injection will reuse keep
 		// the check below from passing vacuously.
-		for i := tr.freeLanes[len(tr.freeLanes)-1]; i < len(tr.cnt.cells); i += width0 {
+		reused := tr.freeLanes[len(tr.freeLanes)-1]
+		for i := reused; i < len(tr.cnt.cells); i += width0 {
 			tr.cnt.cells[i] = 7
 		}
+		tr.cnt.set(1, reused, 400)
 		late := tr.Inject(src)
 		if got, want := tr.Injected(), first+1; got != want {
 			t.Fatalf("seed %d: Injected() = %d, want %d (IDs are never reused)", seed, got, want)
@@ -350,11 +359,14 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 			srcCut[int(x.Slot)]++
 			return true
 		})
-		for i := li; i < len(tr.cnt.cells); i += width0 {
-			if c, want := tr.cnt.cells[i], srcCut[i/width0]; c != want {
+		for s := 0; s < len(tr.cnt.cells)/width0; s++ {
+			if c, want := tr.cnt.count(uint32(s), li), srcCut[s]; c != want {
 				t.Fatalf("seed %d: reused lane %d holds count %d in slot %d after Inject, want the source's %d incidences",
-					seed, li, c, i/width0, want)
+					seed, li, c, s, want)
 			}
+		}
+		if n := tr.cnt.overflowEntries(); n != 0 {
+			t.Fatalf("seed %d: %d overflow entries after the reusing Inject, want none", seed, n)
 		}
 		for tr.Live() > 0 {
 			tr.Step()
@@ -383,33 +395,37 @@ func TestTrafficRetireReleasesAndReuses(t *testing.T) {
 
 // TestCutCountsFootprint sanity-checks the count-store accounting MemStats
 // reports as CutCountBytes: rows of the smallest power of two at least the
-// lane count, 4 bytes a cell, so one lane costs 4 bytes per slot and 64
-// lanes 256. Widening keeps every cell, and clearing a lane zeroes only
-// its column.
+// lane count, 1 byte a cell, so one lane costs 1 byte per slot and 64
+// lanes 64, plus overflowEntryBytes per escaped count. Widening keeps
+// every cell, and clearing a lane zeroes only its column.
 func TestCutCountsFootprint(t *testing.T) {
 	t.Parallel()
-	var c cutCounts
+	c := newCutCounts(graph.NewShards(1, 100))
 	c.grow(100)
-	if got, want := c.footprintBytes(), 100*4; got != want {
+	if got, want := c.footprintBytes(), 100; got != want {
 		t.Fatalf("one lane: footprintBytes = %d, want %d", got, want)
 	}
-	c.row(7)[0] = 3
+	c.set(7, 0, 3)
 	for _, tc := range []struct{ lanes, width int }{{2, 2}, {3, 4}, {64, 64}, {65, 128}, {9, 128}} {
 		c.widen(tc.lanes)
 		if got := 1 << c.shift; got != tc.width {
 			t.Fatalf("widen(%d): rows of %d cells, want %d", tc.lanes, got, tc.width)
 		}
-		if got, want := c.footprintBytes(), 100*tc.width*4; got != want {
+		if got, want := c.footprintBytes(), 100*tc.width; got != want {
 			t.Fatalf("widen(%d): footprintBytes = %d, want %d", tc.lanes, got, want)
 		}
-		if got := c.row(7)[0]; got != 3 {
+		if got := c.count(7, 0); got != 3 {
 			t.Fatalf("widen(%d) lost a cell: %d, want 3", tc.lanes, got)
 		}
 	}
-	c.row(7)[64] = 5
+	c.set(7, 64, 5)
+	c.set(8, 64, 300)
+	if got, want := c.footprintBytes(), 100*128+overflowEntryBytes; got != want {
+		t.Fatalf("one escaped count: footprintBytes = %d, want %d", got, want)
+	}
 	c.clearLane(0)
-	if a, b := c.row(7)[0], c.row(7)[64]; a != 0 || b != 5 {
-		t.Fatalf("clearLane(0) left cells %d and %d, want 0 and 5", a, b)
+	if a, b := c.count(7, 0), c.count(7, 64); a != 0 || b != 5 {
+		t.Fatalf("clearLane(0) left counts %d and %d, want 0 and 5", a, b)
 	}
 
 	// A running plane reports the store over its tracked slot span.
@@ -422,7 +438,7 @@ func TestCutCountsFootprint(t *testing.T) {
 		}
 		tr.Step()
 		st := tr.MemStats()
-		if want := tr.tracked.slots() * messages * 4; st.CutCountBytes != want || want == 0 {
+		if want := tr.tracked.slots() * messages; st.CutCountBytes != want || want == 0 {
 			t.Fatalf("M=%d: CutCountBytes = %d, want %d", messages, st.CutCountBytes, want)
 		}
 		tr.Close()
