@@ -365,32 +365,43 @@ func evalPrefixes(g *graph.Graph, order []graph.Handle, ladder []int, record fun
 // O(cap · degree) instead of O(boundary · degree).
 const greedyCandidateCap = 64
 
+// The per-slot states of greedy growth.
+const (
+	greedyOutside  uint8 = iota // neither in the set nor on its boundary
+	greedyInSet                 // absorbed into the set
+	greedyBoundary              // outside the set, adjacent to it
+)
+
 // greedyGrow grows a set from seed, at each step absorbing the boundary
 // vertex (among up to greedyCandidateCap sampled candidates) with the
 // fewest neighbors outside the current set, recording every intermediate
 // ratio. The grown set is returned so callers that track sets over time
-// (the Tracker's greedy family) can keep it.
+// (the Tracker's greedy family) can keep it. seed must be alive.
 func greedyGrow(g *graph.Graph, seed graph.Handle, maxSize int, r *rng.RNG, record func(size, boundary int)) []graph.Handle {
-	var inSet graph.Marks
-	inSet.Mark(seed)
+	// The graph does not change during the call, so an arena slot names
+	// one node throughout and one byte a slot holds its state.
+	state := make([]uint8, g.NumSlots())
+	state[seed.Slot] = greedyInSet
 	set := []graph.Handle{seed}
 
-	var onBoundary graph.Marks
-	var boundary []graph.Handle
-	addBoundary := func(h graph.Handle) {
-		g.Neighbors(h, func(v graph.Handle) bool {
-			if !inSet.Has(v) && onBoundary.Mark(v) {
-				boundary = append(boundary, v)
-			}
-			return true
-		})
+	var boundary []uint32 // arena slots
+	addBoundary := func(v uint32) {
+		if state[v] == greedyOutside {
+			state[v] = greedyBoundary
+			boundary = append(boundary, v)
+		}
 	}
-	addBoundary(seed)
+	ext := 0
+	countExternal := func(v uint32) {
+		if state[v] == greedyOutside {
+			ext++
+		}
+	}
+	g.NeighborSlots(seed.Slot, addBoundary)
 
-	// boundary holds exactly the marked boundary vertices, alive and
-	// outside the set, with no compaction: the graph does not change
-	// during the call, a vertex enters once (onBoundary.Mark), and the only
-	// one that ever leaves — the pick — is swap-removed as it joins the set.
+	// boundary holds exactly the slots in state greedyBoundary, with no
+	// compaction: a vertex enters once, and the only one that ever leaves
+	// — the pick — is swap-removed as it joins the set.
 	for len(set) < maxSize {
 		record(len(set), len(boundary))
 		if len(boundary) == 0 {
@@ -408,13 +419,8 @@ func greedyGrow(g *graph.Graph, seed graph.Handle, maxSize int, r *rng.RNG, reco
 			if len(boundary) > greedyCandidateCap {
 				i = r.Intn(len(boundary))
 			}
-			ext := 0
-			g.Neighbors(boundary[i], func(v graph.Handle) bool {
-				if !inSet.Has(v) && !onBoundary.Has(v) {
-					ext++
-				}
-				return true
-			})
+			ext = 0
+			g.NeighborSlots(boundary[i], countExternal)
 			if ext < bestExt {
 				bestExt, bestIdx = ext, i
 			}
@@ -422,10 +428,9 @@ func greedyGrow(g *graph.Graph, seed graph.Handle, maxSize int, r *rng.RNG, reco
 		pick := boundary[bestIdx]
 		boundary[bestIdx] = boundary[len(boundary)-1]
 		boundary = boundary[:len(boundary)-1]
-		onBoundary.Unmark(pick)
-		inSet.Mark(pick)
-		set = append(set, pick)
-		addBoundary(pick)
+		state[pick] = greedyInSet
+		set = append(set, g.SlotHandle(pick))
+		g.NeighborSlots(pick, addBoundary)
 	}
 	record(len(set), len(boundary))
 	return set

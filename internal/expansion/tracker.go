@@ -33,20 +33,29 @@ package expansion
 //
 // # One state plane, and the seeding sweep
 //
-// All state — per-slot membership lists, per-slot count lists, and each
-// set's live size and |∂out| — is updated in place by the hook handlers
-// as events arrive (hooks are strictly serial), so an observation is a
-// plain read. Epoch tags make re-seeds O(1): bumping the tracker epoch
-// invalidates every per-slot list lazily, the same trick graph.Marks uses
-// for generations.
+// All state — the membership bitset, per-slot count lists, and each set's
+// live size and |∂out| — is updated in place by the hook handlers as
+// events arrive (hooks are strictly serial), so an observation is a plain
+// read. Membership is one dense bitset of ⌈sets/64⌉ words a slot: bit s of
+// slot x's row is set while the node in x belongs to set s. A re-seed
+// clears and rebuilds it, a death clears the dying slot's row (so a reused
+// slot is never a member), and slots past the seeded arena read as empty,
+// so a slot's row alone answers membership, with no generation check. The
+// hooks work a word at a time: the sets an edge u–v crosses from u's side
+// are the bits of row(u) &^ row(v). The count lists keep epoch tags: a
+// re-seed bumps the tracker epoch, which invalidates every list lazily,
+// the same trick graph.Marks uses for generations.
 //
 // The one O(Σ|S|·d)-sized pass is seeding, at construction and at every
 // re-seed. Instead of walking each set's members, it runs one sweep in
-// which every alive node x walks its own neighborhood once and counts, per
-// set x is not in, its live edges to that set's members. The sweep runs
-// on graph.Shards, the scaffold the flooding engine shares: worker w walks
-// only the slot blocks it owns, so it writes only its own nodes' count
-// lists, reads the graph (which no
+// which every alive node x walks its own neighborhood once by arena slot
+// (graph.NeighborSlots) and counts, per set x is not in, its live edges to
+// that set's members. The counts are kept word-parallel in carry-save bit
+// planes — each visit adds row(y) &^ row(x) into them, so one ripple-carry
+// add counts a neighbor for every set at once — and read back bit by bit
+// for the sets x borders. The sweep runs on graph.Shards, the scaffold the
+// flooding engine shares: worker w walks only the slot blocks it owns, so
+// it writes only its own nodes' count lists, reads the graph (which no
 // neighborhood visit writes) freely, and accumulates per-set boundary
 // sizes in a private row; the rows are summed at the barrier. A node's
 // counts depend only on its own neighborhood and integer sums are
@@ -54,6 +63,7 @@ package expansion
 // W (pinned by TestTrackerParallelismInvariance and TestTrackerGolden).
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"github.com/dyngraph/churnnet/internal/core"
@@ -164,13 +174,6 @@ func (c TrackerConfig) withDefaults() TrackerConfig {
 // candidates' neighborhoods, so a grown set costs its size times that.
 const defaultMaxGreedyTracked = 2048
 
-// slotSets lists the tracked sets a node belongs to.
-type slotSets struct {
-	epoch uint32
-	gen   uint32
-	sets  []uint32
-}
-
 // slotBnd holds one node's live-edge counts into the sets it borders
 // (entries only for counts >= 1).
 type slotBnd struct {
@@ -239,8 +242,11 @@ type Tracker struct {
 	epoch uint32
 	sets  []trackedSet
 
-	member []slotSets // indexed by arena slot
-	bnd    []slotBnd  // indexed by arena slot
+	// memb is the membership bitset: slot x's row is
+	// memb[x·words : (x+1)·words], bit s set while x's node is in set s.
+	memb  []uint64
+	words int       // ⌈len(sets)/64⌉
+	bnd   []slotBnd // indexed by arena slot
 
 	inSet graph.Marks // seeding scratch
 
@@ -334,36 +340,14 @@ func (t *Tracker) Sets() []SetState {
 
 // --- event handlers ---
 
-// memberSets returns the sets h currently belongs to (nil for non-members
-// and stale incarnations).
-func (t *Tracker) memberSets(h graph.Handle) []uint32 {
-	if int(h.Slot) >= len(t.member) {
+// row returns slot's membership words, or nil for a slot past the seeded
+// arena (a member of no set).
+func (t *Tracker) row(slot uint32) []uint64 {
+	lo := int(slot) * t.words
+	if lo >= len(t.memb) {
 		return nil
 	}
-	ss := &t.member[h.Slot]
-	if ss.epoch != t.epoch || ss.gen != h.Gen {
-		return nil
-	}
-	return ss.sets
-}
-
-func (t *Tracker) isMember(h graph.Handle, set uint32) bool {
-	for _, s := range t.memberSets(h) {
-		if s == set {
-			return true
-		}
-	}
-	return false
-}
-
-func (t *Tracker) addMember(h graph.Handle, set uint32) {
-	t.growMember(int(h.Slot) + 1)
-	ss := &t.member[h.Slot]
-	if ss.epoch != t.epoch || ss.gen != h.Gen {
-		ss.epoch, ss.gen = t.epoch, h.Gen
-		ss.sets = ss.sets[:0]
-	}
-	ss.sets = append(ss.sets, set)
+	return t.memb[lo : lo+t.words : lo+t.words]
 }
 
 // counts returns h's count list if it belongs to h's incarnation in the
@@ -387,9 +371,13 @@ func (t *Tracker) onEdge(u, v graph.Handle) {
 }
 
 func (t *Tracker) noteEdgeSide(m, x graph.Handle) {
-	for _, s := range t.memberSets(m) {
-		if !t.isMember(x, s) {
-			t.incr(x, s)
+	xr := t.row(x.Slot)
+	for i, w := range t.row(m.Slot) {
+		if xr != nil {
+			w &^= xr[i]
+		}
+		for ; w != 0; w &= w - 1 {
+			t.incr(x, uint32(i<<6|bits.TrailingZeros64(w)))
 		}
 	}
 }
@@ -443,7 +431,8 @@ func (t *Tracker) decr(x graph.Handle, set uint32) {
 // onDeath handles a death: the node leaves every boundary it was on, and
 // if it was a member its sets lose one live node plus one boundary unit
 // per live incident edge to a non-member — read here, while the hook
-// contract keeps the neighborhood inspectable.
+// contract keeps the neighborhood inspectable. Its membership row is then
+// cleared, so whichever node reuses the slot is a member of nothing.
 func (t *Tracker) onDeath(h graph.Handle) {
 	if b := t.counts(h); b != nil {
 		for _, e := range b.entries {
@@ -451,31 +440,30 @@ func (t *Tracker) onDeath(h graph.Handle) {
 		}
 		b.entries = b.entries[:0]
 	}
-	ms := t.memberSets(h)
-	if len(ms) == 0 {
+	hr := t.row(h.Slot)
+	member := false
+	for i, w := range hr {
+		for ; w != 0; w &= w - 1 {
+			t.sets[i<<6|bits.TrailingZeros64(w)].live--
+			member = true
+		}
+	}
+	if !member {
 		return
 	}
-	for _, s := range ms {
-		t.sets[s].live--
-	}
 	t.g.Neighbors(h, func(x graph.Handle) bool {
-		for _, s := range ms {
-			if !t.isMember(x, s) {
-				t.decr(x, s)
+		xr := t.row(x.Slot)
+		for i, w := range hr {
+			if xr != nil {
+				w &^= xr[i]
+			}
+			for ; w != 0; w &= w - 1 {
+				t.decr(x, uint32(i<<6|bits.TrailingZeros64(w)))
 			}
 		}
 		return true
 	})
-	t.member[h.Slot].sets = t.member[h.Slot].sets[:0]
-}
-
-func (t *Tracker) growMember(n int) {
-	if n <= len(t.member) {
-		return
-	}
-	grown := make([]slotSets, n*2)
-	copy(grown, t.member)
-	t.member = grown
+	clear(hr)
 }
 
 func (t *Tracker) growBnd(n int) {
@@ -490,13 +478,14 @@ func (t *Tracker) growBnd(n int) {
 // --- seeding ---
 
 // reseed derives every family from the current snapshot: epoch-invalidate
-// all per-slot state, build the member lists (consuming the tracker RNG in
-// a fixed order), install memberships, and count every set's crossing
-// edges in one sharded sweep — seeding is the tracker's one O(Σ|S|·d)
-// pass, and the one that benefits from W > 1.
+// the count lists, build the member lists (consuming the tracker RNG in a
+// fixed order), rebuild the membership bitset, and count every set's
+// crossing edges in one sharded sweep — seeding is the tracker's one
+// O(Σ|S|·d) pass, and the one that benefits from W > 1.
 func (t *Tracker) reseed() {
 	t.epoch++
 	t.sets = t.sets[:0]
+	t.memb, t.words = t.memb[:0], 0
 	t.reseeds++
 	g, cfg := t.g, t.cfg
 	hs := g.AliveHandles()
@@ -508,12 +497,14 @@ func (t *Tracker) reseed() {
 	add := func(f Family, members []graph.Handle) {
 		t.sets = append(t.sets, trackedSet{family: f, members: members})
 	}
+	// One low-degree ordering serves both the singletons and the BFS
+	// seeds: each family takes its own prefix of it.
+	var byDegree []graph.Handle
+	if k := max(cfg.Singletons, cfg.BFSSeeds); k > 0 {
+		byDegree = lowDegreeSeeds(g, hs, k)
+	}
 	if cfg.Singletons > 0 {
-		k := cfg.Singletons
-		if k > n {
-			k = n
-		}
-		for _, h := range lowDegreeSeeds(g, hs, k) {
+		for _, h := range byDegree[:min(cfg.Singletons, n)] {
 			add(FamilySingleton, []graph.Handle{h})
 		}
 	}
@@ -564,11 +555,7 @@ func (t *Tracker) reseed() {
 		if maxBFS < 1 {
 			maxBFS = 1
 		}
-		k := cfg.BFSSeeds
-		if k > n {
-			k = n
-		}
-		for _, seed := range lowDegreeSeeds(g, hs, k) {
+		for _, seed := range byDegree[:min(cfg.BFSSeeds, n)] {
 			ball := bfsOrder(g, seed, maxBFS, &t.inSet)
 			set := make([]graph.Handle, len(ball))
 			copy(set, ball)
@@ -595,10 +582,17 @@ func (t *Tracker) reseed() {
 	// Install memberships first — the sweep must see every same-set
 	// co-member — then count each set's crossing edges with multiplicity
 	// (so that later per-edge decrements net out exactly).
+	t.words = (len(t.sets) + 63) / 64
+	if need := g.NumSlots() * t.words; cap(t.memb) < need {
+		t.memb = make([]uint64, need)
+	} else {
+		t.memb = t.memb[:need]
+		clear(t.memb)
+	}
 	for id := range t.sets {
 		st := &t.sets[id]
 		for _, h := range st.members {
-			t.addMember(h, uint32(id))
+			t.memb[int(h.Slot)*t.words+id>>6] |= 1 << (id & 63)
 		}
 		st.live = len(st.members)
 	}
@@ -619,47 +613,59 @@ func (t *Tracker) reseed() {
 // the number of nodes it put on each set's boundary. A node's counts
 // depend on its own neighborhood alone and the row sums are integer, so
 // no visit order is observable.
+//
+// x's counts live in carry-save bit planes, word i of plane p at
+// planes[p·words+i]: bit s of the planes spells x's count into set s.
+// A count never exceeds x's degree, so bits.Len(degree) planes hold it.
 func (t *Tracker) sweepShard(w int) []int {
+	g, nw := t.g, t.words
 	row := make([]int, len(t.sets))
-	// cnt[s] is x's running count into set s, or -1 for x's own sets;
-	// touched lists the sets with a count, in first-touch order.
-	cnt := make([]int32, len(t.sets))
-	var touched []uint32
-	visit := func(y graph.Handle) bool {
-		for _, s := range t.memberSets(y) {
-			if c := cnt[s]; c >= 0 {
-				if c == 0 {
-					touched = append(touched, s)
-				}
-				cnt[s] = c + 1
+	var own, ps, planes []uint64
+	visit := func(y uint32) {
+		for i, m := range t.memb[int(y)*nw : int(y)*nw+nw] {
+			m &^= own[i]
+			// Ripple-carry add of one in every set of m.
+			for p := i; m != 0; p += nw {
+				c := ps[p]
+				ps[p] = c ^ m
+				m &= c
 			}
 		}
-		return true
 	}
-	n := t.g.NumSlots()
+	n := g.NumSlots()
 	first, stride := t.sh.Blocks(w)
 	for lo := first; lo < n; lo += stride {
 		for slot := lo; slot < min(lo+graph.ShardBlock, n); slot++ {
-			x := t.g.SlotHandle(uint32(slot))
+			x := g.SlotHandle(uint32(slot))
 			if x.IsNil() {
 				continue
 			}
-			own := t.memberSets(x)
-			for _, s := range own {
-				cnt[s] = -1
+			own = t.memb[slot*nw : slot*nw+nw]
+			np := bits.Len(uint(g.OutSlotCount(x) + g.InDegreeLive(x)))
+			if len(planes) < np*nw {
+				planes = make([]uint64, np*nw)
 			}
-			touched = touched[:0]
-			t.g.Neighbors(x, visit)
-			b := &t.bnd[x.Slot]
+			ps = planes[:np*nw]
+			clear(ps)
+			g.NeighborSlots(x.Slot, visit)
+			b := &t.bnd[slot]
 			b.epoch, b.gen = t.epoch, x.Gen
 			b.entries = b.entries[:0]
-			for _, s := range touched {
-				b.entries = append(b.entries, bndEntry{set: s, cnt: cnt[s]})
-				row[s]++
-				cnt[s] = 0
-			}
-			for _, s := range own {
-				cnt[s] = 0
+			for i := 0; i < nw; i++ {
+				var counted uint64
+				for p := i; p < len(ps); p += nw {
+					counted |= ps[p]
+				}
+				for ; counted != 0; counted &= counted - 1 {
+					bit := bits.TrailingZeros64(counted)
+					var c int32
+					for p, k := i, 0; p < len(ps); p, k = p+nw, k+1 {
+						c |= int32(ps[p]>>bit&1) << k
+					}
+					s := i<<6 | bit
+					b.entries = append(b.entries, bndEntry{set: uint32(s), cnt: c})
+					row[s]++
+				}
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"reflect"
 	"runtime"
@@ -438,6 +439,193 @@ func TestTrackerGolden(t *testing.T) {
 			if got := h.Sum64(); got != trackerGoldenHash {
 				t.Fatalf("tracker golden digest %#x, want %#x", got, uint64(trackerGoldenHash))
 			}
+		})
+	}
+}
+
+// checkTrackerCounts compares the tracker's per-node state with a
+// brute-force count over the member lists: every alive node's membership
+// row must hold exactly the sets it is a live member of, and its count
+// list exactly one entry per set it borders, holding the number of its
+// live edges (with multiplicity) to that set's live members — each count,
+// not only the |∂out| sizes VerifyTracker checks. It returns the largest
+// count seen.
+func checkTrackerCounts(t *testing.T, tr *Tracker, tag string) (maxCnt int32) {
+	t.Helper()
+	g := tr.g
+	memberOf := make(map[graph.Handle][]uint32)
+	for s := range tr.sets {
+		for _, h := range tr.sets[s].members {
+			if g.IsAlive(h) {
+				memberOf[h] = append(memberOf[h], uint32(s))
+			}
+		}
+	}
+	for _, x := range g.AliveHandles() {
+		own := make(map[uint32]bool)
+		for _, s := range memberOf[x] {
+			own[s] = true
+		}
+		row := tr.row(x.Slot)
+		for s := range tr.sets {
+			if in := row != nil && row[s>>6]>>(s&63)&1 == 1; in != own[uint32(s)] {
+				t.Fatalf("%s: node %v: membership bit of set %d is %v, member lists say %v", tag, x, s, in, own[uint32(s)])
+			}
+		}
+		want := make(map[uint32]int32)
+		g.Neighbors(x, func(y graph.Handle) bool {
+			for _, s := range memberOf[y] {
+				if !own[s] {
+					want[s]++
+				}
+			}
+			return true
+		})
+		got := make(map[uint32]int32)
+		if b := tr.counts(x); b != nil {
+			for _, e := range b.entries {
+				if _, dup := got[e.set]; dup || e.cnt <= 0 {
+					t.Fatalf("%s: node %v: bad count entry %+v in %+v", tag, x, e, b.entries)
+				}
+				got[e.set] = e.cnt
+				maxCnt = max(maxCnt, e.cnt)
+			}
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("%s: node %v: tracked counts %v, brute force %v", tag, x, got, want)
+		}
+	}
+	return maxCnt
+}
+
+// TestTrackerCountsExact checks every count entry against the brute-force
+// count on sampled snapshots of all four models at W ∈ {1, 2, 4}: right
+// after seeding, then through churn, Observe calls and re-seeds, so both
+// the seeding sweep's bit planes and the hooks' maintenance are pinned
+// entry by entry.
+func TestTrackerCountsExact(t *testing.T) {
+	for _, kind := range core.Kinds() {
+		for _, par := range []int{1, 2, 4} {
+			kind, par := kind, par
+			t.Run(fmt.Sprintf("%v-W%d", kind, par), func(t *testing.T) {
+				t.Parallel()
+				m := core.SampleStationaryPar(kind, 700, 6, rng.New(uint64(par)), par)
+				tr := NewTracker(m, rng.New(5), TrackerConfig{ReseedEvery: 2, MaxGreedySize: 64, Parallelism: par})
+				defer tr.Close()
+				checkTrackerCounts(t, tr, "seeding")
+				for round := 1; round <= 6; round++ {
+					m.AdvanceRound()
+					checkTrackerCounts(t, tr, fmt.Sprintf("round %d", round))
+					tr.Observe()
+					checkTrackerCounts(t, tr, fmt.Sprintf("Observe %d", round))
+				}
+			})
+		}
+	}
+}
+
+// TestTrackerCountsPastEightBits seeds on a built graph whose three
+// youngest nodes (the hubs) have 255, 256 and 300 parallel incidences
+// with the oldest node, which every oldest-k set holds, so the seeding
+// sweep's counts cross the eighth and ninth bit planes. Half of each
+// hub's incidences are its own requests and half the oldest node's, so
+// both halves of the neighbor walk carry. The rest of the graph is a path
+// in birth order, which keeps each hub's count into every oldest-k set at
+// exactly its incidence count.
+func TestTrackerCountsPastEightBits(t *testing.T) {
+	const n = 300
+	hubs := map[int]int32{n - 1: 255, n - 2: 256, n - 3: 300}
+	var edges [][2]int
+	for i := 0; i+1 < n; i++ {
+		edges = append(edges, [2]int{i, i + 1})
+	}
+	for hub, c := range hubs {
+		for j := 0; j < int(c); j++ {
+			if j%2 == 0 {
+				edges = append(edges, [2]int{0, hub})
+			} else {
+				edges = append(edges, [2]int{hub, 0})
+			}
+		}
+	}
+	for _, par := range []int{1, 2, 4} {
+		g, hs := staticgraph.FromEdges(n, edges)
+		tr := NewTracker(core.NewStaticModel(g, 1), rng.New(3), TrackerConfig{Parallelism: par})
+		tag := fmt.Sprintf("W%d", par)
+		if maxCnt := checkTrackerCounts(t, tr, tag); maxCnt < 300 {
+			t.Fatalf("%s: largest count %d, want the 300-incidence hub's", tag, maxCnt)
+		}
+		for hub, c := range hubs {
+			seen := 0
+			for _, e := range tr.counts(hs[hub]).entries {
+				if tr.sets[e.set].family == FamilyOldest {
+					seen++
+					if e.cnt != c {
+						t.Fatalf("%s: hub %d: count %d into oldest set %d, want %d", tag, hub, e.cnt, e.set, c)
+					}
+				}
+			}
+			if seen == 0 {
+				t.Fatalf("%s: hub %d borders no oldest-k set", tag, hub)
+			}
+		}
+		tr.Close()
+	}
+}
+
+// TestTrackerManySets tracks more than two words' worth of sets (every
+// ladder rung, eight random sets a rung), so membership rows span three
+// words, and runs churn, Observe calls and re-seeds at W ∈ {1, 2, 4} with
+// VerifyTracker after each step. Sets 63, 64, 127 and 128, on either side
+// of the word seams, are checked explicitly: every live member carries
+// the set's bit in the right word, and the set's live size and boundary
+// equal a rescan.
+func TestTrackerManySets(t *testing.T) {
+	for _, par := range []int{1, 2, 4} {
+		par := par
+		t.Run(fmt.Sprintf("W%d", par), func(t *testing.T) {
+			t.Parallel()
+			m := core.SampleStationaryPar(core.PDGR, 1000, 5, rng.New(11), par)
+			tr := NewTracker(m, rng.New(12), TrackerConfig{
+				RandomSetsPerSize: 8,
+				ReseedEvery:       2,
+				MaxGreedySize:     64,
+				Parallelism:       par,
+			})
+			defer tr.Close()
+			g := m.Graph()
+			check := func(at string) {
+				t.Helper()
+				if tr.NumSets() <= 128 {
+					t.Fatalf("%s: %d sets, want more than 128", at, tr.NumSets())
+				}
+				checkTrackerAgainstRescan(t, g, tr, at)
+				for _, id := range []int{63, 64, 127, 128} {
+					st := &tr.sets[id]
+					live := 0
+					for _, h := range st.members {
+						if !g.IsAlive(h) {
+							continue
+						}
+						live++
+						if tr.row(h.Slot)[id>>6]>>(id&63)&1 == 0 {
+							t.Fatalf("%s: set %d: live member %v lacks its membership bit", at, id, h)
+						}
+					}
+					if st.live != live || st.boundary != BoundarySize(g, st.members) {
+						t.Fatalf("%s: set %d: tracked live %d boundary %d, rescan %d and %d",
+							at, id, st.live, st.boundary, live, BoundarySize(g, st.members))
+					}
+				}
+			}
+			check("seeding")
+			for round := 1; round <= 8; round++ {
+				m.AdvanceRound()
+				check(fmt.Sprintf("round %d", round))
+				tr.Observe()
+				check(fmt.Sprintf("Observe %d", round))
+			}
+			checkTrackerCounts(t, tr, "end")
 		})
 	}
 }

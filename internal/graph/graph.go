@@ -17,7 +17,9 @@
 // RemoveNode unlinks the dying node's entry from each live target's
 // in-list, keeping the order of the others. So every stored edge is live,
 // a neighbor visit loads the entry and the endpoint's generation, no read
-// writes the graph, and concurrent readers need no coordination.
+// writes the graph, and concurrent readers need no coordination. A caller
+// whose state is indexed by arena slot walks with NeighborSlots instead,
+// which yields the stored slots and loads no generation at all.
 //
 // Every node records the *requests it made* (its out-edges, at most d of
 // them) separately from the connections it accepted (its in-edges), because
@@ -295,6 +297,27 @@ func (g *Graph) Neighbors(h Handle, visit func(Handle) bool) {
 		}
 	}
 	g.InSources(h, visit)
+}
+
+// NeighborSlots calls visit with the arena slot of every live neighbor of
+// the node in slot — the neighbors Neighbors yields, in the same order and
+// with the same duplicates — without building handles: every stored slot
+// is live, so the walk loads neither a handle nor a generation. A dead or
+// free slot holds no edges and a slot past the arena has none, so both
+// visit nothing.
+func (g *Graph) NeighborSlots(slot uint32, visit func(uint32)) {
+	if int(slot) >= len(g.nodes) {
+		return
+	}
+	nd := &g.nodes[slot]
+	for _, t := range nd.out {
+		if t != deadOut {
+			visit(t)
+		}
+	}
+	for _, ref := range nd.in {
+		visit(ref.src)
+	}
 }
 
 // OutDegreeLive returns the number of h's requests whose target is alive.

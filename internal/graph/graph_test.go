@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -386,6 +387,29 @@ func TestNeighborsEarlyStop(t *testing.T) {
 	}
 }
 
+// TestNeighborSlotsDeadAndPastArena: a dead slot's lists were emptied at
+// its death and a slot past the arena has none, so neither visits
+// anything, and a live node's walk skips its dead request.
+func TestNeighborSlotsDeadAndPastArena(t *testing.T) {
+	g := New(3, 1)
+	u, v, w := g.AddNode(0), g.AddNode(1), g.AddNode(2)
+	g.AddOutEdge(u, v)
+	g.AddOutEdge(u, w)
+	g.AddOutEdge(w, u)
+	g.RemoveNode(v, nil)
+	var slots []uint32
+	for _, s := range []uint32{v.Slot, uint32(g.NumSlots()), ^uint32(0)} {
+		g.NeighborSlots(s, func(x uint32) { slots = append(slots, x) })
+	}
+	if len(slots) != 0 {
+		t.Fatalf("dead and past-arena slots visited %v", slots)
+	}
+	g.NeighborSlots(u.Slot, func(x uint32) { slots = append(slots, x) })
+	if want := []uint32{w.Slot, w.Slot}; !slices.Equal(slots, want) { // out w, then in w
+		t.Fatalf("NeighborSlots(u) = %v, want %v", slots, want)
+	}
+}
+
 func TestNeighborsCoverInAndOut(t *testing.T) {
 	g := New(3, 1)
 	u, v, w := g.AddNode(0), g.AddNode(1), g.AddNode(2)
@@ -731,9 +755,10 @@ func TestMarksManyResets(t *testing.T) {
 
 // TestGraphConcurrentReaders pins that reading the graph writes nothing:
 // after churn whose deaths left requests on both sides of many in-lists,
-// several goroutines visit the same nodes through Neighbors, InSources and
-// InDegreeLive at once, and each must see exactly what a serial pass sees
-// afterwards. Under -race, a read that wrote to an in-list would fail here.
+// several goroutines visit the same nodes through Neighbors, InSources,
+// NeighborSlots and InDegreeLive at once, and each must see exactly what a
+// serial pass sees afterwards. Under -race, a read that wrote to an
+// in-list would fail here.
 func TestGraphConcurrentReaders(t *testing.T) {
 	const n, d, readers = 400, 4, 4
 	r := rng.New(77)
@@ -755,9 +780,12 @@ func TestGraphConcurrentReaders(t *testing.T) {
 		var nb, in []Handle
 		g.Neighbors(h, func(x Handle) bool { nb = append(nb, x); return true })
 		g.InSources(h, func(x Handle) bool { in = append(in, x); return true })
+		var slots []uint32
+		g.NeighborSlots(h.Slot, func(x uint32) { slots = append(slots, x) })
 		sortHandles(nb)
 		sortHandles(in)
-		return fmt.Sprint(nb, in, g.InDegreeLive(h))
+		slices.Sort(slots)
+		return fmt.Sprint(nb, in, slots, g.InDegreeLive(h))
 	}
 	got := make([][]string, readers)
 	var wg sync.WaitGroup

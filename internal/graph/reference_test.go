@@ -219,6 +219,12 @@ func (h *refHarness) check() {
 				t.Fatalf("node %d: multiplicity of %d: %d vs %d", id, u, got[u], c)
 			}
 		}
+		var nbSlots, slots []uint32
+		g.Neighbors(v, func(u Handle) bool { nbSlots = append(nbSlots, u.Slot); return true })
+		g.NeighborSlots(v.Slot, func(s uint32) { slots = append(slots, s) })
+		if !slices.Equal(slots, nbSlots) {
+			t.Fatalf("node %d: NeighborSlots %v, Neighbors' slots %v", id, slots, nbSlots)
+		}
 		wantDeg := 0
 		for _, c := range want {
 			wantDeg += c
