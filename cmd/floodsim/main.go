@@ -161,8 +161,8 @@ func runTraffic(kind churnnet.ModelKind, n, d, trials int, seed uint64, maxRound
 	if mem.Lanes > 0 {
 		packed := float64(mem.PackedInformedBytes) / float64(mem.Lanes)
 		baseline := float64(mem.MarksBaselineBytes) / float64(mem.Lanes)
-		fmt.Printf("\ninformed state   %d slots × %d word/slot packed: %.1f B/lane vs %.1f B/lane as one Marks per lane (%.1fx)\n",
-			mem.Slots, mem.WordsPerSlot, packed, baseline, baseline/packed)
+		fmt.Printf("\ninformed state   %d slots × %.3g B/slot packed: %.1f B/lane vs %.1f B/lane as one Marks per lane (%.1fx)\n",
+			mem.Slots, float64(mem.PackedInformedBytes)/float64(mem.Slots), packed, baseline, baseline/packed)
 	}
 
 	total := trials * messages

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/dyngraph/churnnet/internal/dist"
@@ -188,7 +189,7 @@ func (m *Streaming) SampleStationaryPar(workers int) {
 		}
 		starts[i+1] = int32(len(targets))
 	}
-	m.g.WireSnapshotEdgesPar(starts, targets, workers)
+	m.g.WireSnapshotEdgesPar(starts, exactTargets(m.kind, targets), workers)
 	fireEdgeHooks(m.hooks.OnEdge, byBirth, starts, targets)
 }
 
@@ -270,8 +271,22 @@ func (m *Poisson) SampleStationaryPar(workers int) {
 		}
 		starts[i+1] = int32(len(targets))
 	}
-	m.g.WireSnapshotEdgesPar(starts, targets, workers)
+	m.g.WireSnapshotEdgesPar(starts, exactTargets(m.kind, targets), workers)
 	fireEdgeHooks(m.hooks.OnEdge, handles, starts, targets)
+}
+
+// exactTargets returns the request targets to hand WireSnapshotEdgesPar,
+// which adopts the array as the graph's out arena for good. The samplers
+// reserve n·d entries; without regeneration about half the requests
+// dangle at the snapshot and no request is ever placed on an existing
+// node again, so the spare capacity would stay pinned with the arena.
+// For those kinds it returns an exact-length copy, and targets itself
+// otherwise (where at most the n = 2 corner drops a request).
+func exactTargets(kind Kind, targets []uint32) []uint32 {
+	if kind.Regen() {
+		return targets
+	}
+	return slices.Clone(targets)
 }
 
 // sampleRequestTarget resolves one request of the node at index i (births

@@ -298,7 +298,7 @@ func TestPullRecountPlaneBoundaries(t *testing.T) {
 			hubCounts := make([]int32, M) // the hub's frozen counts, per lane
 			tr.onFreeze = func() {
 				checkFrozenCut(t, tr, at)
-				if tr.tracked.wordsOf(hub) == nil {
+				if !tr.tracked.current(hub) {
 					return
 				}
 				for li, cnt := range tr.cnt.row(hub.Slot)[:M] {

@@ -239,7 +239,7 @@ func checkFrozenCut(t *testing.T, tr *Traffic, at string) {
 	// Outside the frozen cut a live lane's count is zero: the freeze keeps
 	// exactly the tracked lanes with a positive count.
 	g.ForEachAlive(func(v graph.Handle) bool {
-		if tr.tracked.wordsOf(v) == nil {
+		if !tr.tracked.current(v) {
 			return true
 		}
 		row := tr.cnt.row(v.Slot)

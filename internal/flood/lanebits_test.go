@@ -6,10 +6,17 @@ import (
 	"github.com/dyngraph/churnnet/internal/graph"
 )
 
-// lb returns a laneBits ready for tests at the given stride.
-func lb(stride int) *laneBits {
+// lb returns a laneBits laid out for the given lane count.
+func lb(lanes int) *laneBits {
 	b := &laneBits{}
-	b.init(stride)
+	b.widen(lanes)
+	return b
+}
+
+// cb returns a claimBits laid out for the given lane count.
+func cb(lanes int) *claimBits {
+	b := &claimBits{}
+	b.widen(lanes)
 	return b
 }
 
@@ -21,7 +28,7 @@ func h(slot, gen uint32) graph.Handle { return graph.Handle{Slot: slot, Gen: gen
 // slot, and the fresh-claim transition that keys receiver-list dedup.
 func TestLaneBitsSetHasClear(t *testing.T) {
 	t.Parallel()
-	b := lb(3) // lanes 0..191
+	b := cb(192) // lanes 0..191
 	v := h(5, 1)
 	for _, li := range []int{0, 1, 62, 63, 64, 65, 126, 127, 128, 191} {
 		if b.has(v, li) {
@@ -40,11 +47,11 @@ func TestLaneBitsSetHasClear(t *testing.T) {
 	if b.has(v, 62) || b.has(v, 65) {
 		t.Fatal("neighboring lanes leaked")
 	}
-	if got := b.onesOf(v, nil); got != 2 {
+	if got := b.onesOf(v.Slot, nil); got != 2 {
 		t.Fatalf("onesOf = %d, want 2", got)
 	}
 	mask := []uint64{1 << 63, 0, 0}
-	if got := b.onesOf(v, mask); got != 1 {
+	if got := b.onesOf(v.Slot, mask); got != 1 {
 		t.Fatalf("masked onesOf = %d, want 1", got)
 	}
 	b.clear(v, 63)
@@ -63,30 +70,38 @@ func TestLaneBitsSetHasClear(t *testing.T) {
 	}
 }
 
-// TestLaneBitsGenCurrency pins the shared-generation discipline: a
-// handle from a previous occupant of the slot reads as all-zero, its
-// clear is a no-op on the current occupant's bits, and claiming the slot
-// for a new generation zeroes the stale words.
+// TestLaneBitsGenCurrency pins the generation discipline of the claimed
+// rows: a handle from a previous occupant of the slot reads as all-zero,
+// its clear is a no-op on the current occupant's bits, and claiming the
+// slot for a new generation zeroes the stale row — and only that row,
+// where rows share a word.
 func TestLaneBitsGenCurrency(t *testing.T) {
 	t.Parallel()
-	b := lb(2)
-	old, cur := h(3, 1), h(3, 2)
-	b.set(old, 70)
-	if b.wordsOf(cur) != nil {
-		t.Fatal("new generation read the old occupant's words")
-	}
-	if fresh := b.set(cur, 5); !fresh {
-		t.Fatal("claim for a new generation must report a fresh claim")
-	}
-	if b.has(cur, 70) {
-		t.Fatal("stale bit survived the generation claim")
-	}
-	if b.wordsOf(old) != nil {
-		t.Fatal("old generation still reads after the slot moved on")
-	}
-	b.clear(old, 5) // stale handle: must not touch the current bits
-	if !b.has(cur, 5) {
-		t.Fatal("clear through a stale handle mutated current state")
+	for _, lanes := range []int{2, 128} {
+		b := cb(lanes)
+		li := lanes - 1
+		old, cur, next := h(3, 1), h(3, 2), h(4, 1)
+		b.set(old, li)
+		b.set(next, li)
+		if b.has(cur, li) {
+			t.Fatalf("%d lanes: new generation read the old occupant's row", lanes)
+		}
+		if fresh := b.set(cur, 0); !fresh {
+			t.Fatalf("%d lanes: claim for a new generation must report a fresh claim", lanes)
+		}
+		if b.has(cur, li) {
+			t.Fatalf("%d lanes: stale bit survived the generation claim", lanes)
+		}
+		if !b.has(next, li) {
+			t.Fatalf("%d lanes: the claim zeroed the next slot's row", lanes)
+		}
+		if b.has(old, 0) {
+			t.Fatalf("%d lanes: old generation still reads after the slot moved on", lanes)
+		}
+		b.clear(old, 0) // stale handle: must not touch the current bits
+		if !b.has(cur, 0) {
+			t.Fatalf("%d lanes: clear through a stale handle mutated current state", lanes)
+		}
 	}
 }
 
@@ -95,7 +110,7 @@ func TestLaneBitsGenCurrency(t *testing.T) {
 // afterward.
 func TestLaneBitsClearSlot(t *testing.T) {
 	t.Parallel()
-	b := lb(2)
+	b := cb(128)
 	v := h(6, 3)
 	b.set(v, 10)
 	b.set(v, 100)
@@ -104,7 +119,7 @@ func TestLaneBitsClearSlot(t *testing.T) {
 		t.Fatal("clearSlot with a stale handle dropped current bits")
 	}
 	b.clearSlot(v)
-	if b.wordsOf(v) != nil {
+	if b.current(v) {
 		t.Fatal("slot still current after clearSlot")
 	}
 	if fresh := b.set(v, 100); !fresh || b.has(v, 10) {
@@ -112,99 +127,116 @@ func TestLaneBitsClearSlot(t *testing.T) {
 	}
 }
 
-// TestLaneBitsClearLane pins lane-index reuse: clearing a lane column
-// zeroes that lane's bit on every slot while leaving all other lanes
-// untouched.
+// TestLaneBitsClearLane pins lane-index reuse at every row width: clearing
+// a lane column zeroes that lane's bit on every slot, the slots sharing a
+// word included, while leaving all other lanes untouched.
 func TestLaneBitsClearLane(t *testing.T) {
 	t.Parallel()
-	b := lb(2)
-	vs := []graph.Handle{h(0, 1), h(4, 2), h(9, 1)}
-	for _, v := range vs {
-		b.set(v, 64)
-		b.set(v, 65)
-	}
-	b.clearLane(64)
-	for _, v := range vs {
-		if b.has(v, 64) {
-			t.Fatalf("slot %d kept lane 64 after clearLane", v.Slot)
+	for _, lanes := range []int{2, 8, 64, 128} {
+		b := lb(lanes)
+		b.grow(200)
+		a, c := lanes-1, lanes-2
+		for s := uint32(0); s < 200; s += 3 {
+			b.or(s, a>>6, 1<<(a&63))
+			b.or(s, c>>6, 1<<(c&63))
 		}
-		if !b.has(v, 65) {
-			t.Fatalf("slot %d lost lane 65 to clearLane(64)", v.Slot)
+		b.clearLane(a)
+		for s := uint32(0); s < 200; s++ {
+			if b.has(h(s, 1), a) {
+				t.Fatalf("%d lanes: slot %d kept lane %d after clearLane", lanes, s, a)
+			}
+			if want := s%3 == 0; b.has(h(s, 1), c) != want {
+				t.Fatalf("%d lanes: slot %d lane %d reads %v after clearLane(%d), want %v", lanes, s, c, !want, a, want)
+			}
 		}
 	}
 }
 
-// TestLaneBitsReshape pins stride growth at the word seams the plane
-// crosses as lanes 64 and 128 are allocated: every previously set bit
-// survives a reshape, validity metadata included, and the widened words
-// accept bits in the new high word.
+// TestLaneBitsReshape pins row widening across every width the plane
+// passes as lanes are allocated one at a time — 1, 2, 4, 8, 16, 32 and
+// 64 bits, then 2 and 3 words: every set bit survives, on slots that
+// share a word included, and the widened rows take bits in the new lanes
+// without touching a neighbor's row.
 func TestLaneBitsReshape(t *testing.T) {
 	t.Parallel()
 	b := lb(1)
-	alive, stale := h(2, 5), h(7, 1)
-	b.set(alive, 0)
-	b.set(alive, 63)
-	b.set(stale, 40)
-	b.clearSlot(stale) // an invalidated slot must stay invalid across reshape
-
-	for _, stride := range []int{2, 3} {
-		b.reshape(stride)
-		if !b.has(alive, 0) || !b.has(alive, 63) {
-			t.Fatalf("stride %d: bits lost in reshape", stride)
+	b.grow(300)
+	set := map[[2]int]bool{} // (slot, lane) pairs set so far
+	width := 1
+	for lanes := 1; lanes <= 130; lanes++ {
+		b.widen(lanes)
+		if want := layoutFor(lanes); b.rowLayout != want {
+			t.Fatalf("widen(%d): layout %+v, want %+v", lanes, b.rowLayout, want)
 		}
-		if b.wordsOf(stale) != nil {
-			t.Fatalf("stride %d: invalidated slot resurrected by reshape", stride)
+		if got := b.wordsFor(b.slots()); len(b.words) != got {
+			t.Fatalf("widen(%d): %d words, want %d", lanes, len(b.words), got)
 		}
-		hi := stride*64 - 1
-		b.set(alive, hi)
-		if !b.has(alive, hi) {
-			t.Fatalf("stride %d: high word not writable after reshape", stride)
+		if lanes > width {
+			width *= 2
 		}
-		b.clear(alive, hi)
-	}
-	if got := b.onesOf(alive, nil); got != 2 {
-		t.Fatalf("onesOf after reshapes = %d, want 2", got)
+		if got := 64 * b.stride >> (6 - b.shift); lanes <= 64 && got != width {
+			t.Fatalf("widen(%d): rows of %d bits, want %d", lanes, got, width)
+		}
+		li := lanes - 1
+		for _, s := range []int{0, 1, 63, 64, 127, 199, 299} {
+			if (s+li)%5 == 0 {
+				b.or(uint32(s), li>>6, 1<<(li&63))
+				set[[2]int{s, li}] = true
+			}
+		}
+		for s := 0; s < 300; s++ {
+			for l := 0; l < lanes; l++ {
+				if b.has(h(uint32(s), 1), l) != set[[2]int{s, l}] {
+					t.Fatalf("widen(%d): slot %d lane %d reads %v", lanes, s, l, !set[[2]int{s, l}])
+				}
+			}
+		}
 	}
 }
 
 // TestLaneBitsGrow pins the growth policy: a first grow spans exactly
 // the slots asked for, and a later one doubles the span unless the
-// request is larger still. Every set bit survives.
+// request is larger still. The words follow the span at the row width,
+// and every set bit survives.
 func TestLaneBitsGrow(t *testing.T) {
 	t.Parallel()
-	b := lb(2)
-	v := h(99, 1)
-	for _, tc := range []struct{ n, slots int }{{100, 100}, {100, 100}, {101, 200}, {150, 200}, {500, 500}} {
-		b.grow(tc.n)
-		if got := b.slots(); got != tc.slots {
-			t.Fatalf("grow(%d): %d slots, want %d", tc.n, got, tc.slots)
-		}
-		if len(b.words) != tc.slots*2 {
-			t.Fatalf("grow(%d): %d words for %d slots at stride 2", tc.n, len(b.words), tc.slots)
-		}
-		b.set(v, 70)
-		if !b.has(v, 70) {
-			t.Fatalf("grow(%d) lost a bit", tc.n)
+	for _, lanes := range []int{1, 8, 128} {
+		b := cb(lanes)
+		v := h(99, 1)
+		li := lanes - 1
+		for _, tc := range []struct{ n, slots int }{{100, 100}, {100, 100}, {101, 200}, {150, 200}, {500, 500}} {
+			b.grow(tc.n)
+			if got := b.slots(); got != tc.slots {
+				t.Fatalf("%d lanes: grow(%d): %d slots, want %d", lanes, tc.n, got, tc.slots)
+			}
+			if want := (tc.slots*layoutFor(lanes).stride<<layoutFor(lanes).shift + 63) / 64; len(b.words) != want {
+				t.Fatalf("%d lanes: grow(%d): %d words for %d slots, want %d", lanes, tc.n, len(b.words), tc.slots, want)
+			}
+			if len(b.gen) != tc.slots {
+				t.Fatalf("%d lanes: grow(%d): %d generations for %d slots", lanes, tc.n, len(b.gen), tc.slots)
+			}
+			b.set(v, li)
+			if !b.has(v, li) {
+				t.Fatalf("%d lanes: grow(%d) lost a bit", lanes, tc.n)
+			}
 		}
 	}
 }
 
 // TestLaneBitsFootprint sanity-checks the memory accounting MemStats
-// reports: words + shared generation, so per-lane cost at capacity M is
-// slots·(stride·8 + 4)/M bytes — at M = 64 (stride 1) that is 12 bytes
-// per slot shared by 64 lanes versus 12 bytes per slot for EACH
-// Marks-per-lane.
+// reports: the informed rows alone, 1<<shift bits a slot — one bit at
+// one lane, a word at 64 — against 12 bytes per slot for EACH lane of
+// Marks.
 func TestLaneBitsFootprint(t *testing.T) {
 	t.Parallel()
-	b := lb(1)
-	b.grow(100)
-	slots := b.slots()
-	want := slots*8 + slots*4
-	if got := b.footprintBytes(); got != want {
-		t.Fatalf("footprintBytes = %d, want %d", got, want)
-	}
-	marksPerLane := 12 * slots * 64 // 64 lanes of Marks at the same span
-	if got := b.footprintBytes(); got*4 > marksPerLane {
-		t.Fatalf("packed footprint %d not >= 4x smaller than %d", got, marksPerLane)
+	for _, tc := range []struct{ lanes, bytes int }{{1, 128}, {2, 256}, {3, 512}, {64, 8192}, {65, 16384}, {130, 24576}} {
+		b := lb(tc.lanes)
+		b.grow(1024)
+		if got := b.footprintBytes(); got != tc.bytes {
+			t.Fatalf("%d lanes: footprintBytes = %d, want %d", tc.lanes, got, tc.bytes)
+		}
+		if marks := 12 * 1024 * tc.lanes; b.footprintBytes()*4 > marks {
+			t.Fatalf("%d lanes: packed footprint %d not >= 4x smaller than %d", tc.lanes, b.footprintBytes(), marks)
+		}
 	}
 }

@@ -295,9 +295,10 @@ func betweenStepChurn(t *testing.T, dir drainDirection) {
 // checkViewChain checks an incremental capture against a fresh full one
 // taken at the same instant: the same in-flight messages, and the same
 // Informed answer for each of them (the lane words masked to the
-// in-flight lanes agree) at every alive node and at every node the
-// informed bitset still holds words for, where a dead one must read
-// uninformed.
+// in-flight lanes agree) at every alive node and at every node a page of
+// the incremental view still records as alive, where a dead one must read
+// uninformed. It also checks that the plane holds informed lanes on live
+// nodes only: a death clears the node's row.
 func checkViewChain(t *testing.T, tr *Traffic, v *TrafficView, at string) {
 	t.Helper()
 	full := tr.buildView(nil)
@@ -309,19 +310,13 @@ func checkViewChain(t *testing.T, tr *Traffic, v *TrafficView, at string) {
 		live[li>>6] |= 1 << (li & 63)
 	}
 	check := func(h graph.Handle) {
-		a, b := v.wordsOf(h), full.wordsOf(h)
 		for i, m := range live {
-			var x uint64
-			if a != nil {
-				x = a[i]
-			}
-			if b != nil {
-				x ^= b[i]
-			}
-			if x&m != 0 {
+			a, _ := v.word(h, i)
+			b, _ := full.word(h, i)
+			if x := a ^ b; x&m != 0 {
 				li := i<<6 | bits.TrailingZeros64(x&m)
 				t.Fatalf("%s: lane %d at %v (alive %v): incremental view informed %v, full %v",
-					at, li, h, tr.g.IsAlive(h), a != nil && a[i]&(1<<(li&63)) != 0, b != nil && b[i]&(1<<(li&63)) != 0)
+					at, li, h, tr.g.IsAlive(h), a&(1<<(li&63)) != 0, b&(1<<(li&63)) != 0)
 			}
 		}
 	}
@@ -329,9 +324,16 @@ func checkViewChain(t *testing.T, tr *Traffic, v *TrafficView, at string) {
 		check(h)
 		return true
 	})
-	for s, gen := range tr.informed.gen {
-		if gen != 0 {
-			check(graph.Handle{Slot: uint32(s), Gen: gen})
+	for p, pg := range v.pages {
+		for o, gen := range pg.gens {
+			if gen != 0 {
+				check(graph.Handle{Slot: uint32(p<<viewPageShift + o), Gen: gen})
+			}
+		}
+	}
+	for s := 0; s < tr.informed.slots(); s++ {
+		if tr.informed.anyLane(uint32(s)) && tr.g.SlotHandle(uint32(s)).IsNil() {
+			t.Fatalf("%s: slot %d holds informed lanes but no live node", at, s)
 		}
 	}
 }

@@ -36,17 +36,18 @@ import (
 // TestEngineCutMatchesRecompute, TestTrafficMatchesSingleMessageOracle).
 //
 // A message occupies a lane: a bit in the two packed per-slot bitsets
-// (laneBits: "informs the slot's node" and "tracks it as a receiver", 64
-// lanes per word under one shared per-slot generation), a cell in every
-// row of the plane-wide count store (cutCounts, valid under tracked's
-// generation), plus a constant-size private record with its counter and
-// Result. Every cross-lane operation is word-parallel — an edge event
-// classifies against all M cuts with one masked XOR per word, a node
-// admitted by k lanes is queued and scanned once, and the freeze and
+// (laneBits: "informs the slot's node" and "tracks it as a receiver", in
+// rows as wide as the allocated lane count rounds up to, so one bit a
+// slot for a lone message; the tracked rows under a per-slot generation),
+// a cell in every row of the plane-wide count store (cutCounts, valid
+// under tracked's generation), plus a constant-size private record with
+// its counter and Result. Every cross-lane operation is word-parallel — an
+// edge event classifies against all M cuts with one masked XOR per word, a
+// node admitted by k lanes is queued and scanned once, and the freeze and
 // admission sweeps visit each receiver once for all lanes. With one lane
-// every word is a single uint64 and every count row a single byte (a
-// count above 254 escapes to an exact per-shard overflow table; see
-// cutCounts); there is no separate one-message path.
+// every row is a single bit and every count row a single byte (a count
+// above 254 escapes to an exact per-shard overflow table; see cutCounts);
+// there is no separate one-message path.
 //
 // Under TrafficOptions.Parallelism the cut is partitioned by arena slot
 // (graph.Shards: block-cyclic, 64-slot blocks) and the frontier
@@ -86,14 +87,20 @@ type Traffic struct {
 	freeLanes []int     // retired lane slots available for reuse
 	inFlight  []int     // lane indices of in-flight messages, admission order
 
-	// Packed lane-membership state, one bit per (slot, lane), 64 lanes
-	// per word. stride = ceil(len(lanes)/64) words per slot; liveMask
-	// holds the in-flight lane indices (stride words) and masks every
-	// event read, so bits of dormant or retired lanes are inert.
+	// Packed lane-membership state, one bit per (slot, lane), in rows of
+	// the layoutFor(len(lanes)) layout. stride is its words per row, and
+	// every lane mask the plane handles is stride words, lane li at bit
+	// li&63 of word li>>6, as a row reads. liveMask holds the in-flight
+	// lane indices and masks every event read, so bits of dormant or
+	// retired lanes are inert. A dying node's informed row is cleared
+	// (noteDeath), so a live node's row is exact and needs no generation.
 	stride   int
 	liveMask []uint64
-	informed laneBits // lanes that consider the slot's node informed
-	tracked  laneBits // lanes tracking the slot's node as a receiver
+	informed laneBits  // lanes that consider the slot's node informed
+	tracked  claimBits // lanes tracking the slot's node as a receiver
+
+	// Row scratch of the serial hooks (stride words each).
+	hookLanes, hookRows []uint64
 
 	// viewDirty records the TrafficView pages informed changed on since
 	// the last CaptureView (see view.go); viewPagesCopied counts the pages
@@ -135,13 +142,14 @@ type Traffic struct {
 
 	shards []trafficShard
 
-	// stage holds the parallel drain's routing buffers: chunk c stages
-	// the cut edges it discovers for shard s in stage[c*par+s]. Buffers
-	// are retained across rounds.
+	// The parallel push drain's routing buffers, retained across drains:
+	// a worker stages the cut edges of the chunk it scans in its
+	// stageRaw[w], then groups them by owner shard into stage[c], shard
+	// s's at stage[c][stageOff[c*(par+1)+s]:stageOff[c*(par+1)+s+1]].
+	stageRaw  [][]laneCutEdge
 	stage     [][]laneCutEdge
+	stageOff  []int
 	chunkNext atomic.Int64
-
-	hookLanes []uint64 // the hooks' scratch for a masked lane mask
 
 	// onStage, when non-nil, filters every discovered cut edge right
 	// before it is recorded for lane li (false = drop). Test-only: the
@@ -273,10 +281,11 @@ type trafficShard struct {
 }
 
 // laneCutEdge stages one discovered candidate edge for its receiver's
-// owner shard; scan indexes the drain's scanNodes/scanLanes (the sender
-// and the packed lanes the edge fans out to).
+// owner shard: recv is the receiver's arena slot, and scan indexes the
+// drain's scanNodes/scanLanes (the sender and the packed lanes the edge
+// fans out to).
 type laneCutEdge struct {
-	recv graph.Handle
+	recv uint32
 	scan int32
 }
 
@@ -305,12 +314,11 @@ func NewTraffic(m core.Model, opts TrafficOptions) *Traffic {
 		liveMask:  make([]uint64, 1),
 	}
 	t.cnt = newCutCounts(t.sh)
-	t.informed.init(1)
-	t.tracked.init(1)
+	t.informed.widen(1)
+	t.tracked.widen(1)
 	// Span the arena as it stands; the arrays double only when it outgrows
 	// them.
-	t.informed.grow(t.g.NumSlots())
-	t.growTracked(t.g.NumSlots())
+	t.span(t.g.NumSlots())
 	t.shards = make([]trafficShard, t.sh.W())
 	t.prevHooks = m.Hooks()
 	m.SetHooks(core.ChainHooks(core.Hooks{OnDeath: t.noteDeath, OnEdge: t.noteEdge}, t.prevHooks))
@@ -363,10 +371,7 @@ func (t *Traffic) Inject(src graph.Handle) MessageID {
 	} else {
 		li = len(t.lanes)
 		t.lanes = append(t.lanes, nil)
-		if need := (len(t.lanes) + 63) / 64; need > t.stride {
-			t.reshape(need)
-		}
-		t.cnt.widen(len(t.lanes))
+		t.widen(len(t.lanes))
 	}
 	ln := &lane{id: id}
 	t.lanes[li] = ln
@@ -491,6 +496,12 @@ func (t *Traffic) Step() {
 	t.sh.ForEachShard(func(w int) { t.admitShard(w) })
 	t.applyFresh(+1)
 	alive := g.NumAlive()
+	admitted := 0
+	for w := range t.shards {
+		admitted += len(t.shards[w].admRecv)
+	}
+	t.scanNodes = reserve(t.scanNodes, admitted)
+	t.scanLanes = reserve(t.scanLanes, admitted*t.stride)
 	for w := range t.shards {
 		sh := &t.shards[w]
 		for j, v := range sh.admRecv {
@@ -568,19 +579,23 @@ const scanChunksPerWorker = 4
 func (t *Traffic) setLive(li int)   { t.liveMask[li>>6] |= 1 << (li & 63) }
 func (t *Traffic) clearLive(li int) { t.liveMask[li>>6] &^= 1 << (li & 63) }
 
-// reshape widens the packed state to a new words-per-slot stride when
-// the allocated lane count crosses a 64-lane word boundary. Serial
-// context only (Inject, before its crossing): frozen/admission words are
-// ephemeral within one Step and no scan is pending, so nothing else needs
-// migration. Every view page changes layout.
-func (t *Traffic) reshape(stride int) {
-	t.informed.reshape(stride)
-	t.viewDirty.all = true
-	t.tracked.reshape(stride)
-	lm := make([]uint64, stride)
-	copy(lm, t.liveMask)
-	t.liveMask = lm
-	t.stride = stride
+// widen re-lays the packed state for lanes allocated lanes: the rows
+// double in width up to a word, and past 64 lanes grow by a word at each
+// 64-lane boundary (layoutFor); the count store's rows double alongside.
+// Serial context only (Inject, before its crossing): frozen/admission
+// words are ephemeral within one Step and no scan is pending, so nothing
+// else needs migration. A new layout changes every view page.
+func (t *Traffic) widen(lanes int) {
+	if layoutFor(lanes) != t.informed.rowLayout {
+		t.informed.widen(lanes)
+		t.tracked.widen(lanes)
+		t.viewDirty.all = true
+		t.stride = t.informed.stride
+		lm := make([]uint64, t.stride)
+		copy(lm, t.liveMask)
+		t.liveMask = lm
+	}
+	t.cnt.widen(lanes)
 }
 
 // cutCounts is the plane's count store: one byte cell per (arena slot,
@@ -785,25 +800,32 @@ func (c *cutCounts) footprintBytes() int {
 	return len(c.cells) + c.overflowEntries()*overflowEntryBytes
 }
 
-// growTracked spans n slots in the tracked bitset and the count store,
-// which grow together. Serial context only.
-func (t *Traffic) growTracked(n int) {
+// span spans n slots in the informed and tracked bitsets and the count
+// store, which grow together. Serial context only.
+func (t *Traffic) span(n int) {
+	t.informed.grow(n)
 	t.tracked.grow(n)
 	t.cnt.grow(t.tracked.slots())
 }
 
-// claimRow claims x's tracked slot and returns its tracking words. A
-// fresh claim zeroes the slot's count row — whatever it holds belongs to
-// an earlier node or an earlier tracking spell — and lists x in its owner
-// shard's receivers. Owner-shard context (see fanOut).
-func (t *Traffic) claimRow(x graph.Handle) []uint64 {
-	tw, fresh := t.tracked.claim(x)
-	if fresh {
+// claimRow claims x's tracked row. A fresh claim zeroes the slot's count
+// row — whatever it holds belongs to an earlier node or an earlier
+// tracking spell — and lists x in its owner shard's receivers. Owner-shard
+// context (see fanOut).
+func (t *Traffic) claimRow(x graph.Handle) {
+	if t.tracked.claim(x) {
 		t.cnt.clearRow(x.Slot)
 		sh := &t.shards[t.sh.Owner(x.Slot)]
 		sh.receivers = append(sh.receivers, x)
 	}
-	return tw
+}
+
+// hookScratch returns the hooks' k-th row of scratch (stride words).
+func (t *Traffic) hookScratch(k int) []uint64 {
+	if need := (k + 1) * t.stride; len(t.hookRows) < need {
+		t.hookRows = make([]uint64, 2*t.stride)
+	}
+	return t.hookRows[k*t.stride : (k+1)*t.stride]
 }
 
 // cross moves v to the informed side of every lane set in lanes (a
@@ -816,11 +838,10 @@ func (t *Traffic) claimRow(x graph.Handle) []uint64 {
 // lanes at once and Inject queues one node, so no drain scans a node
 // twice.
 func (t *Traffic) cross(v graph.Handle, lanes []uint64) {
-	t.informed.grow(int(v.Slot) + 1)
-	iw, _ := t.informed.claim(v)
+	t.span(int(v.Slot) + 1)
 	t.viewDirty.mark(v.Slot)
 	for i, m := range lanes {
-		iw[i] |= m
+		t.informed.or(v.Slot, i, m)
 		t.scanLanes = append(t.scanLanes, m)
 		for ; m != 0; m &= m - 1 {
 			ln := t.lanes[i<<6|bits.TrailingZeros64(m)]
@@ -839,14 +860,23 @@ func (t *Traffic) cross(v graph.Handle, lanes []uint64) {
 // (core.Hooks), and every incidence was counted: a crossing node's
 // incidences are drained before the Step or Inject that made it cross
 // returns, so before it can die.
+//
+// It clears the slot's informed row for every lane, in flight or not, so
+// a newborn in the slot starts uninformed and a live node's row is
+// exact. Only with lanes in flight does it mark the slot's view page:
+// with none, no view reads the row (a lane re-enters flight only through
+// Inject, which either allocates a fresh lane or clears a reused one's
+// column, changing every page).
 func (t *Traffic) noteDeath(h graph.Handle) {
 	if t.g.BirthSeq(h) < t.roundStartSeq {
 		t.preRoundAlive--
 	}
 	if len(t.inFlight) == 0 {
+		t.informed.zeroRow(h.Slot)
 		return
 	}
-	if iw := t.informed.wordsOf(h); iw != nil {
+	if iw := t.informed.row(h.Slot, t.hookScratch(0)); anyBit(iw) {
+		t.informed.zeroRow(h.Slot)
 		t.viewDirty.mark(h.Slot) // the next view drops the dead node
 		lanes := t.hookLanes[:0]
 		informs := false
@@ -864,9 +894,9 @@ func (t *Traffic) noteDeath(h graph.Handle) {
 			// count in the lanes that track it; a lane that does not track
 			// a neighbor informs it, so the neighbor has no count there.
 			t.g.Neighbors(h, func(x graph.Handle) bool {
-				if tw := t.tracked.wordsOf(x); tw != nil {
+				if t.tracked.current(x) {
 					for i, m := range lanes {
-						for m &= tw[i]; m != 0; m &= m - 1 {
+						for m &= t.tracked.get(x.Slot, i); m != 0; m &= m - 1 {
 							t.cnt.dec(x.Slot, i<<6|bits.TrailingZeros64(m))
 						}
 					}
@@ -893,29 +923,22 @@ func (t *Traffic) noteEdge(u, v graph.Handle) {
 	if len(t.inFlight) == 0 {
 		return
 	}
-	uw := t.informed.wordsOf(u)
-	vw := t.informed.wordsOf(v)
+	uw := t.informed.row(u.Slot, t.hookScratch(0))
+	vw := t.informed.row(v.Slot, t.hookScratch(1))
 	t.edgeTo(v, u, uw, vw)
 	t.edgeTo(u, v, vw, uw)
 }
 
 // edgeTo counts a churn edge between sender s and receiver x in the
-// in-flight lanes that inform s (sw) but not x (xw); nil words inform no
-// lane. Under Discretized semantics it also records the incidence as
-// fresh, for admission to withdraw. Serial hook context: births during the
-// advance may outgrow the arrays the last drain spanned, so it grows them
-// first.
+// in-flight lanes that inform s (sw) but not x (xw). Under Discretized
+// semantics it also records the incidence as fresh, for admission to
+// withdraw. Serial hook context: births during the advance may outgrow
+// the arrays the last drain spanned, so it grows them first.
 func (t *Traffic) edgeTo(x, s graph.Handle, sw, xw []uint64) {
-	if sw == nil {
-		return
-	}
 	lanes := t.hookLanes[:0]
 	cut := false
 	for i, w := range sw {
-		w &= t.liveMask[i]
-		if xw != nil {
-			w &^= xw[i]
-		}
+		w &= t.liveMask[i] &^ xw[i]
 		lanes = append(lanes, w)
 		cut = cut || w != 0
 	}
@@ -923,8 +946,8 @@ func (t *Traffic) edgeTo(x, s graph.Handle, sw, xw []uint64) {
 	if !cut {
 		return
 	}
-	t.growTracked(int(x.Slot) + 1)
-	t.fanOut(lanes, nil, x, s)
+	t.span(int(x.Slot) + 1)
+	t.fanOut(lanes, x, s)
 	if t.opts.Mode == Discretized {
 		t.fresh = append(t.fresh, freshEdge{recv: x, sender: s})
 		t.freshLanes = append(t.freshLanes, lanes...)
@@ -941,15 +964,11 @@ func (t *Traffic) edgeTo(x, s graph.Handle, sw, xw []uint64) {
 // context; a no-op under Asynchronous semantics, which records none.
 func (t *Traffic) applyFresh(delta int) {
 	for k, e := range t.fresh {
-		if !t.g.IsAlive(e.sender) {
-			continue
-		}
-		tw := t.tracked.wordsOf(e.recv)
-		if tw == nil {
+		if !t.g.IsAlive(e.sender) || !t.tracked.current(e.recv) {
 			continue
 		}
 		for i, m := range t.freshLanes[k*t.stride : (k+1)*t.stride] {
-			for m &= tw[i]; m != 0; m &= m - 1 {
+			for m &= t.tracked.get(e.recv.Slot, i); m != 0; m &= m - 1 {
 				if li := i<<6 | bits.TrailingZeros64(m); delta > 0 {
 					t.cnt.inc(e.recv.Slot, li)
 				} else {
@@ -1016,11 +1035,11 @@ func (t *Traffic) drainFrontiers() {
 			nScan++
 		}
 	}
-	// Counting never reallocates: every handle either direction reaches
+	// Counting never reallocates: every slot either direction reaches
 	// lives in the current snapshot, so spanning the arena up front
 	// suffices. When every pending lane informs every alive node there is
 	// nothing to count in either direction.
-	t.growTracked(t.g.NumSlots())
+	t.span(t.g.NumSlots())
 	if u := t.uninformed(lanes); nScan > 0 && u > 0 {
 		pull := t.pullPays(u, nScan)
 		if t.onDrain != nil {
@@ -1035,11 +1054,10 @@ func (t *Traffic) drainFrontiers() {
 				if !anyBit(lw) {
 					continue // queued only by lanes that since finished
 				}
-				t.g.Neighbors(v, func(x graph.Handle) bool {
-					if !t.informed.covers(x, lw) {
-						t.fanOut(lw, t.informed.wordsOf(x), x, v)
+				t.g.NeighborSlots(v.Slot, func(y uint32) {
+					if !t.informed.covers(y, lw) {
+						t.fanOut(lw, t.g.SlotHandle(y), v)
 					}
-					return true
 				})
 			}
 		default:
@@ -1118,7 +1136,9 @@ func (t *Traffic) pullPays(u, nScan int) bool {
 // tracking bits in those lanes, lx, and recounts them from x's own
 // neighborhood — one count per visit of a neighbor y in each lane of lx
 // that informs y. Every write lands in x's owner shard, so nothing is
-// staged or merged, and only x's owner walks Neighbors(x).
+// staged or merged, and only x's owner walks x's neighborhood. The walk
+// goes by slot (graph.NeighborSlots), and a visit loads y's informed row
+// and nothing else: a dead node's row was cleared at its death.
 //
 // The walk counts word-parallel, in bit planes: plane p holds bit p of
 // every lane's count, and a visit adds its lane word lx & informed(y) to
@@ -1135,7 +1155,7 @@ func (t *Traffic) pullPays(u, nScan int) bool {
 // number of live incidences between x and l's informed nodes other than
 // the ones crossing now (the invariant every event maintains; in a Step
 // the advance's fresh incidences are back in, applyFresh(+1)), and push
-// would add one per incidence between x and a crossing node. Neighbors
+// would add one per incidence between x and a crossing node. The walk
 // visits x's out-targets and in-sources, and the arena keeps out-slots
 // and in-refs in one-to-one correspondence (graph.CheckInvariants), so
 // the visits of x from its neighbors' side and of its neighbors from x's
@@ -1158,21 +1178,18 @@ func (t *Traffic) drainPull(w int, lanes []uint64) {
 			if x.IsNil() {
 				continue
 			}
-			xw := t.informed.wordsOf(x)
 			recount := false
 			for i, l := range lanes {
-				if xw != nil {
-					l &^= xw[i]
-				}
+				l &^= t.informed.get(x.Slot, i)
 				lx[i] = l
 				recount = recount || l != 0
 			}
 			if !recount {
 				continue
 			}
-			if tw := t.tracked.wordsOf(x); tw != nil {
+			if t.tracked.current(x) {
 				for i, m := range lx {
-					tw[i] &^= m
+					t.tracked.andNot(x.Slot, i, m)
 					for ; m != 0; m &= m - 1 {
 						t.cnt.zero(x.Slot, i<<6|bits.TrailingZeros64(m))
 					}
@@ -1184,16 +1201,12 @@ func (t *Traffic) drainPull(w int, lanes []uint64) {
 			}
 			ps := planes[:np*st]
 			clear(ps)
-			g.Neighbors(x, func(y graph.Handle) bool {
-				yw := t.informed.wordsOf(y)
-				if yw == nil {
-					return true
-				}
+			g.NeighborSlots(x.Slot, func(y uint32) {
 				for i, m := range lx {
-					m &= yw[i]
+					m &= t.informed.get(y, i)
 					if t.onStage != nil { // drop the filtered lanes before the add
 						for b := m; b != 0; b &= b - 1 {
-							if !t.onStage(i<<6|bits.TrailingZeros64(b), x, y) {
+							if !t.onStage(i<<6|bits.TrailingZeros64(b), x, g.SlotHandle(y)) {
 								m &^= b & -b
 							}
 						}
@@ -1205,7 +1218,6 @@ func (t *Traffic) drainPull(w int, lanes []uint64) {
 						m &= c
 					}
 				}
-				return true
 			})
 			for i := range counted {
 				var c uint64
@@ -1219,10 +1231,10 @@ func (t *Traffic) drainPull(w int, lanes []uint64) {
 			}
 			// The counted lanes' cells are zero here, zeroed above or by a
 			// fresh claim, so only a count above the inline range needs set.
-			tw := t.claimRow(x)
+			t.claimRow(x)
 			row := t.cnt.cellRow(x.Slot)
 			for i, m := range counted {
-				tw[i] |= m
+				t.tracked.or(x.Slot, i, m)
 				for ; m != 0; m &= m - 1 {
 					b := bits.TrailingZeros64(m)
 					var c int32
@@ -1251,27 +1263,28 @@ func anyBit(w []uint64) bool {
 }
 
 // fanOut counts one incidence of the cut edge (v -> x) for every lane in
-// lanes that does not hold x in xw (x's informed words; nil holds none),
-// setting the lane's tracking bit on x. x's slot is claimed once, at the
-// first counted lane. Owner-shard context — only x's owner shard calls it
-// during a parallel phase — and the slot-indexed arrays must already span
-// x (growth is serial: growTracked).
-func (t *Traffic) fanOut(lanes, xw []uint64, x, v graph.Handle) {
-	var tw []uint64
+// lanes that does not inform x, setting the lane's tracking bit on x. x's
+// slot is claimed once, at the first counted lane. Owner-shard context —
+// only x's owner shard calls it during a parallel phase — and the
+// slot-indexed arrays must already span x (growth is serial: span).
+func (t *Traffic) fanOut(lanes []uint64, x, v graph.Handle) {
+	claimed := false
 	for i, w := range lanes {
-		if xw != nil {
-			w &^= xw[i]
-		}
-		for ; w != 0; w &= w - 1 {
+		var counted uint64
+		for w &^= t.informed.get(x.Slot, i); w != 0; w &= w - 1 {
 			li := i<<6 | bits.TrailingZeros64(w)
 			if t.onStage != nil && !t.onStage(li, x, v) {
 				continue
 			}
-			if tw == nil {
-				tw = t.claimRow(x)
+			if !claimed {
+				t.claimRow(x)
+				claimed = true
 			}
-			tw[i] |= w & -w
+			counted |= w & -w
 			t.cnt.inc(x.Slot, li)
+		}
+		if counted != 0 {
+			t.tracked.or(x.Slot, i, counted)
 		}
 	}
 }
@@ -1281,56 +1294,106 @@ func (t *Traffic) fanOut(lanes, xw []uint64, x, v graph.Handle) {
 // edge for its receiver's owner shard, then every shard drains its
 // buffers in chunk order — so the per-shard receiver insertion order is a
 // pure function of the pending scans, not of scheduling.
+//
+// Every buffer is reserved once per drain from a bound the pass has: a
+// chunk stages at most one edge per neighbor visit, Σ(OutSlotCount +
+// InDegreeLive) over its scan nodes, into its worker's buffer, and then
+// groups them by owner shard into a buffer of exactly that many; a shard
+// claims at most one receiver per edge staged for it.
 func (t *Traffic) drainFrontiersSharded() {
 	nScan := len(t.scanNodes)
 	par := t.sh.W()
 	nChunks := min(nScan, par*scanChunksPerWorker)
-	if need := nChunks * par; len(t.stage) < need {
-		grown := make([][]laneCutEdge, need)
-		copy(grown, t.stage)
-		t.stage = grown
+	if len(t.stage) < nChunks {
+		t.stage = append(t.stage, make([][]laneCutEdge, nChunks-len(t.stage))...)
+	}
+	if len(t.stageRaw) < par {
+		t.stageRaw = make([][]laneCutEdge, par)
+	}
+	if need := nChunks * (par + 1); len(t.stageOff) < need {
+		t.stageOff = make([]int, need)
 	}
 
-	// Scan: the packed masks and informed words are read-only here, so
-	// the staged edges carry only the receiver and the scan index.
+	// Scan: the packed masks and informed rows are read-only here, so the
+	// staged edges carry only the receiver and the scan index.
 	t.chunkNext.Store(0)
 	t.sh.ForEachShard(func(w int) {
+		next := make([]int, par) // the grouping's per-shard cursors
 		for {
 			c := int(t.chunkNext.Add(1)) - 1
 			if c >= nChunks {
 				return
 			}
-			buf := t.stage[c*par : (c+1)*par]
-			for k := c * nScan / nChunks; k < (c+1)*nScan/nChunks; k++ {
+			lo, hi := c*nScan/nChunks, (c+1)*nScan/nChunks
+			bound := 0
+			for _, v := range t.scanNodes[lo:hi] {
+				bound += t.g.OutSlotCount(v) + t.g.InDegreeLive(v)
+			}
+			raw := reserve(t.stageRaw[w][:0], bound)
+			for k := lo; k < hi; k++ {
 				lw := t.scanLanes[k*t.stride : (k+1)*t.stride]
 				if !anyBit(lw) {
 					continue
 				}
-				t.g.Neighbors(t.scanNodes[k], func(x graph.Handle) bool {
-					if !t.informed.covers(x, lw) {
-						s := t.sh.Owner(x.Slot)
-						buf[s] = append(buf[s], laneCutEdge{recv: x, scan: int32(k)})
+				t.g.NeighborSlots(t.scanNodes[k].Slot, func(y uint32) {
+					if !t.informed.covers(y, lw) {
+						raw = append(raw, laneCutEdge{recv: y, scan: int32(k)})
 					}
-					return true
 				})
 			}
+			t.stageRaw[w] = raw
+
+			// Group by owner shard, keeping the scan order within each.
+			off := t.stageOff[c*(par+1) : (c+1)*(par+1)]
+			clear(off)
+			for _, e := range raw {
+				off[t.sh.Owner(e.recv)+1]++
+			}
+			for s := 0; s < par; s++ {
+				off[s+1] += off[s]
+				next[s] = off[s]
+			}
+			out := reserve(t.stage[c][:0], len(raw))[:len(raw)]
+			for _, e := range raw {
+				s := t.sh.Owner(e.recv)
+				out[next[s]] = e
+				next[s]++
+			}
+			t.stage[c] = out
 		}
 	})
 
-	// Merge: each shard drains the buffers addressed to it in chunk
-	// order, fanning each edge out over the lanes of its scan entry that
-	// do not inform the receiver — re-read here rather than staged, which
-	// would double the staging memory.
+	// Merge: each shard drains the edges staged for it in chunk order,
+	// fanning each edge out over the lanes of its scan entry that do not
+	// inform the receiver — re-read here rather than staged, which would
+	// double the staging memory.
 	t.sh.ForEachShard(func(w int) {
+		sh := &t.shards[w]
+		staged := 0
 		for c := 0; c < nChunks; c++ {
-			buf := t.stage[c*par+w]
-			for _, ce := range buf {
+			staged += t.stageOff[c*(par+1)+w+1] - t.stageOff[c*(par+1)+w]
+		}
+		sh.receivers = reserve(sh.receivers, len(sh.receivers)+staged)
+		for c := 0; c < nChunks; c++ {
+			off := t.stageOff[c*(par+1):]
+			for _, ce := range t.stage[c][off[w]:off[w+1]] {
 				k := int(ce.scan)
-				t.fanOut(t.scanLanes[k*t.stride:(k+1)*t.stride], t.informed.wordsOf(ce.recv), ce.recv, t.scanNodes[k])
+				t.fanOut(t.scanLanes[k*t.stride:(k+1)*t.stride], t.g.SlotHandle(ce.recv), t.scanNodes[k])
 			}
-			t.stage[c*par+w] = buf[:0]
 		}
 	})
+}
+
+// reserve returns s with capacity for at least n elements, keeping its
+// contents: s itself when it has the room, else a copy into a new array
+// of exactly n.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s
+	}
+	ns := make([]T, len(s), n)
+	copy(ns, s)
+	return ns
 }
 
 // compactShard is the freeze pass over one shard's shared receivers,
@@ -1352,13 +1415,13 @@ func (t *Traffic) compactShard(w int) {
 	// do not wait on them. A death with lanes in flight releases the
 	// node's slot, so a stale entry reads nil; a node that died while none
 	// were in flight keeps only dormant lanes' bits.
-	sh.frozenWords = sh.frozenWords[:0]
+	sh.frozenWords = reserve(sh.frozenWords[:0], len(sh.receivers)*st)
 	for _, v := range sh.receivers {
-		tw := t.tracked.wordsOf(v)
+		cur := t.tracked.current(v)
 		for i := 0; i < st; i++ {
 			var live uint64
-			if tw != nil {
-				live = tw[i] & t.liveMask[i]
+			if cur {
+				live = t.tracked.get(v.Slot, i) & t.liveMask[i]
 			}
 			sh.frozenWords = append(sh.frozenWords, live)
 		}
@@ -1382,8 +1445,10 @@ func (t *Traffic) compactShard(w int) {
 			continue               // no lane holds a live count: entry dropped
 		}
 		// Some live lane tracks v, so its slot is current: store the
-		// frozen lanes as its tracking words.
-		copy(t.tracked.words[int(v.Slot)*st:], sh.frozenWords[n*st:(n+1)*st])
+		// frozen lanes as its tracking row.
+		for i, m := range sh.frozenWords[n*st : (n+1)*st] {
+			t.tracked.put(v.Slot, i, m)
+		}
 		sh.receivers[n] = v
 		n++
 	}
@@ -1412,8 +1477,8 @@ func (t *Traffic) admitShard(w int) {
 	sh := &t.shards[w]
 	g := t.g
 	async := t.opts.Mode == Asynchronous
-	sh.admRecv = sh.admRecv[:0]
-	sh.admWords = sh.admWords[:0]
+	sh.admRecv = reserve(sh.admRecv[:0], sh.nFrozen)
+	sh.admWords = reserve(sh.admWords[:0], sh.nFrozen*t.stride)
 	n := 0
 	for fi, v := range sh.receivers[:sh.nFrozen] {
 		if !g.IsAlive(v) {
@@ -1422,7 +1487,7 @@ func (t *Traffic) admitShard(w int) {
 		fw := sh.frozenWords[fi*t.stride : (fi+1)*t.stride]
 		row := t.cnt.cellRow(v.Slot)
 		wordBase := len(sh.admWords)
-		var tw []uint64 // v's tracking words, fetched at the first admission
+		admits := false
 		for i, m := range fw {
 			var admitted uint64
 			for ; m != 0; m &= m - 1 {
@@ -1434,17 +1499,15 @@ func (t *Traffic) admitShard(w int) {
 			}
 			sh.admWords = append(sh.admWords, admitted)
 			if admitted != 0 {
-				if tw == nil {
-					tw = t.tracked.wordsOf(v)
-				}
-				tw[i] &^= admitted
+				t.tracked.andNot(v.Slot, i, admitted)
+				admits = true
 			}
 		}
-		if tw == nil {
+		if !admits {
 			sh.admWords = sh.admWords[:wordBase] // no lane admitted v
 		} else {
 			sh.admRecv = append(sh.admRecv, v)
-			if !anyBit(tw) {
+			if !t.tracked.anyLane(v.Slot) {
 				t.tracked.clearSlot(v) // every lane tracking v admitted it
 				continue
 			}
@@ -1496,12 +1559,16 @@ type TrafficMemStats struct {
 	// Lanes is the number of lane slots allocated — the peak simultaneous
 	// message count, the packed layout's capacity denominator.
 	Lanes int
-	// WordsPerSlot is ceil(Lanes/64): the packed words each arena slot
-	// carries.
+	// WordsPerSlot is the words a slot's packed row spans: ceil(Lanes/64)
+	// past 64 lanes, and 1 up to 64, where a row is the smallest power of
+	// two at least Lanes bits wide and shares its word with the rows of
+	// other slots (64 slots to a word at one lane).
 	WordsPerSlot int
-	// PackedInformedBytes is the plane-owned informed-state footprint:
-	// the lane-membership words plus the shared per-slot generation, for
-	// all lanes together — WordsPerSlot·8 + 4 bytes per slot.
+	// PackedInformedBytes is the plane-owned informed-state footprint, the
+	// rows of all lanes together: one bit per slot per lane, the lanes
+	// rounded up to a power of two up to 64 and to whole words past —
+	// Slots/8 bytes at one lane, 8·WordsPerSlot bytes a slot from 64
+	// lanes. The rows carry no generation: a dying node's row is cleared.
 	PackedInformedBytes int
 	// MarksBaselineBytes is what the same membership state costs in the
 	// pre-packing layout of one graph.Marks per lane: 12 bytes (an
@@ -1521,10 +1588,9 @@ type TrafficMemStats struct {
 
 // MemStats reports the plane's per-slot memory layout — the numbers
 // behind the packed-bitset design: PackedInformedBytes/Lanes versus
-// MarksBaselineBytes/Lanes is the per-lane saving (≈ 93× at M = 1024,
-// since an epoch+gen pair per slot per lane collapses to one bit plus a
-// 1/M share of the shared per-slot generation) — and the cut-count
-// store's size.
+// MarksBaselineBytes/Lanes is the per-lane saving (96× at every lane
+// count that fills its rows, since an epoch+gen pair per slot per lane
+// collapses to one bit) — and the cut-count store's size.
 func (t *Traffic) MemStats() TrafficMemStats {
 	st := TrafficMemStats{
 		Slots:           t.informed.slots(),

@@ -44,21 +44,23 @@ const (
 	viewPageSlots = 1 << viewPageShift
 )
 
-// viewPage is one immutable page of a TrafficView: the informed words and
-// generations of viewPageSlots consecutive slots, as the plane held them
-// when the page was captured, with the slots of dead nodes left empty.
+// viewPage is one immutable page of a TrafficView: the informed rows of
+// viewPageSlots consecutive slots, as the plane held them when the page
+// was captured, and the generation of the node alive in each, taken from
+// the graph. A page starts on a word boundary at every row width, so its
+// rows are laid out as the plane's (rowLayout) from offset 0.
 type viewPage struct {
 	gens  [viewPageSlots]uint32 // 0 = no alive node at capture
-	words []uint64              // viewPageSlots*stride, slot-major, raw lane bits
+	words []uint64              // the page's rows, raw lane bits
 }
 
 // viewDirty is the plane's record of which view pages the informed bitset
 // has changed on since the last CaptureView. Every write to the bitset is
-// serial (cross, noteDeath, Inject's lane reuse and reshape), so no
+// serial (cross, noteDeath, Inject's lane reuse and widening), so no
 // sharded pass marks anything.
 type viewDirty struct {
 	bits []uint64 // one bit per page
-	all  bool     // every page (lane reuse, stride change)
+	all  bool     // every page (lane reuse, row layout change)
 	last *TrafficView
 }
 
@@ -83,13 +85,14 @@ func (d *viewDirty) has(p int) bool {
 // internally consistent (it describes exactly the capture instant) even
 // as the plane advances.
 //
-// A view is a table of immutable pages. The words are stored raw, bits
-// of lanes no longer in flight included: laneOf admits only the lanes in
+// A view is a table of immutable pages. The rows are stored raw, bits of
+// lanes no longer in flight included: laneOf admits only the lanes in
 // flight at capture, and a lane keeps its bits once it leaves flight, so
 // no read reaches a stale bit (a reused lane clears its column first,
-// which changes every page).
+// which changes every page). A dead node's row is cleared at its death,
+// so a page holds rows of live nodes only at its capture.
 type TrafficView struct {
-	stride int
+	rowLayout
 	pages  []*viewPage
 	laneOf map[MessageID]int
 	ids    []MessageID // in-flight messages in admission order
@@ -118,10 +121,10 @@ func (t *Traffic) CaptureView(prev *TrafficView) *TrafficView {
 func (t *Traffic) buildView(prev *TrafficView) *TrafficView {
 	slots := t.informed.slots()
 	v := &TrafficView{
-		stride: t.stride,
-		pages:  make([]*viewPage, (slots+viewPageSlots-1)>>viewPageShift),
-		laneOf: make(map[MessageID]int, len(t.inFlight)),
-		ids:    make([]MessageID, 0, len(t.inFlight)),
+		rowLayout: t.informed.rowLayout,
+		pages:     make([]*viewPage, (slots+viewPageSlots-1)>>viewPageShift),
+		laneOf:    make(map[MessageID]int, len(t.inFlight)),
+		ids:       make([]MessageID, 0, len(t.inFlight)),
 	}
 	for p := range v.pages {
 		if prev != nil && p < len(prev.pages) && !t.viewDirty.has(p) {
@@ -138,21 +141,17 @@ func (t *Traffic) buildView(prev *TrafficView) *TrafficView {
 	return v
 }
 
-// capturePage copies page p of the informed bitset, keeping only the
-// slots whose node is alive.
+// capturePage copies page p of the informed bitset with the generations
+// of the nodes alive in it.
 func (t *Traffic) capturePage(p int) *viewPage {
 	t.viewPagesCopied++
-	st := t.stride
-	pg := &viewPage{words: make([]uint64, viewPageSlots*st)}
+	b := &t.informed
+	pg := &viewPage{words: make([]uint64, b.wordsFor(viewPageSlots))}
 	lo := p << viewPageShift
-	hi := min(lo+viewPageSlots, t.informed.slots())
-	for s := lo; s < hi; s++ {
-		gen := t.informed.gen[s]
-		if !t.g.IsAlive(graph.Handle{Slot: uint32(s), Gen: gen}) {
-			continue
-		}
-		pg.gens[s-lo] = gen
-		copy(pg.words[(s-lo)*st:(s-lo+1)*st], t.informed.words[s*st:(s+1)*st])
+	w, _ := b.at(uint32(lo), 0)
+	copy(pg.words, b.words[w:])
+	for s := lo; s < min(lo+viewPageSlots, t.g.NumSlots()); s++ {
+		pg.gens[s-lo] = t.g.SlotHandle(uint32(s)).Gen
 	}
 	return pg
 }
@@ -170,16 +169,17 @@ func (v *TrafficView) Informed(id MessageID, h graph.Handle) bool {
 	if !ok {
 		return false
 	}
-	w := v.wordsOf(h)
-	return w != nil && w[li>>6]&(1<<(li&63)) != 0
+	w, ok := v.word(h, li>>6)
+	return ok && w&(1<<(li&63)) != 0
 }
 
-// wordsOf returns h's captured lane words, or nil when h was not an alive
-// node with informed state at capture time.
-func (v *TrafficView) wordsOf(h graph.Handle) []uint64 {
-	p, o := int(h.Slot>>viewPageShift), int(h.Slot&(viewPageSlots-1))
+// word returns word i of h's captured row, and false when h was not an
+// alive node at capture time.
+func (v *TrafficView) word(h graph.Handle, i int) (uint64, bool) {
+	p, o := int(h.Slot>>viewPageShift), h.Slot&(viewPageSlots-1)
 	if h.IsNil() || p >= len(v.pages) || v.pages[p].gens[o] != h.Gen {
-		return nil
+		return 0, false
 	}
-	return v.pages[p].words[o*v.stride : (o+1)*v.stride]
+	w, off := v.at(o, i)
+	return v.pages[p].words[w] >> off & v.mask, true
 }
