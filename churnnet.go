@@ -429,8 +429,12 @@ func WriteDOT(w io.Writer, g *Graph, name string) error { return graphio.WriteDO
 func WriteEdgeList(w io.Writer, g *Graph) error { return graphio.WriteEdgeList(w, g) }
 
 // ReadEdgeList rebuilds a snapshot written by WriteEdgeList as a static
-// graph; handles are returned in birth (ID) order.
-func ReadEdgeList(r io.Reader) (*Graph, []Handle, error) { return graphio.ReadEdgeList(r) }
+// graph; handles are returned in birth (ID) order. The reader allocates
+// every node the file's header declares, so maxNodes caps that count: a
+// header above it is an error, before anything is allocated.
+func ReadEdgeList(r io.Reader, maxNodes int) (*Graph, []Handle, error) {
+	return graphio.ReadEdgeList(r, maxNodes)
+}
 
 // --- experiment suite ---
 

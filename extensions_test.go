@@ -70,7 +70,7 @@ func TestSerializationFacade(t *testing.T) {
 	if err := churnnet.WriteEdgeList(&edges, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, hs, err := churnnet.ReadEdgeList(&edges)
+	g2, hs, err := churnnet.ReadEdgeList(&edges, g.NumAlive())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -69,8 +70,9 @@ func SampleStationary(kind Kind, n, d int, r *rng.RNG) Model {
 	return SampleStationaryPar(kind, n, d, r, 1)
 }
 
-// SampleStationaryPar is SampleStationary with the snapshot-wiring arena
-// fill (graph.WireSnapshotEdgesPar) sharded over `workers` goroutines.
+// SampleStationaryPar is SampleStationary with the snapshot wiring
+// (graph.SnapshotWiring) spread over `workers` goroutines: at W ≥ 2 its
+// count runs beside the request draws and its arena fill is sharded.
 // The request-resolution draws stay serial — they consume the RNG — so
 // the sampled model is bit-for-bit identical at every worker count;
 // workers <= 1 is exactly SampleStationary.
@@ -150,48 +152,108 @@ func (m *Streaming) SampleStationaryPar(workers int) {
 		return // no other node ever exists; no request can be placed
 	}
 
-	// Resolve every request to a target birth round (node born lo+i sits in
-	// arena slot i), then bulk-wire the snapshot in one counting-sort pass.
+	// Resolve every request to a target slot (the node born at round lo+i
+	// sits in arena slot i), handing each finished block of owners to the
+	// wiring's count, then bulk-wire the snapshot. In slots, the
+	// destination born at beta is slot rel = beta−lo, and it dies before
+	// the snapshot (beta+n ≤ t) exactly when rel < 0. The initial
+	// destination of owner i is uniform over births [b−n+1, b−1], slots
+	// i−n+1 … i−1; a re-pointing from rel is uniform over slots rel+1 …
+	// rel+n−1 minus the owner's i (the owner is always alive and always in
+	// that window; see file comment). Without regeneration, and at n = 2
+	// where the only other candidate is the owner (the bootstrap corner of
+	// rule 3), a request to a dead destination dangles and is not placed.
+	//
+	// The loop holds the RNG state in locals and draws the two ranges'
+	// uniforms by Lemire's method with thresholds computed once: exactly
+	// the draws m.r.Intn(n−1) and m.r.Intn(n−2) would make, in order.
 	starts := make([]int32, n+1)
-	targets := make([]uint32, 0, n*d)
-	for i := 0; i < n; i++ {
-		b := lo + i
-		for j := 0; j < d; j++ {
-			// Initial destination: uniform over births [b−n+1, b−1].
-			beta := b - n + 1 + m.r.Intn(n-1)
-			if m.kind.Regen() {
-				// The destination born at beta dies at round beta+n; each
-				// death before the snapshot re-points the request uniformly
-				// over the births [beta+1, beta+n−1] minus b (the owner is
-				// always alive and always in that window; see file comment).
-				dropped := false
-				for beta+n <= t {
-					if n == 2 {
-						// The only other candidate is the owner: the
-						// re-pointed request cannot be placed and dangles
-						// permanently (the bootstrap corner of rule 3).
-						dropped = true
-						break
-					}
-					c := beta + 1 + m.r.Intn(n-2)
-					if c >= b {
-						c++
-					}
-					beta = c
-				}
-				if dropped {
-					continue
-				}
-			} else if beta < lo {
-				continue // destination predeceased the snapshot: dangling request
-			}
-			targets = append(targets, uint32(beta-lo))
-		}
-		starts[i+1] = int32(len(targets))
+	targets := make([]uint32, n*d)
+	chain := m.kind.Regen() && n > 2
+	edges := -1
+	if chain {
+		edges = n * d // every request is placed
 	}
-	m.g.WireSnapshotEdgesPar(starts, exactTargets(m.kind, targets), workers)
+	wiring := m.g.NewSnapshotWiring(starts, targets, edges, workers)
+	n1 := uint64(n - 1)
+	thresh1 := -n1 % n1
+	var n2, thresh2 uint64
+	if chain {
+		n2 = uint64(n - 2)
+		thresh2 = -n2 % n2
+	}
+	st := m.r.State()
+	e := 0
+	for i := 0; i < n; i++ {
+		first := i - (n - 1)
+		for j := 0; j < d; j++ {
+			x, next := st.Next()
+			hi, low := bits.Mul64(x, n1)
+			for low < thresh1 {
+				x, next = next.Next()
+				hi, low = bits.Mul64(x, n1)
+			}
+			st = next
+			rel := first + int(hi)
+			if chain {
+				// Re-point while the destination is dead. Whether it is
+				// dead is a coin flip at every request, so the first
+				// re-pointing is drawn ahead on a copy of the state and
+				// kept only if rel < 0: the two selects compile to
+				// conditional moves, the draw costs less than the branch
+				// miss it replaces, and only a second re-pointing
+				// branches. Discarded draws never reach st.
+				x, ahead := st.Next()
+				hi, low := bits.Mul64(x, n2)
+				for low < thresh2 {
+					x, ahead = ahead.Next()
+					hi, low = bits.Mul64(x, n2)
+				}
+				c := rel + 1 + int(hi)
+				if c >= i {
+					c++
+				}
+				if rel < 0 {
+					st = ahead
+				}
+				if rel < 0 {
+					rel = c
+				}
+				for rel < 0 {
+					x, next := st.Next()
+					hi, low := bits.Mul64(x, n2)
+					for low < thresh2 {
+						x, next = next.Next()
+						hi, low = bits.Mul64(x, n2)
+					}
+					st = next
+					rel += 1 + int(hi)
+					if rel >= i {
+						rel++
+					}
+				}
+			} else if rel < 0 {
+				continue // dangling request
+			}
+			targets[e] = uint32(rel)
+			e++
+		}
+		starts[i+1] = int32(e)
+		if (i+1)%handOffOwners == 0 {
+			wiring.HandOff(i + 1)
+		}
+	}
+	m.r.SetState(st)
+	targets = targets[:e]
+	wiring.Wire(exactTargets(m.kind, targets))
 	fireEdgeHooks(m.hooks.OnEdge, byBirth, starts, targets)
 }
+
+// handOffOwners is how many owners a sampler draws between two hand-offs
+// to the wiring's count: about 86,000 requests at d = 21, a few
+// milliseconds of draws, so the count trails the draws closely while each
+// channel send is amortized over thousands of requests.
+const handOffOwners = 1 << 12
 
 // fireEdgeHooks replays the bulk-wired edges to an OnEdge observer, grouped
 // by owner in birth order — the same edges AddOutEdge calls would have
@@ -258,24 +320,38 @@ func (m *Poisson) SampleStationaryPar(workers int) {
 	m.last = handles[pop-1]
 
 	// Resolve every request to a destination index (node i sits in arena
-	// slot i), then bulk-wire the snapshot in one counting-sort pass.
+	// slot i), handing each finished block of owners to the wiring's
+	// count, then bulk-wire the snapshot. Without regeneration about half
+	// the requests dangle, so the edge count is known up front only with
+	// it.
 	starts := make([]int32, pop+1)
-	targets := make([]uint32, 0, pop*m.d)
+	targets := make([]uint32, pop*m.d)
+	edges := -1
+	if m.kind.Regen() {
+		edges = pop * m.d // every request but a bootstrap corner's is placed
+	}
+	wiring := m.g.NewSnapshotWiring(starts, targets, edges, workers)
+	e := 0
 	for i := 0; i < pop; i++ {
 		for j := 0; j < m.d; j++ {
 			tgt := m.sampleRequestTarget(births, i)
 			if tgt < 0 {
 				continue // request dangles at the snapshot (or never placed)
 			}
-			targets = append(targets, uint32(tgt))
+			targets[e] = uint32(tgt)
+			e++
 		}
-		starts[i+1] = int32(len(targets))
+		starts[i+1] = int32(e)
+		if (i+1)%handOffOwners == 0 {
+			wiring.HandOff(i + 1)
+		}
 	}
-	m.g.WireSnapshotEdgesPar(starts, exactTargets(m.kind, targets), workers)
+	targets = targets[:e]
+	wiring.Wire(exactTargets(m.kind, targets))
 	fireEdgeHooks(m.hooks.OnEdge, handles, starts, targets)
 }
 
-// exactTargets returns the request targets to hand WireSnapshotEdgesPar,
+// exactTargets returns the request targets to hand the wiring's Wire,
 // which adopts the array as the graph's out arena for good. The samplers
 // reserve n·d entries; without regeneration about half the requests
 // dangle at the snapshot and no request is ever placed on an existing

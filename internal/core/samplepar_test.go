@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/dyngraph/churnnet/internal/graph"
@@ -58,4 +59,21 @@ func compareSnapshots(t *testing.T, a, b *graph.Graph, kind Kind, seed uint64, w
 		}
 		return true
 	})
+}
+
+// BenchmarkSampleStationary times one stationary snapshot build — the
+// request draws, the in-degree count and the wiring — for SDGR and PDGR
+// at n = 10⁵, d = 21, serial and at two workers. Run it with -benchmem:
+// B/op is the snapshot's arenas plus the build's transient arrays.
+func BenchmarkSampleStationary(b *testing.B) {
+	const n, d = 100_000, 21
+	for _, kind := range []Kind{SDGR, PDGR} {
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%v/W=%d", kind, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					SampleStationaryPar(kind, n, d, rng.New(uint64(i)+1), workers)
+				}
+			})
+		}
+	}
 }

@@ -102,8 +102,8 @@ type Config struct {
 	// committed EXPERIMENTS.md record keeps the default (off).
 	FastWarmUp bool
 	// FloodParallelism shards the work *inside* each flooding run
-	// (flood.Options.Parallelism), each fast-warm-up snapshot fill
-	// (graph.WireSnapshotEdgesPar) and, under TrackExpansion, the
+	// (flood.Options.Parallelism), each fast-warm-up snapshot wiring
+	// (graph.SnapshotWiring) and, under TrackExpansion, the
 	// tracker's seeding sweep (expansion.TrackerConfig.Parallelism) across
 	// this many workers. 0 or 1 keeps runs serial — the right setting
 	// whenever Parallelism already saturates the cores with concurrent

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/dyngraph/churnnet/internal/rng"
@@ -324,4 +326,177 @@ func TestWireSnapshotEdgesPanics(t *testing.T) {
 		g.RemoveNode(hs[2], nil)
 		g.WireSnapshotEdges([]int32{0, 0, 0, 0}, nil)
 	})
+}
+
+// addOutEdgeBuild wires a spec the per-edge way, owner by owner in
+// out-slot order: the build every bulk wiring must reproduce.
+func addOutEdgeBuild(n int, starts []int32, targets []uint32) *Graph {
+	ref, rh := freshNodes(n)
+	for s := 0; s < n; s++ {
+		for _, tg := range targets[starts[s]:starts[s+1]] {
+			ref.AddOutEdge(rh[s], rh[tg])
+		}
+	}
+	return ref
+}
+
+// sameArenas compares two graphs' adjacency record by record: every
+// out-list, and every in-list entry (source and out-slot index) in order.
+// Equal to a per-edge build, got needs no CheckInvariants, whose cost is
+// quadratic in a hub's in-degree.
+func sameArenas(t *testing.T, tag string, got, want *Graph) {
+	t.Helper()
+	for s := range want.nodes {
+		if !slices.Equal(got.nodes[s].out, want.nodes[s].out) {
+			t.Fatalf("%s slot %d: out-lists differ", tag, s)
+		}
+		if !slices.Equal(got.nodes[s].in, want.nodes[s].in) {
+			t.Fatalf("%s slot %d: in-lists differ", tag, s)
+		}
+	}
+}
+
+// TestWireSnapshotEdgesBlockEdgeCases pins the blocked in-list fill at the
+// shapes its block geometry makes special, each against the per-edge
+// AddOutEdge build at several worker counts: every target in one block
+// while the arena spans several; an arena narrower than one block, one
+// block exactly, and widths that are not a multiple of the block; and
+// one owner with more requests than the out-slot field of a staged
+// record holds (k ≥ 2^(32−fillBlockBits)), which makes the fill narrow
+// its blocks.
+func TestWireSnapshotEdgesBlockEdgeCases(t *testing.T) {
+	const width = 1 << fillBlockBits
+	type spec struct {
+		name    string
+		n       int
+		starts  []int32
+		targets []uint32
+	}
+	var specs []spec
+
+	// Every request lands in the first 64 slots of a multi-block arena.
+	oneBlock := func(n int) spec {
+		r := rng.New(uint64(n))
+		starts := make([]int32, n+1)
+		var targets []uint32
+		for s := 0; s < n; s++ {
+			for j := r.Intn(6); j > 0; j-- {
+				tg := uint32(r.Intn(63))
+				if tg >= uint32(s) && s < 64 {
+					tg++
+				}
+				targets = append(targets, tg)
+			}
+			starts[s+1] = int32(len(targets))
+		}
+		return spec{fmt.Sprintf("one block, n=%d", n), n, starts, targets}
+	}
+	specs = append(specs, oneBlock(3*width+17))
+	for _, n := range []int{1, 2, 5, width - 1, width, width + 1, 2*width + 100, 3*width - 1} {
+		starts, targets := buildSpec(n, 7, rng.New(uint64(n)+5))
+		specs = append(specs, spec{fmt.Sprintf("n=%d", n), n, starts, targets})
+	}
+
+	// Owner 0 makes 2^(32−fillBlockBits) + 5 requests over the other
+	// slots of an arena wider than a narrowed block.
+	const big = 1<<(32-fillBlockBits) + 5
+	n := width + width/2
+	starts := make([]int32, n+1)
+	targets := make([]uint32, big)
+	for k := range targets {
+		targets[k] = uint32(1 + k%(n-1))
+	}
+	for s := 1; s <= n; s++ {
+		starts[s] = big
+	}
+	specs = append(specs, spec{"owner past the k field", n, starts, targets})
+
+	for _, sp := range specs {
+		ref := addOutEdgeBuild(sp.n, sp.starts, sp.targets)
+		for _, workers := range []int{1, 2, 3} {
+			g, _ := freshNodes(sp.n)
+			g.WireSnapshotEdgesPar(sp.starts, slices.Clone(sp.targets), workers)
+			sameArenas(t, fmt.Sprintf("%s W=%d", sp.name, workers), g, ref)
+		}
+	}
+}
+
+// TestSnapshotWiringHandOff drives the incremental path the samplers use:
+// the spec is handed off in uneven owner ranges while later owners are
+// still unwritten, with the edge count known, unknown, or announced wrong,
+// and the wired graph must equal the per-edge build at every worker count.
+func TestSnapshotWiringHandOff(t *testing.T) {
+	for _, n := range []int{1, 3, 700, 5000} {
+		starts, targets := buildSpec(n, 9, rng.New(uint64(n)*3))
+		ref := addOutEdgeBuild(n, starts, targets)
+		for _, workers := range []int{1, 2, 3, -1} {
+			for _, edges := range []int{len(targets), -1, len(targets) + 1} {
+				g, _ := freshNodes(n)
+				st := make([]int32, n+1)
+				buf := make([]uint32, len(targets)+8)
+				w := g.NewSnapshotWiring(st, buf, edges, workers)
+				for s := 0; s < n; s++ {
+					copy(buf[starts[s]:], targets[starts[s]:starts[s+1]])
+					st[s+1] = starts[s+1]
+					if s%97 == 96 || s%211 == 0 {
+						w.HandOff(s + 1)
+					}
+				}
+				w.Wire(buf[:len(targets)])
+				sameArenas(t, fmt.Sprintf("n=%d W=%d edges=%d", n, workers, edges), g, ref)
+			}
+		}
+	}
+}
+
+// TestSnapshotWiringWrongCount is the negative control for the counts the
+// fill trusts: a spec whose block counts no longer match its targets (an
+// owner's target rewritten after it was counted, or a count off by one
+// each way) must make Wire panic, and before any in-list entry is placed
+// or any node record written.
+func TestSnapshotWiringWrongCount(t *testing.T) {
+	const n = 3 << fillBlockBits
+	starts, targets := buildSpec(n, 6, rng.New(41))
+	corruptions := map[string]func(w *SnapshotWiring, buf []uint32){
+		"target moved to another block after the count": func(w *SnapshotWiring, buf []uint32) {
+			for i, tg := range buf {
+				if tg < 1<<fillBlockBits && int(tg) != n-1 {
+					buf[i] = n - 1 // the last block gains a request it was not counted for
+					return
+				}
+			}
+			t.Fatal("no request into the first block")
+		},
+		"one block over, the next under": func(w *SnapshotWiring, buf []uint32) {
+			w.runs[0].end++
+			w.runs[1].end--
+		},
+		"one block under, the next over": func(w *SnapshotWiring, buf []uint32) {
+			w.runs[0].end--
+			w.runs[1].end++
+		},
+	}
+	for name, corrupt := range corruptions {
+		for _, workers := range []int{1, 2, 3} {
+			g, _ := freshNodes(n)
+			buf := slices.Clone(targets)
+			w := g.NewSnapshotWiring(starts, buf, len(buf), workers)
+			w.count(n) // counted on this goroutine: the corruption cannot race a counter
+			corrupt(w, buf)
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "block counts") {
+						t.Errorf("%s W=%d: Wire did not panic on the counts (recovered %q)", name, workers, msg)
+					}
+				}()
+				w.Wire(buf)
+			}()
+			for s := range g.nodes {
+				if len(g.nodes[s].in) != 0 || len(g.nodes[s].out) != 0 {
+					t.Fatalf("%s W=%d: slot %d was wired before the panic", name, workers, s)
+				}
+			}
+		}
+	}
 }

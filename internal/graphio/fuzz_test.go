@@ -8,10 +8,11 @@ import (
 )
 
 // Bounds of one FuzzReadEdgeList input: the reader sees at most
-// fuzzInputBytes bytes, and inputs whose n header declares more than
-// fuzzMaxNodes nodes are skipped. A valid file may declare up to 2³¹−1
-// isolated nodes in a dozen bytes, and ReadEdgeList allocates every one of
-// them, so without the node bound a single input could exhaust memory.
+// fuzzInputBytes bytes and reads under a node cap of fuzzMaxNodes. A
+// valid file may declare up to 2³¹−1 isolated nodes in a dozen bytes, and
+// ReadEdgeList allocates every one of them, so the cap is what keeps a
+// single input from exhausting memory: a header above it is rejected
+// before anything is allocated.
 const (
 	fuzzInputBytes = 4096
 	fuzzMaxNodes   = 4096
@@ -32,36 +33,34 @@ func declaredNodes(data []byte) int64 {
 	return -1
 }
 
-// FuzzReadEdgeList feeds ReadEdgeList untrusted bytes. It must reject an
-// input with an error or accept it without panicking, and every graph it
-// accepts must pass CheckInvariants, hold the declared node count, and
-// survive WriteEdgeList and a re-read: the list written from the re-read
-// graph is byte-identical to the first one written. The committed corpus
-// (testdata/fuzz/FuzzReadEdgeList) replays under a plain go test.
+// FuzzReadEdgeList feeds ReadEdgeList untrusted bytes under the node cap.
+// It must reject an input with an error or accept it without panicking,
+// and every graph it accepts must pass CheckInvariants, hold the declared
+// node count (at most the cap), and survive WriteEdgeList and a re-read:
+// the list written from the re-read graph is byte-identical to the first
+// one written. The committed corpus (testdata/fuzz/FuzzReadEdgeList)
+// replays under a plain go test.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add([]byte("n 3\na 0 0\na 1 0.5\na 2 1\ne 1 0\ne 2 0\ne 2 0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzInputBytes {
 			data = data[:fuzzInputBytes]
 		}
-		if declaredNodes(data) > fuzzMaxNodes {
-			t.Skip("declares more nodes than the per-input bound")
-		}
-		g, hs, err := ReadEdgeList(bytes.NewReader(data))
+		g, hs, err := ReadEdgeList(bytes.NewReader(data), fuzzMaxNodes)
 		if err != nil {
 			return
 		}
 		if err := g.CheckInvariants(); err != nil {
 			t.Fatalf("accepted input breaks the arena: %v", err)
 		}
-		if n := declaredNodes(data); int64(len(hs)) != n || g.NumAlive() != len(hs) {
+		if n := declaredNodes(data); int64(len(hs)) != n || n > fuzzMaxNodes || g.NumAlive() != len(hs) {
 			t.Fatalf("declared %d nodes, read %d handles and %d alive", n, len(hs), g.NumAlive())
 		}
 		var first, second bytes.Buffer
 		if err := WriteEdgeList(&first, g); err != nil {
 			t.Fatal(err)
 		}
-		g2, _, err := ReadEdgeList(bytes.NewReader(first.Bytes()))
+		g2, _, err := ReadEdgeList(bytes.NewReader(first.Bytes()), fuzzMaxNodes)
 		if err != nil {
 			t.Fatalf("re-read of the written list: %v\n%s", err, first.Bytes())
 		}

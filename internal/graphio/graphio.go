@@ -32,12 +32,11 @@ import (
 	"github.com/dyngraph/churnnet/internal/graph"
 )
 
-// maxNodes caps the node count ReadEdgeList accepts. Slots are indexed by
-// int32 throughout the arena (graph.Graph.alivePos), so anything above
-// this bound could not be represented even if it fit in memory; rejecting
-// it up front turns a hostile or corrupt header into a clear error instead
-// of an allocation explosion.
-const maxNodes = math.MaxInt32
+// slotLimit is the largest node count any ReadEdgeList call accepts,
+// whatever the caller's cap. Slots are indexed by int32 throughout the
+// arena (graph.Graph.alivePos), so anything above this bound could not be
+// represented even if it fit in memory.
+const slotLimit = math.MaxInt32
 
 // scannerBudget is the per-line buffer cap of ReadEdgeList. Records are a
 // few dozen bytes; a line exceeding this budget means the input is not an
@@ -126,14 +125,21 @@ func WriteEdgeList(w io.Writer, g *graph.Graph) error {
 // without them — see the package comment for what that loses). Handles
 // are returned in ID order.
 //
+// The reader allocates every node the `n` header declares as soon as it
+// reads the header, so a 13-byte header can ask for tens of GB. maxNodes
+// is the caller's cap on that count — the largest snapshot it is prepared
+// to hold — and a header above it (or above the int32 slot range) is
+// rejected before anything is allocated.
+//
 // Malformed inputs fail with an error naming the offending line: duplicate
 // `n` headers or `a` records, `a` records after the first edge (births
-// must be known before nodes materialize), counts beyond the int32 slot
-// budget, references out of range, self-loops, and lines exceeding the
-// 16 MiB scanner budget are all rejected explicitly.
+// must be known before nodes materialize), counts above the cap,
+// references out of range, self-loops, and lines exceeding the 16 MiB
+// scanner budget are all rejected explicitly.
 //
 //churnvet:hookexempt loader rebuilds a finished snapshot before any hook subscriber can attach
-func ReadEdgeList(r io.Reader) (*graph.Graph, []graph.Handle, error) {
+func ReadEdgeList(r io.Reader, maxNodes int) (*graph.Graph, []graph.Handle, error) {
+	maxNodes = min(maxNodes, slotLimit)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), scannerBudget)
 	var (
@@ -177,8 +183,11 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, []graph.Handle, error) {
 				return nil, nil, fmt.Errorf("graphio: line %d: malformed n header", line)
 			}
 			v, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil || v < 0 || v > maxNodes {
-				return nil, nil, fmt.Errorf("graphio: line %d: bad node count %q (want 0..%d)", line, fields[1], maxNodes)
+			if err != nil || v < 0 {
+				return nil, nil, fmt.Errorf("graphio: line %d: bad node count %q", line, fields[1])
+			}
+			if v > int64(maxNodes) {
+				return nil, nil, fmt.Errorf("graphio: line %d: bad node count %d (above the cap of %d)", line, v, max(maxNodes, 0))
 			}
 			n = int(v)
 			births = make([]float64, n)

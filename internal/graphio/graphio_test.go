@@ -2,6 +2,7 @@ package graphio
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,6 +11,10 @@ import (
 	"github.com/dyngraph/churnnet/internal/rng"
 	"github.com/dyngraph/churnnet/internal/staticgraph"
 )
+
+// testMaxNodes is the node cap the tests read edge lists under: above
+// every snapshot they write, far below what a hostile header can ask for.
+const testMaxNodes = 1 << 20
 
 func TestWriteDOT(t *testing.T) {
 	g, _ := staticgraph.Path(3)
@@ -59,7 +64,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, hs2, err := ReadEdgeList(&buf)
+	g2, hs2, err := ReadEdgeList(&buf, testMaxNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +87,7 @@ func TestEdgeListRoundTripPreservesDegrees(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, hs2, err := ReadEdgeList(&buf)
+	g2, hs2, err := ReadEdgeList(&buf, testMaxNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +132,7 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"n 2\na 0 1.5\nn 2\n",     // duplicate header after ages
 	}
 	for i, in := range cases {
-		if _, _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
+		if _, _, err := ReadEdgeList(strings.NewReader(in), testMaxNodes); err == nil {
 			t.Errorf("case %d (%q): expected error", i, in)
 		}
 	}
@@ -146,10 +151,34 @@ func TestReadEdgeListErrorMessages(t *testing.T) {
 		{"n 2\n" + strings.Repeat("x", 17*1024*1024), "scanner budget"},
 	}
 	for _, c := range cases {
-		_, _, err := ReadEdgeList(strings.NewReader(c.in))
+		_, _, err := ReadEdgeList(strings.NewReader(c.in), testMaxNodes)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("input %.40q: error %v, want substring %q", c.in, err, c.want)
 		}
+	}
+}
+
+// TestReadEdgeListCapsHeader pins the node cap: the 13-byte header
+// `n 2147483647` fails under a small cap without the reader allocating
+// for the nodes it declares, a header at the cap loads, and one node
+// more is rejected.
+func TestReadEdgeListCapsHeader(t *testing.T) {
+	const limit = 4096
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadEdgeList(strings.NewReader("n 2147483647\n"), limit)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "above the cap of 4096") {
+		t.Fatalf("n 2147483647 under a cap of %d: error %v", limit, err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting the header allocated %d bytes", grew)
+	}
+	if g, hs, err := ReadEdgeList(strings.NewReader("n 4096\n"), limit); err != nil || len(hs) != limit || g.NumAlive() != limit {
+		t.Fatalf("n 4096 under a cap of %d: %v", limit, err)
+	}
+	if _, _, err := ReadEdgeList(strings.NewReader("n 4097\n"), limit); err == nil {
+		t.Fatalf("n 4097 under a cap of %d: no error", limit)
 	}
 }
 
@@ -157,7 +186,7 @@ func TestReadEdgeListErrorMessages(t *testing.T) {
 // load, with the documented lossy IDs-as-ages fallback.
 func TestReadEdgeListLegacyFallback(t *testing.T) {
 	in := "n 3\ne 0 1\ne 1 2\n"
-	g, hs, err := ReadEdgeList(strings.NewReader(in))
+	g, hs, err := ReadEdgeList(strings.NewReader(in), testMaxNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +198,7 @@ func TestReadEdgeListLegacyFallback(t *testing.T) {
 	// Partial age records: annotated nodes keep their birth, the rest
 	// fall back to the dense ID.
 	in = "n 3\na 1 41.5\ne 0 1\n"
-	g, hs, err = ReadEdgeList(strings.NewReader(in))
+	g, hs, err = ReadEdgeList(strings.NewReader(in), testMaxNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +222,7 @@ func TestEdgeListRoundTripPreservesBirths(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, hs2, err := ReadEdgeList(bytes.NewReader(buf.Bytes()))
+	g2, hs2, err := ReadEdgeList(bytes.NewReader(buf.Bytes()), testMaxNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +260,7 @@ func TestEdgeListRoundTripProperty(t *testing.T) {
 			if err := WriteEdgeList(&buf1, g); err != nil {
 				t.Fatal(err)
 			}
-			g2, hs2, err := ReadEdgeList(bytes.NewReader(buf1.Bytes()))
+			g2, hs2, err := ReadEdgeList(bytes.NewReader(buf1.Bytes()), testMaxNodes)
 			if err != nil {
 				t.Fatalf("%v seed %d: %v", kind, seed, err)
 			}
@@ -283,7 +312,7 @@ func TestEdgeListRoundTripProperty(t *testing.T) {
 			}
 
 			// A second read agrees with the first on in-list order.
-			g3, hs3, err := ReadEdgeList(bytes.NewReader(buf1.Bytes()))
+			g3, hs3, err := ReadEdgeList(bytes.NewReader(buf1.Bytes()), testMaxNodes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -323,7 +352,7 @@ func TestEdgeListEmptyGraph(t *testing.T) {
 	if got := buf.String(); got != "n 0\n" {
 		t.Fatalf("empty edge list %q", got)
 	}
-	g2, hs2, err := ReadEdgeList(&buf)
+	g2, hs2, err := ReadEdgeList(&buf, testMaxNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +388,7 @@ func TestEdgeListDeadSlotHoles(t *testing.T) {
 	if err := WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, hs2, err := ReadEdgeList(&buf)
+	g2, hs2, err := ReadEdgeList(&buf, testMaxNodes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +409,7 @@ func TestEdgeListDeadSlotHoles(t *testing.T) {
 
 func TestReadEdgeListSkipsCommentsAndBlanks(t *testing.T) {
 	in := "# snapshot\n\nn 3\n# edges\ne 0 1\n\ne 1 2\n"
-	g, _, err := ReadEdgeList(strings.NewReader(in))
+	g, _, err := ReadEdgeList(strings.NewReader(in), testMaxNodes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,8 @@
 // exactly the bug class PR 5's stale-tracker negative control simulates at
 // runtime. The mutating entry points are graph.AddOutEdge,
 // graph.RedirectOutEdge and the bulk wire-fill paths
-// (graph.WireSnapshotEdges / WireSnapshotEdgesPar).
+// (graph.WireSnapshotEdges / WireSnapshotEdgesPar, and the Wire call that
+// ends a graph.SnapshotWiring).
 //
 // For each such call the analyzer walks the enclosing function's
 // control-flow graph: every path from the call to the function's exit must
@@ -56,6 +57,7 @@ var mutators = map[string]bool{
 	"RedirectOutEdge":      true,
 	"WireSnapshotEdges":    true,
 	"WireSnapshotEdgesPar": true,
+	"Wire":                 true, // (*SnapshotWiring).Wire
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

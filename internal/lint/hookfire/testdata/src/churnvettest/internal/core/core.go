@@ -81,6 +81,17 @@ func (m *Model) wireGood(s *graph.Snapshot) {
 	replaySnapshot(m.hooks.OnEdge, s)
 }
 
+// wiringBad ends an incremental wiring without replaying hooks.
+func (m *Model) wiringBad(w *graph.SnapshotWiring) {
+	w.Wire() // want `graph\.Wire is not followed by an OnEdge hook fire on every path`
+}
+
+// wiringGood ends an incremental wiring, then replays unconditionally.
+func (m *Model) wiringGood(w *graph.SnapshotWiring, s *graph.Snapshot) {
+	w.Wire()
+	replaySnapshot(m.hooks.OnEdge, s)
+}
+
 func replaySnapshot(on func(u, v int), s *graph.Snapshot) {
 	if on == nil {
 		return

@@ -25,3 +25,12 @@ func WireSnapshotEdges(g *Graph, s *Snapshot) {
 		g.AddOutEdge(s.Src[i], s.Dst[i])
 	}
 }
+
+// SnapshotWiring mirrors the incremental bulk wiring: the edges land at
+// Wire.
+type SnapshotWiring struct {
+	g *Graph
+	s *Snapshot
+}
+
+func (w *SnapshotWiring) Wire() { WireSnapshotEdges(w.g, w.s) }

@@ -14,7 +14,40 @@ import "math/bits"
 // RNG is a xoshiro256** generator. The zero value is NOT ready for use;
 // construct one with New.
 type RNG struct {
-	s [4]uint64
+	s State
+}
+
+// State is a generator's state held by value. A hot loop loads it once
+// with (*RNG).State, steps it in locals with Next and Below, and stores it
+// back once with (*RNG).SetState: the draws are exactly the ones the
+// equivalent Uint64 and Uint64n calls would make, but the state stays in
+// registers instead of being loaded and stored through the pointer at
+// every draw.
+type State struct {
+	s0, s1, s2, s3 uint64
+}
+
+// State returns the generator's current state.
+func (r *RNG) State() State { return r.s }
+
+// SetState replaces the generator's state, typically with the one a hot
+// loop advanced from State.
+func (r *RNG) SetState(s State) { r.s = s }
+
+// Next returns the next 64 uniformly random bits and the advanced state:
+// one xoshiro256** step.
+func (s State) Next() (uint64, State) {
+	result := bits.RotateLeft64(s.s1*5, 7) * 9
+
+	t := s.s1 << 17
+	s.s2 ^= s.s0
+	s.s3 ^= s.s1
+	s.s1 ^= s.s2
+	s.s0 ^= s.s3
+	s.s2 ^= t
+	s.s3 = bits.RotateLeft64(s.s3, 45)
+
+	return result, s
 }
 
 // New returns a generator seeded from the given 64-bit seed via splitmix64.
@@ -28,10 +61,11 @@ func New(seed uint64) *RNG {
 
 // Reseed resets the generator state from seed, as if freshly created by New.
 func (r *RNG) Reseed(seed uint64) {
-	sm := seed
-	for i := range r.s {
-		sm, r.s[i] = splitmix64(sm)
-	}
+	sm, s0 := splitmix64(seed)
+	sm, s1 := splitmix64(sm)
+	sm, s2 := splitmix64(sm)
+	_, s3 := splitmix64(sm)
+	r.s = State{s0, s1, s2, s3}
 }
 
 // splitmix64 advances the splitmix64 state and returns (newState, output).
@@ -45,18 +79,9 @@ func splitmix64(state uint64) (uint64, uint64) {
 
 // Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := bits.RotateLeft64(s[1]*5, 7) * 9
-
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = bits.RotateLeft64(s[3], 45)
-
-	return result
+	x, s := r.s.Next()
+	r.s = s
+	return x
 }
 
 // Split returns a new generator whose stream is independent from the

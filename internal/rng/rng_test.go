@@ -31,7 +31,7 @@ func TestDistinctSeedsDiverge(t *testing.T) {
 func TestZeroSeedUsable(t *testing.T) {
 	r := New(0)
 	// splitmix64 seeding must avoid the all-zero xoshiro state.
-	if r.s == [4]uint64{} {
+	if r.s == (State{}) {
 		t.Fatal("zero seed produced all-zero state")
 	}
 	seen := map[uint64]bool{}
@@ -278,4 +278,26 @@ func BenchmarkIntn(b *testing.B) {
 		sink += r.Intn(1000003)
 	}
 	_ = sink
+}
+
+// TestStateMatchesUint64 pins the register-held stepping: a state loaded
+// with State and advanced with Next yields exactly the Uint64 stream, and
+// SetState hands the advanced state back so the generator continues
+// where the loop stopped.
+func TestStateMatchesUint64(t *testing.T) {
+	a, b := New(42), New(42)
+	st := a.State()
+	for i := 0; i < 1000; i++ {
+		x, next := st.Next()
+		st = next
+		if want := b.Uint64(); x != want {
+			t.Fatalf("draw %d: Next %#x, Uint64 %#x", i, x, want)
+		}
+	}
+	a.SetState(st)
+	for i := 0; i < 10; i++ {
+		if x, want := a.Uint64(), b.Uint64(); x != want {
+			t.Fatalf("after SetState, draw %d: %#x, want %#x", i, x, want)
+		}
+	}
 }

@@ -216,7 +216,10 @@ func Run(baseURL string, opts Options) (Report, error) {
 	if err != nil {
 		return rep, err
 	}
-	g, _, err := graphio.ReadEdgeList(bytes.NewReader(snap))
+	// The snapshot holds exactly the alive nodes /healthz reported, so a
+	// header declaring more is an error, caught before the reader
+	// allocates for it.
+	g, _, err := graphio.ReadEdgeList(bytes.NewReader(snap), rep.AliveFinal)
 	if err != nil {
 		return rep, fmt.Errorf("/snapshot: edge list does not parse back: %w", err)
 	}
